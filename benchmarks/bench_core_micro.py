@@ -6,6 +6,8 @@ PT-k query at the default configuration — so performance regressions in
 the primitives are caught independently of workload shape.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -186,3 +188,57 @@ def test_dynamic_delta_refresh(benchmark):
         return index.scan_answer(k, 0.3)
 
     benchmark.pedantic(cycle, rounds=30, iterations=1)
+
+
+def test_prepare_cache_refresh(benchmark):
+    """One score move plus one remove through ``PrepareCache.refresh``.
+
+    The write path's prepare stage: every committed point mutation
+    advances the warm default-shape preparation by ranked-tuple surgery
+    (binary-searched placement, the previous rule index reused) instead
+    of re-preparing it cold.  Each round's untimed setup adds the tuple
+    the round removes, so the table keeps its size.
+    """
+    from repro.dynamic.delta import TableDelta
+    from repro.query.prepare import PrepareCache
+
+    scale = bench_scale()
+    table = generate_synthetic_table(
+        SyntheticConfig(
+            n_tuples=max(500, int(20_000 * scale)),
+            n_rules=max(50, int(2_000 * scale)),
+            seed=29,
+        )
+    )
+    cache = PrepareCache()
+    cache.get(table, TopKQuery(k=10))
+    independent = [t for t in table.tuple_ids() if table.is_independent(t)]
+    rng = random.Random(5)
+    fresh = iter(range(10**9))
+
+    def write(op, tid, **fields):
+        delta = TableDelta(
+            table="bench",
+            op=op,
+            previous_version=table.version - 1,
+            version=table.version,
+            tid=tid,
+            **fields,
+        )
+        assert cache.refresh(table, delta) == 1
+
+    def setup():
+        tid = f"fresh{next(fresh)}"
+        tup = table.add(tid, rng.uniform(0, 1000), 0.5)
+        write("add", tid, score=tup.score, probability=tup.probability)
+        return (tid,), {}
+
+    def cycle(tid):
+        moved = table.update_score(
+            rng.choice(independent), rng.uniform(0, 1000)
+        )
+        write("score", moved.tid, score=moved.score)
+        table.remove_tuple(tid)
+        write("remove", tid)
+
+    benchmark.pedantic(cycle, setup=setup, rounds=50, iterations=1)

@@ -40,6 +40,7 @@ GATED = (
     "test_subset_probability_thousand_extensions",
     "test_scheduler_cost_order",
     "test_dynamic_delta_refresh",
+    "test_prepare_cache_refresh",
 )
 
 #: Allowed slowdown of a calibrated median before the gate fails.

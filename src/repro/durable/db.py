@@ -192,6 +192,8 @@ class DurableDB(UncertainDB):
     # Each method delegates to the engine-level mutation (validation,
     # prepared-ranking refresh, dynamic-index delta) and then journals
     # the committed record; a rejected mutation raises before either.
+    # Both run under the table lock, so concurrent writers to one table
+    # journal their records in version order.
 
     def _dynamic_epoch(self, name: str) -> int:
         return self._epochs.get(name, 0)
@@ -205,72 +207,77 @@ class DurableDB(UncertainDB):
         **attributes: Any,
     ) -> UncertainTuple:
         """Add one tuple to a registered table, journalled."""
-        tup = super().add(name, tid, score, probability, **attributes)
-        self.wal.append(
-            {
-                "op": "add",
-                "table": name,
-                "version": self.table(name).version,
-                "tid": encode_tid(tid),
-                "score": float(score),
-                "probability": float(tup.probability),
-                "attributes": dict(attributes),
-            }
-        )
+        with self.table_lock(name):
+            tup = super().add(name, tid, score, probability, **attributes)
+            self.wal.append(
+                {
+                    "op": "add",
+                    "table": name,
+                    "version": self.table(name).version,
+                    "tid": encode_tid(tid),
+                    "score": float(score),
+                    "probability": float(tup.probability),
+                    "attributes": dict(attributes),
+                }
+            )
         return tup
 
     def add_rule(self, name: str, rule: GenerationRule) -> None:
         """Attach a multi-tuple generation rule, journalled."""
-        super().add_rule(name, rule)
-        self.wal.append(
-            {
-                "op": "rule",
-                "table": name,
-                "version": self.table(name).version,
-                "rule_id": rule.rule_id,
-                "members": [encode_tid(tid) for tid in rule.tuple_ids],
-            }
-        )
+        with self.table_lock(name):
+            super().add_rule(name, rule)
+            self.wal.append(
+                {
+                    "op": "rule",
+                    "table": name,
+                    "version": self.table(name).version,
+                    "rule_id": rule.rule_id,
+                    "members": [encode_tid(tid) for tid in rule.tuple_ids],
+                }
+            )
 
     def remove_tuple(self, name: str, tid: Any) -> UncertainTuple:
         """Remove one tuple (shrinking its rule), journalled."""
-        removed = super().remove_tuple(name, tid)
-        self.wal.append(
-            {
-                "op": "remove",
-                "table": name,
-                "version": self.table(name).version,
-                "tid": encode_tid(tid),
-            }
-        )
+        with self.table_lock(name):
+            removed = super().remove_tuple(name, tid)
+            self.wal.append(
+                {
+                    "op": "remove",
+                    "table": name,
+                    "version": self.table(name).version,
+                    "tid": encode_tid(tid),
+                }
+            )
         return removed
 
     def update_probability(self, name: str, tid: Any, probability: float) -> UncertainTuple:
         """Replace one tuple's membership probability, journalled."""
-        updated = super().update_probability(name, tid, probability)
-        self.wal.append(
-            {
-                "op": "update",
-                "table": name,
-                "version": self.table(name).version,
-                "tid": encode_tid(tid),
-                "probability": float(updated.probability),
-            }
-        )
+        with self.table_lock(name):
+            updated = super().update_probability(name, tid, probability)
+            self.wal.append(
+                {
+                    "op": "update",
+                    "table": name,
+                    "version": self.table(name).version,
+                    "tid": encode_tid(tid),
+                    "probability": float(updated.probability),
+                }
+            )
         return updated
 
     def update_score(self, name: str, tid: Any, score: float) -> UncertainTuple:
         """Replace one tuple's ranking score, journalled."""
-        updated = super().update_score(name, tid, score)
-        self.wal.append(
-            {
-                "op": "score",
-                "table": name,
-                "version": self.table(name).version,
-                "tid": encode_tid(tid),
-                "score": float(updated.score),
-            }
-        )
+        with self.table_lock(name):
+            updated = super().update_score(name, tid, score)
+            self.wal.append(
+                {
+                    "op": "score",
+                    "table": name,
+                    "version": self.table(name).version,
+                    "tid": encode_tid(tid),
+                    "score": float(updated.score),
+                }
+            )
         return updated
 
     # ------------------------------------------------------------------

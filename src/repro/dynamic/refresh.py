@@ -1,34 +1,44 @@
 """In-place refresh of warm :class:`~repro.query.prepare.PreparedRanking`\\ s.
 
-The prepare cache keys entries by table *version*, so before this
-module every mutation condemned every warm preparation: the next read
-paid selection + sort + rule indexing again even though a point
-mutation moves at most one rank.  :func:`refresh_prepared` advances a
-default-shape preparation (trivial predicate, rank by score descending)
-across one :class:`~repro.dynamic.delta.TableDelta` by ranked-tuple
-surgery — a binary-searched insert/delete/replace instead of an
-``O(n log n)`` re-sort — producing exactly the object
-:func:`~repro.query.prepare.prepare_ranking` would build against the
-mutated table.
+The prepare cache keys entries by table *version*, so without this
+module every mutation would condemn every warm preparation: the next
+read would pay selection + sort + rule indexing again even though a
+point mutation moves at most one rank.  :func:`refresh_prepared`
+advances a default-shape preparation (trivial predicate, rank by score
+descending) across one :class:`~repro.dynamic.delta.TableDelta` and
+produces exactly the object :func:`~repro.query.prepare.prepare_ranking`
+would build against the mutated table, at the cost of one point write:
 
-The rule index and rule probabilities are recomputed from the table
-(``O(rule members)``, they are cheap and entangled with shrink
-semantics); the dense columns are left to the preparation's lazy
-``cached_property``.  A refresh that cannot guarantee the exact cold
-order (a sort-key collision on a score move, where the true order among
-equals is table insertion order) returns ``None`` and the entry dies by
-ordinary version purge — never a wrong order.
+* **ranking** — the written tuple's old rank comes from the
+  preparation's cached id column (one C-level ``index``), its new rank
+  from a binary search over the ranked tuples (``bisect`` with the sort
+  key as ``key=``, no materialised key list); the rest is one list
+  insert/delete/replace, mirrored in the id column the refreshed
+  preparation inherits;
+* **rule index** — reused from the previous preparation.  No op but
+  ``rule`` changes which tuples rules cover, and only a probability
+  update of a rule member changes a ``Pr(R)``; that one sum is re-taken.
+  A ``rule`` op and the removal of a rule member, where the table's
+  shrink semantics apply, re-index the rules from the table;
+* **columns** — left to the preparation's lazy ``cached_property``.
+
+A refresh that cannot guarantee the exact cold order returns ``None``
+and the entry dies by ordinary version purge — never a wrong order.
+That happens on a version gap, and on a score move onto a sort key
+another tuple holds: the key is ``(-score, str(tid))``, so this needs
+two tids whose ``str()`` is equal (``1`` and ``"1"``), and the true
+order among them is table insertion order, which surgery cannot see.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.model.table import UncertainTable
-from repro.query.prepare import PreparedRanking
+from repro.query.prepare import PreparedRanking, index_rules
 
-from repro.dynamic.delta import TableDelta
+from repro.dynamic.delta import DELTA_OPS, TableDelta
 
 #: The cache key of the one query shape refresh understands: trivial
 #: predicate, rank by score descending (the serving layer's default).
@@ -39,11 +49,11 @@ def _sort_key(tup: Any) -> Tuple[float, str]:
     return (-tup.score, str(tup.tid))
 
 
-def _index_of(ranked: List[Any], tid: Any) -> Optional[int]:
-    for position, existing in enumerate(ranked):
-        if existing.tid == tid:
-            return position
-    return None
+def _rank_of(tids: List[Any], tid: Any) -> Optional[int]:
+    try:
+        return tids.index(tid)
+    except ValueError:
+        return None
 
 
 def refresh_prepared(
@@ -64,52 +74,44 @@ def refresh_prepared(
     """
     if prepared.source_version != delta.previous_version:
         return None
-    ranked = list(prepared.ranked)
     op = delta.op
-    if op == "add":
+    if op not in DELTA_OPS:
+        return None
+    ranked = list(prepared.ranked)
+    tids = list(prepared.tids)
+    rule_of = prepared.rule_of
+    rule_probability = prepared.rule_probability
+    if op in ("remove", "update", "score"):
+        position = _rank_of(tids, delta.tid)
+        if position is None:
+            return None
+        if op == "update":
+            ranked[position] = table.get(delta.tid)
+            rule = rule_of.get(delta.tid)
+            if rule is not None:
+                rule_probability = dict(rule_probability)
+                rule_probability[rule.rule_id] = table.rule_probability(rule)
+        else:
+            del ranked[position]
+            del tids[position]
+            if op == "remove" and delta.tid in rule_of:
+                rule_of, rule_probability = index_rules(table)
+    elif op == "rule":
+        rule_of, rule_probability = index_rules(table)
+    if op in ("add", "score"):
         tup = table.get(delta.tid)
         key = _sort_key(tup)
-        # bisect_right: the fresh tuple is newest in insertion order, so
+        # bisect_right: a fresh tuple is newest in insertion order, so
         # the stable ranking sort places it after any equal key.
-        keys = [_sort_key(t) for t in ranked]
-        ranked.insert(bisect_right(keys, key), tup)
-    elif op == "remove":
-        position = _index_of(ranked, delta.tid)
-        if position is None:
-            return None
-        del ranked[position]
-    elif op == "update":
-        tup = table.get(delta.tid)
-        position = _index_of(ranked, delta.tid)
-        if position is None:
-            return None
-        ranked[position] = tup
-    elif op == "score":
-        tup = table.get(delta.tid)
-        old_position = _index_of(ranked, delta.tid)
-        if old_position is None:
-            return None
-        del ranked[old_position]
-        key = _sort_key(tup)
-        keys = [_sort_key(t) for t in ranked]
-        position = bisect_right(keys, key)
-        if position > 0 and keys[position - 1] == key:
+        position = bisect_right(ranked, key, key=_sort_key)
+        collides = position and _sort_key(ranked[position - 1]) == key
+        if op == "score" and collides:
             # Equal sort key held by another tuple: the cold order among
             # equals is insertion order, which surgery cannot see.
             return None
         ranked.insert(position, tup)
-    elif op == "rule":
-        pass  # ranks unchanged; only the rule index below moves
-    else:
-        return None
-    from repro.core.rule_compression import rule_index_of_table
-
-    rule_of = rule_index_of_table(table)
-    rule_probability: Dict[Any, float] = {}
-    for rule in rule_of.values():
-        if rule.rule_id not in rule_probability:
-            rule_probability[rule.rule_id] = table.rule_probability(rule)
-    return PreparedRanking(
+        tids.insert(position, tup.tid)
+    refreshed = PreparedRanking(
         table=prepared.table,
         ranked=tuple(ranked),
         rule_of=rule_of,
@@ -118,3 +120,7 @@ def refresh_prepared(
         predicate=prepared.predicate,
         ranking=prepared.ranking,
     )
+    # Seed the cached id column the way cached_property stores it, so
+    # the next write does not rebuild it.
+    refreshed.__dict__["tids"] = tuple(tids)
+    return refreshed

@@ -15,6 +15,7 @@ comparison are written against this facade.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -83,6 +84,30 @@ class UncertainDB:
         self._tables: Dict[str, UncertainTable] = {}
         self._prepare_cache = PrepareCache()
         self._dynamic: Optional[Any] = None
+        self._table_locks: Dict[str, threading.RLock] = {}
+        self._table_locks_guard = threading.Lock()
+
+    def table_lock(self, name: str) -> threading.RLock:
+        """The lock that orders ``name``'s writes against its reads.
+
+        A mutation holds it across the table write *and*
+        :meth:`_emit_delta`.  A read holds it at least while it takes
+        its snapshot of the table (a prepare-cache lookup, a dynamic
+        index build or advance); the ``ptk*`` methods here hold it for
+        the whole query.  Without it a read could pair one version's
+        contents with the other's number: an index built from the old
+        tuples but stamped with the new version (it then skips the
+        write's delta), or a preparation of the new tuples stored under
+        the old version (the writer's refresh then applies the delta a
+        second time).  Re-entrant, so a journalling subclass can hold
+        it around the engine-level mutation plus its WAL append.
+
+        :meth:`register` creates the lock; a name that was never
+        registered gets a private lock (its callers fail on the table
+        lookup), so request-supplied names cannot grow the lock table.
+        """
+        with self._table_locks_guard:
+            return self._table_locks.get(name) or threading.RLock()
 
     @property
     def prepare_cache(self) -> PrepareCache:
@@ -185,6 +210,8 @@ class UncertainDB:
         key = name or table.name
         if key in self._tables:
             raise QueryError(f"a table named {key!r} is already registered")
+        with self._table_locks_guard:
+            self._table_locks.setdefault(key, threading.RLock())
         self._tables[key] = table
         # No cache invalidation here: the cache is keyed by table object
         # identity and version, so a previously dropped table's entries
@@ -244,34 +271,36 @@ class UncertainDB:
         :raises DuplicateTupleError: the id is already present.
         :raises UnknownTableError: no such table.
         """
-        table = self.table(name)
-        previous = table.version
-        tup = table.add(tid, score, probability, **attributes)
-        self._emit_delta(
-            name,
-            table,
-            "add",
-            previous,
-            tid=tid,
-            score=tup.score,
-            probability=tup.probability,
-            attributes=dict(attributes) or None,
-        )
+        with self.table_lock(name):
+            table = self.table(name)
+            previous = table.version
+            tup = table.add(tid, score, probability, **attributes)
+            self._emit_delta(
+                name,
+                table,
+                "add",
+                previous,
+                tid=tid,
+                score=tup.score,
+                probability=tup.probability,
+                attributes=dict(attributes) or None,
+            )
         return tup
 
     def add_rule(self, name: str, rule: GenerationRule) -> None:
         """Attach a multi-tuple generation rule to a registered table."""
-        table = self.table(name)
-        previous = table.version
-        table.add_rule(rule)
-        self._emit_delta(
-            name,
-            table,
-            "rule",
-            previous,
-            rule_id=rule.rule_id,
-            members=tuple(rule.tuple_ids),
-        )
+        with self.table_lock(name):
+            table = self.table(name)
+            previous = table.version
+            table.add_rule(rule)
+            self._emit_delta(
+                name,
+                table,
+                "rule",
+                previous,
+                rule_id=rule.rule_id,
+                members=tuple(rule.tuple_ids),
+            )
 
     def add_exclusive(
         self, name: str, rule_id: Any, *tuple_ids: Any
@@ -283,37 +312,40 @@ class UncertainDB:
 
     def remove_tuple(self, name: str, tid: Any) -> UncertainTuple:
         """Remove one tuple (shrinking its rule, if any)."""
-        table = self.table(name)
-        previous = table.version
-        removed = table.remove_tuple(tid)
-        self._emit_delta(name, table, "remove", previous, tid=tid)
+        with self.table_lock(name):
+            table = self.table(name)
+            previous = table.version
+            removed = table.remove_tuple(tid)
+            self._emit_delta(name, table, "remove", previous, tid=tid)
         return removed
 
     def update_probability(
         self, name: str, tid: Any, probability: float
     ) -> UncertainTuple:
         """Replace one tuple's membership probability."""
-        table = self.table(name)
-        previous = table.version
-        updated = table.update_probability(tid, probability)
-        self._emit_delta(
-            name,
-            table,
-            "update",
-            previous,
-            tid=tid,
-            probability=updated.probability,
-        )
+        with self.table_lock(name):
+            table = self.table(name)
+            previous = table.version
+            updated = table.update_probability(tid, probability)
+            self._emit_delta(
+                name,
+                table,
+                "update",
+                previous,
+                tid=tid,
+                probability=updated.probability,
+            )
         return updated
 
     def update_score(self, name: str, tid: Any, score: float) -> UncertainTuple:
         """Replace one tuple's ranking score (it moves in the order)."""
-        table = self.table(name)
-        previous = table.version
-        updated = table.update_score(tid, score)
-        self._emit_delta(
-            name, table, "score", previous, tid=tid, score=updated.score
-        )
+        with self.table_lock(name):
+            table = self.table(name)
+            previous = table.version
+            updated = table.update_score(tid, score)
+            self._emit_delta(
+                name, table, "score", previous, tid=tid, score=updated.score
+            )
         return updated
 
     # ------------------------------------------------------------------
@@ -337,7 +369,9 @@ class UncertainDB:
         tuple (the full-scan shape) — bitwise what a cold columnar scan
         of the current table would compute.
         """
-        with query_scope("ptk", table=name, k=k, threshold=threshold):
+        with query_scope(
+            "ptk", table=name, k=k, threshold=threshold
+        ), self.table_lock(name):
             if query is None and self._dynamic is not None:
                 answer = self._dynamic.answer(
                     name, self.table(name), k, threshold
@@ -362,7 +396,9 @@ class UncertainDB:
         config: Optional[SamplingConfig] = None,
     ) -> PTKAnswer:
         """Approximate PT-k query via the sampling method."""
-        with query_scope("ptk-sampled", table=name, k=k, threshold=threshold):
+        with query_scope(
+            "ptk-sampled", table=name, k=k, threshold=threshold
+        ), self.table_lock(name):
             return sampled_ptk_query(
                 self.table(name),
                 query or TopKQuery(k=k),
@@ -391,7 +427,9 @@ class UncertainDB:
         """
         from repro.core.batch import batch_ptk_queries
 
-        with query_scope("ptk-batch", table=name, requests=len(requests)):
+        with query_scope(
+            "ptk-batch", table=name, requests=len(requests)
+        ), self.table_lock(name):
             return batch_ptk_queries(
                 self.table(name),
                 requests,
@@ -431,9 +469,10 @@ class UncertainDB:
         ready: Dict[str, Any] = {}
         for name, k, _ in requests:
             if name not in ready:
-                ready[name] = self._prepare_cache.get(
-                    self.table(name), TopKQuery(k=k)
-                )
+                with self.table_lock(name):
+                    ready[name] = self._prepare_cache.get(
+                        self.table(name), TopKQuery(k=k)
+                    )
         with query_scope(
             "ptk-many", requests=len(requests), tables=len(ready)
         ):

@@ -96,8 +96,34 @@ class PreparedRanking:
 
         return TableColumns.from_ranked(self.ranked, self.rule_of)
 
+    @cached_property
+    def tids(self) -> Tuple[Any, ...]:
+        """The ranked tuples' ids, cached like :attr:`columns`.
+
+        :func:`repro.dynamic.refresh.refresh_prepared` finds a written
+        tuple's rank here and hands the edited ids to the refreshed
+        preparation, so the column is built once per cache entry, not
+        once per write.
+        """
+        return tuple(t.tid for t in self.ranked)
+
     def __len__(self) -> int:
         return len(self.ranked)
+
+
+def index_rules(
+    table: UncertainTable,
+) -> Tuple[Dict[Any, GenerationRule], Dict[Any, float]]:
+    """The rule products of a preparation: tuple id -> multi-tuple rule
+    (independent tuples omitted) and rule id -> ``Pr(R)``."""
+    from repro.core.rule_compression import rule_index_of_table
+
+    rule_of = rule_index_of_table(table)
+    rule_probability: Dict[Any, float] = {}
+    for rule in rule_of.values():
+        if rule.rule_id not in rule_probability:
+            rule_probability[rule.rule_id] = table.rule_probability(rule)
+    return rule_of, rule_probability
 
 
 def prepare_ranking(table: UncertainTable, query: TopKQuery) -> PreparedRanking:
@@ -107,17 +133,11 @@ def prepare_ranking(table: UncertainTable, query: TopKQuery) -> PreparedRanking:
     :class:`PrepareCache` (every :class:`~repro.query.engine.UncertainDB`
     owns one) or pass ``prepared=`` explicitly.
     """
-    from repro.core.rule_compression import rule_index_of_table
-
     with obs_span("query.prepare", table=table.name):
         version = table.version
         selected = query.selected(table)
         ranked = tuple(query.ranking.rank_table(selected))
-        rule_of = rule_index_of_table(selected)
-        rule_probability: Dict[Any, float] = {}
-        for rule in rule_of.values():
-            if rule.rule_id not in rule_probability:
-                rule_probability[rule.rule_id] = selected.rule_probability(rule)
+        rule_of, rule_probability = index_rules(selected)
     return PreparedRanking(
         table=selected,
         ranked=ranked,

@@ -161,37 +161,42 @@ class ReplicaApplier:
                     self.serve_records += 1
                     continue
                 name = record.get("table")
-                changed = apply_record(self._tables, record, self._epochs)
-                if changed:
-                    applied += 1
-                    if op == "register":
-                        # apply_record replaced the table object; swap
-                        # the registry to match (drop invalidates the
-                        # old object's prepare-cache entries).
-                        if name in self.db.tables():
-                            self.db.drop(name)
-                        self.db.register(self._tables[name], name=name)
-                    elif op == "drop":
-                        if name in self.db.tables():
-                            self.db.drop(name)
+                # Under the table lock: a read on an executor thread must
+                # never snapshot the table between the apply and the
+                # delta that refreshes the warm state.
+                with self.db.table_lock(name):
+                    changed = apply_record(self._tables, record, self._epochs)
+                    if changed:
+                        applied += 1
+                        if op == "register":
+                            # apply_record replaced the table object;
+                            # swap the registry to match (drop invalidates
+                            # the old object's prepare-cache entries).
+                            if name in self.db.tables():
+                                self.db.drop(name)
+                            self.db.register(self._tables[name], name=name)
+                        elif op == "drop":
+                            if name in self.db.tables():
+                                self.db.drop(name)
+                        else:
+                            # In-place mutations need no registry
+                            # surgery (the table object is shared and its
+                            # version bump keeps the prepare cache sound)
+                            # — but the same delta the primary emitted
+                            # advances warm preparations and the dynamic
+                            # indexes here, so a replica read after apply
+                            # is served from refreshed state, not a cold
+                            # re-prepare.
+                            delta = delta_from_record(
+                                record, epoch=self._epochs.get(name, 0)
+                            )
+                            if delta is not None:
+                                table = self._tables[name]
+                                self.db.prepare_cache.refresh(table, delta)
+                                if self.db.dynamic is not None:
+                                    self.db.dynamic.enqueue(delta)
                     else:
-                        # In-place mutations need no registry surgery
-                        # (the table object is shared and its version
-                        # bump keeps the prepare cache sound) — but the
-                        # same delta the primary emitted advances warm
-                        # preparations and the dynamic indexes here,
-                        # so a replica read after apply is served from
-                        # refreshed state, not a cold re-prepare.
-                        delta = delta_from_record(
-                            record, epoch=self._epochs.get(name, 0)
-                        )
-                        if delta is not None:
-                            table = self._tables[name]
-                            self.db.prepare_cache.refresh(table, delta)
-                            if self.db.dynamic is not None:
-                                self.db.dynamic.enqueue(delta)
-                else:
-                    skipped += 1
+                        skipped += 1
             if "cursor" in payload:
                 self.cursor = WalCursor.decode(payload["cursor"])
             now = time.monotonic()

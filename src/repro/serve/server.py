@@ -816,7 +816,13 @@ class ServeApp:
             # items individually so each client sees a clean 404.
             return [error for _ in items]
         max_k = max(w.request.k for w in items)
-        prepared = self.db.prepare_cache.get(table, TopKQuery(k=max_k))
+        # POST /mutate writes on the event-loop thread: snapshot the
+        # table under its lock so the preparation and statistics each
+        # describe one version (UncertainDB.table_lock).
+        table_lock = self.db.table_lock(name)
+        with table_lock:
+            prepared = self.db.prepare_cache.get(table, TopKQuery(k=max_k))
+            statistics = self._statistics_for(table)
         # A durable engine journals served keys so a restart re-prepares
         # what production traffic was actually using (cache warm start).
         # defer=True: buffer only — the WAL append (and any fsync) runs
@@ -824,7 +830,6 @@ class ServeApp:
         note_served = getattr(self.db, "note_served", None)
         if note_served is not None:
             note_served(name, max_k, defer=True)
-        statistics = self._statistics_for(table)
         recorder = OBS.flight if OBS.enabled else None
         # The batch-level PrepareCache.get above ran before any per-item
         # profile opened; its outcome was parked per-thread.
@@ -857,9 +862,10 @@ class ServeApp:
             # k above the registry cap falls through to planning.
             if registry is not None and work.request.mode != "sampled":
                 started = time.perf_counter()
-                answer = registry.answer(
-                    name, table, work.request.k, work.request.threshold
-                )
+                with table_lock:
+                    answer = registry.answer(
+                        name, table, work.request.k, work.request.threshold
+                    )
                 if answer is not None:
                     elapsed = time.perf_counter() - started
                     if recorder is not None:
@@ -915,8 +921,11 @@ class ServeApp:
             work = items[task.position]
             now = time.monotonic()
             remaining = None if work.deadline is None else work.deadline - now
+            # Keyed by the scanned preparation's version, not the live
+            # table's: a write may have landed since the snapshot.
             checkpoint_key = (
-                name, table.version, work.request.k, work.request.threshold,
+                name, prepared.source_version, work.request.k,
+                work.request.threshold,
             )
             checkpoint = self._take_checkpoint(checkpoint_key)
             estimated = (

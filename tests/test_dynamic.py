@@ -9,6 +9,9 @@ registry's fallback policy, and end to end through the serve layer.
 
 import json
 import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -461,3 +464,159 @@ class TestServeIntegration:
                 assert "reads" in block and "fallbacks" in block
         finally:
             obs.disable()
+
+
+class TestWriteReadOrdering:
+    """``POST /mutate`` runs on the event-loop thread while reads run on
+    executor threads.  Each test injects a write into the middle of a
+    read's table snapshot: the snapshot step starts the write on another
+    thread and waits until it lands or 0.3 s pass.  The table lock must
+    hold the write off until the snapshot is done."""
+
+    def build_app(self, dynamic):
+        return TestServeIntegration().build_app(dynamic=dynamic)
+
+    @staticmethod
+    def inject_write(table, client):
+        before = table.version
+        writer = threading.Thread(target=client.mutate, args=({
+            "op": "add", "table": "demo", "tid": "late",
+            "score": 500.0, "probability": 0.9,
+        },))
+        writer.start()
+        deadline = time.monotonic() + 0.3
+        while table.version == before and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return writer
+
+    def test_index_build_never_pairs_old_tuples_with_new_version(
+        self, monkeypatch
+    ):
+        from repro import obs
+        from repro.serve.client import LoopbackTransport, ServeClient
+
+        db, app = self.build_app(dynamic=True)
+        table = db.table("demo")
+        writers = []
+        real_ranked_tuples = table.ranked_tuples
+
+        def ranked_tuples(*args, **kwargs):
+            # DynamicIndex.build reads the tuples, then the version.
+            ranked = real_ranked_tuples(*args, **kwargs)
+            if not writers:
+                writers.append(self.inject_write(table, client))
+            return ranked
+
+        monkeypatch.setattr(table, "ranked_tuples", ranked_tuples)
+        try:
+            with LoopbackTransport(app) as transport:
+                client = ServeClient(transport)
+                client.query(table="demo", k=3, threshold=0.15)
+                writers[0].join(timeout=10)
+                assert not writers[0].is_alive()
+                answer = client.query(table="demo", k=3, threshold=0.15)
+        finally:
+            obs.disable()
+        # Responses round Pr^k; the engine read of the same index does not.
+        direct = db.ptk("demo", k=3, threshold=0.15)
+        assert answer["mode"] == direct.method == "dynamic"
+        assert answer["answers"] == [str(t) for t in direct.answers]
+        assert "late" in direct.answers
+        cold = dict(zip(*cold_probabilities(table, 3)))
+        assert direct.answers == [t for t in cold if cold[t] >= 0.15]
+        for tid, probability in direct.probabilities.items():
+            assert probability == cold[tid]
+
+    def test_cache_build_never_stores_new_tuples_under_old_version(
+        self, monkeypatch
+    ):
+        from repro import obs
+        from repro.query.ranking import RankingFunction
+        from repro.serve.client import LoopbackTransport, ServeClient
+
+        db, app = self.build_app(dynamic=False)
+        table = db.table("demo")
+        writers = []
+        real_rank_table = RankingFunction.rank_table
+
+        def rank_table(ranking, selected):
+            # prepare_ranking reads the version, then ranks the tuples.
+            if not writers:
+                writers.append(self.inject_write(table, client))
+            return real_rank_table(ranking, selected)
+
+        monkeypatch.setattr(RankingFunction, "rank_table", rank_table)
+        try:
+            with LoopbackTransport(app) as transport:
+                client = ServeClient(transport)
+                client.query(table="demo", k=3, threshold=0.15)
+                writers[0].join(timeout=10)
+                assert not writers[0].is_alive()
+                answer = client.query(table="demo", k=3, threshold=0.15)
+        finally:
+            obs.disable()
+        cached = db.prepare_cache.get(table, TopKQuery(k=3))
+        cold = prepare_ranking(table, TopKQuery(k=3))
+        assert cached.ranked == cold.ranked
+        assert cached.source_version == cold.source_version == table.version
+        expected = exact_ptk_query(table, TopKQuery(k=3), 0.15)
+        assert answer["answers"] == [str(t) for t in expected.answers]
+
+    def test_concurrent_writers_and_readers_stay_cold_equal(self):
+        # More threads than cores and a short switch interval, so reads
+        # and writes of the one table interleave at fine grain.
+        db = UncertainDB()
+        table = UncertainTable(name="t")
+        for i in range(60):
+            table.add(f"t{i}", float(i % 17), 0.2 + 0.01 * (i % 50))
+        db.register(table, name="t")
+        # A small backlog makes reads rebuild often, and every build is
+        # a snapshot the table lock must keep whole.
+        db.enable_dynamic(cap=4, max_backlog=2)
+        errors = []
+
+        def writer(seed):
+            rng = random.Random(seed)
+            try:
+                for step in range(40):
+                    tid = f"t{rng.randrange(60)}"
+                    if rng.random() < 0.5:
+                        db.update_score("t", tid, rng.uniform(0, 20))
+                    else:
+                        db.update_probability("t", tid, rng.uniform(0.05, 0.9))
+                    db.add("t", f"w{seed}-{step}", rng.uniform(0, 20), 0.1)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        def reader(k):
+            try:
+                for _ in range(40):
+                    db.ptk("t", k=k, threshold=0.2)
+                    db.ptk_sampled("t", k=k, threshold=0.2)
+            except Exception as error:
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=writer, args=(seed,)) for seed in range(3)
+        ] + [threading.Thread(target=reader, args=(k,)) for k in (2, 3, 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(table) == 60 + 3 * 40
+        for k in (2, 3, 4):
+            answer = db.ptk("t", k=k, threshold=0.2)
+            assert answer.method == "dynamic"
+            cold = dict(zip(*cold_probabilities(table, k)))
+            assert answer.answers == [t for t in cold if cold[t] >= 0.2]
+            for tid, probability in answer.probabilities.items():
+                assert probability == cold[tid]
+        cached = db.prepare_cache.get(table, TopKQuery(k=2))
+        assert cached.ranked == prepare_ranking(table, TopKQuery(k=2)).ranked

@@ -10,6 +10,10 @@ Three oracles, in increasing strength:
    whose ``Fraction >= float`` threshold comparisons are themselves
    exact.
 
+The warm prepared ranking is held to the same standard: after every
+delta, :func:`refresh_prepared` must return the object a cold
+:func:`prepare_ranking` builds, or ``None`` on a sort-key collision.
+
 Plus the two hard end-to-end cases: a SIGKILL mid-mutation (recovery
 must rebuild state the index then answers identically on) and the
 replica applying the shipped WAL (its dynamic answers must equal the
@@ -17,6 +21,7 @@ primary's bitwise).
 """
 
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -25,14 +30,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exact import exact_ptk_query
-from repro.dynamic import DynamicIndex, delta_from_record
+from repro.dynamic import (
+    DynamicIndex,
+    TableDelta,
+    delta_from_record,
+    refresh_prepared,
+)
 from repro.exceptions import UnsupportedDeltaError
 from repro.model.table import UncertainTable
 from repro.query.engine import UncertainDB
+from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
 from repro.semantics.naive import naive_topk_probabilities
 from tests.test_dynamic import MutationDriver, cold_probabilities
@@ -163,8 +174,13 @@ class TestInterleavedMutations:
                 )
 
     @given(script=mutation_scripts, seed=st.integers(0, 1000))
+    @example(script=[(0, 0), (2, 2), (3, 0), (4, 2)], seed=103)
     @settings(max_examples=15, deadline=None)
     def test_exact_engine_agreement_after_script(self, script, seed):
+        # Answer sets must match the scalar exact engine; the values are
+        # pinned bitwise to the columnar scan, the index's contract.
+        # The scalar engine sums in a different order and may sit an ulp
+        # away (the pinned example: Pr^3(t9) differs in the last digits).
         db = UncertainDB()
         table = UncertainTable(name="t")
         db.register(table, name="t")
@@ -184,8 +200,110 @@ class TestInterleavedMutations:
         assert answer.method == "dynamic"
         cold = exact_ptk_query(table, TopKQuery(k=3), 0.25)
         assert answer.answers == cold.answers
-        for tid in answer.answers:
-            assert answer.probabilities[tid] == cold.probabilities[tid]
+        column = dict(zip(*cold_probabilities(table, 3)))
+        for tid, probability in answer.probabilities.items():
+            assert probability == column[tid]
+
+
+# ----------------------------------------------------------------------
+# Prepare refresh: every refreshed preparation equals a cold prepare
+# ----------------------------------------------------------------------
+def refresh_table(seed):
+    """Integer tids (so each can gain a ``str()`` twin) under two
+    multi-tuple rules."""
+    rng = random.Random(seed)
+    table = UncertainTable(name="t")
+    for tid in range(12):
+        table.add(tid, float(rng.randint(0, 20)), 0.2)
+    table.add_exclusive("r0", 0, 1, 2)
+    table.add_exclusive("r1", 3, 4)
+    return table
+
+
+def emit_twin(table, rng):
+    """A sort-key collision: add the ``str()`` twin of an integer tid at
+    its score, or move one of a twin pair onto its partner's score."""
+    previous = table.version
+    pairs = [t for t in table.tuple_ids() if str(t) in table and t != str(t)]
+    if pairs and rng.random() < 0.5:
+        tid = rng.choice(pairs)
+        mover, anchor = rng.choice([(tid, str(tid)), (str(tid), tid)])
+        score = table.get(anchor).score
+        table.update_score(mover, score)
+        return TableDelta("t", "score", previous, table.version,
+                          tid=mover, score=score)
+    singles = [
+        t for t in table.tuple_ids()
+        if isinstance(t, int) and str(t) not in table
+    ]
+    if not singles:
+        return None
+    tid = rng.choice(singles)
+    score = table.get(tid).score
+    table.add(str(tid), score, 0.3)
+    return TableDelta("t", "add", previous, table.version,
+                      tid=str(tid), score=score, probability=0.3)
+
+
+def score_collides(table, delta):
+    """True when a score move landed on a sort key another tuple holds."""
+    if delta.op != "score":
+        return False
+    moved = table.get(delta.tid)
+    return any(
+        other.tid != moved.tid
+        and other.score == moved.score
+        and str(other.tid) == str(moved.tid)
+        for other in table
+    )
+
+
+class TestPrepareRefreshProperty:
+    # Op-codes past OPS draw a collision write (emit_twin).
+    @given(
+        script=st.lists(
+            st.tuples(st.integers(0, len(OPS)), st.integers(0, 2**16)),
+            min_size=1,
+            max_size=40,
+        ),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_refresh_equals_cold_prepare(self, script, seed):
+        # Removes and updates pick any tuple, rule members included, so
+        # the script shrinks rules, dissolves them, and re-sums Pr(R).
+        table = refresh_table(seed)
+        driver = MutationDriver(table, seed=seed)
+        query = TopKQuery(k=3)
+        prepared = prepare_ranking(table, query)
+        for op_index, op_seed in script:
+            driver.rng.seed(op_seed)
+            if len(table) < 3:
+                delta = driver.emit("add")
+            elif op_index == len(OPS):
+                delta = emit_twin(table, driver.rng)
+            else:
+                delta = driver.emit(OPS[op_index])
+            if delta is None:
+                continue
+            refreshed = refresh_prepared(prepared, table, delta)
+            cold = prepare_ranking(table, query)
+            if refreshed is None:
+                assert score_collides(table, delta)
+                prepared = cold
+                continue
+            assert refreshed.ranked == cold.ranked
+            assert refreshed.tids == cold.tids
+            assert dict(refreshed.rule_of) == dict(cold.rule_of)
+            assert {
+                rule_id: value.hex()
+                for rule_id, value in refreshed.rule_probability.items()
+            } == {
+                rule_id: value.hex()
+                for rule_id, value in cold.rule_probability.items()
+            }
+            assert refreshed.source_version == cold.source_version
+            prepared = refreshed
 
 
 # ----------------------------------------------------------------------
