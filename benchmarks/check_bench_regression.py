@@ -36,6 +36,7 @@ BASELINE_PATH = Path(__file__).parent / "BENCH_core.json"
 #: the pytest-benchmark name, so parametrised ids keep working.
 GATED = (
     "test_exact_query_variants[RC+LR]",
+    "test_exact_query_columnar_thresholded",
     "test_full_scan_columnar",
     "test_subset_probability_thousand_extensions",
     "test_scheduler_cost_order",

@@ -47,7 +47,8 @@ CATALOG: Dict[str, MetricSpec] = {
         # ---------------------------------------------------- exact engine
         _spec(
             "repro_ptk_queries_total", "counter", ("method",),
-            "PT-k queries answered, by algorithm (RC, RC+AR, RC+LR, sampling).",
+            "PT-k queries answered, by algorithm "
+            "(RC, RC+AR, RC+LR, columnar, sampling).",
             "Section 6.2 (variant comparison)",
         ),
         _spec(
