@@ -334,11 +334,15 @@ def follow(
     """
     position = cursor
     while True:
+        # Asked before the read: a writer that appends and then sets
+        # stop between a caught-up read and the check would otherwise
+        # lose its last records.
+        stopping = stop is not None and stop()
         batch = read_from(directory, position, max_records=max_records)
         for record, boundary in zip(batch.records, batch.boundaries):
             yield record, boundary
         position = batch.cursor
         if batch.caught_up:
-            if stop is not None and stop():
+            if stopping:
                 return
             time.sleep(poll_interval)

@@ -280,6 +280,25 @@ def test_follow_live_tail_under_concurrent_appends(tmp_path, seed):
         )
 
 
+def test_follow_drains_records_appended_just_before_stop(tmp_path):
+    """A writer that appends and then signals stop, after the
+    follower's caught-up read but before its stop check, loses
+    nothing."""
+    wal = WriteAheadLog(tmp_path, fsync="off")
+    wal.append({"op": "add", "version": 0})
+    calls = []
+
+    def stop():
+        if not calls:
+            wal.append({"op": "add", "version": 1})
+        calls.append(None)
+        return True
+
+    received = follow(tmp_path, poll_interval=0.0, stop=stop)
+    assert [r["version"] for r, _ in received] == [0, 1]
+    wal.close()
+
+
 # ----------------------------------------------------------------------
 # Retention pinning vs compaction
 # ----------------------------------------------------------------------
