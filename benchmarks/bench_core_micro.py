@@ -158,14 +158,12 @@ def test_scheduler_cost_order(benchmark):
     benchmark(run)
 
 
-def test_dynamic_delta_refresh(benchmark):
-    """One write→read cycle of the incremental PT-k index.
+def _dynamic_write_read(benchmark, candidates):
+    """Time one write→read cycle of the incremental PT-k index.
 
-    The repro.dynamic serving hot path: apply one probability-update
-    delta (column surgery + clean-watermark drop) and serve the
-    prune-bounded answer (Theorem-5 stop depth).  The mutated tuple
-    sits deep in the ranking — the common case — so the read re-prices
-    only the answer prefix, never the mutation's suffix.
+    Each round flips the probability of one independent tuple — the
+    first of ``candidates(ranked tuples, stop depth)`` — applies the
+    delta and serves the prune-bounded answer (Theorem-5 stop depth).
     """
     from repro.dynamic import DynamicIndex
     from repro.dynamic.delta import TableDelta
@@ -180,10 +178,10 @@ def test_dynamic_delta_refresh(benchmark):
     )
     k = max(10, int(200 * scale))
     index = DynamicIndex.build("bench", table, cap=k)
-    index.scan_answer(k, 0.3)  # settle the lazy build once
+    _, _, depth = index.scan_answer(k, 0.3)  # settle the lazy build once
     tid = next(
         t.tid
-        for t in reversed(table.ranked_tuples())
+        for t in candidates(table.ranked_tuples(), depth)
         if table.is_independent(t.tid)
     )
     state = {"probability": 0.4}
@@ -205,6 +203,23 @@ def test_dynamic_delta_refresh(benchmark):
         return index.scan_answer(k, 0.3)
 
     benchmark.pedantic(cycle, rounds=30, iterations=1)
+
+
+def test_dynamic_delta_refresh(benchmark):
+    """The repro.dynamic serving hot path, write below the answer.
+
+    The mutated tuple is the deepest independent one — the common
+    case — so the read prices nothing: the index's scan keeps every row
+    above the write.
+    """
+    _dynamic_write_read(benchmark, lambda ranked, depth: reversed(ranked))
+
+
+def test_dynamic_shallow_write_read(benchmark):
+    """The write lands above the answer depth (half-way down to it), so
+    the index restores its scan from a snapshot and the read re-prices
+    to the stop depth."""
+    _dynamic_write_read(benchmark, lambda ranked, depth: ranked[depth // 2 :])
 
 
 def test_prepare_cache_refresh(benchmark):

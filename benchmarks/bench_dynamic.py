@@ -13,8 +13,8 @@ loopback transport — twice per workload mix:
   behaviour);
 * **delta-refresh** — ``dynamic`` on: the mutation enqueues a
   :class:`~repro.dynamic.delta.TableDelta`; the next read drains it
-  into the incremental index (column surgery + clean-watermark drop)
-  and answers from the maintained column, re-pricing lazily only to
+  into the incremental index (column surgery + a rewind of its kernel
+  scan) and answers from that scan, pricing lazily only to
   the Theorem-5 stop depth — byte-identical to a cold scan.  The
   ``invalidate`` arm additionally stubs the prepare-cache refresh hook
   so it measures the true pre-subsystem baseline.

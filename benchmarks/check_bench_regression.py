@@ -41,6 +41,7 @@ GATED = (
     "test_subset_probability_thousand_extensions",
     "test_scheduler_cost_order",
     "test_dynamic_delta_refresh",
+    "test_dynamic_shallow_write_read",
     "test_prepare_cache_refresh",
 )
 

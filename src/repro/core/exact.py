@@ -27,8 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core import kernel
 from repro.core.kernel import TableColumns
 from repro.core.pruning import PruningFlags, PruningTracker
@@ -407,8 +405,8 @@ class ExactPTKEngine:
         """A thresholded query on the resumable columnar kernel.
 
         Reveals the ``Pr^k`` column in ranking order to Theorem 5's stop
-        depth (:meth:`~repro.core.kernel.TopKScanState.theorem5_depth`);
-        the answers are the revealed rows with ``Pr^k >= p``, since by
+        depth (:meth:`~repro.core.kernel.TopKScanState.read`, the read
+        the dynamic index serves too); the answers are the revealed rows with ``Pr^k >= p``, since by
         Theorem 5 no deeper row can reach ``p``.  Theorems 3–4 do not
         apply to the kernel, so no row is skipped:
         ``stats.tuples_evaluated`` counts the rows priced (the stop depth
@@ -427,14 +425,14 @@ class ExactPTKEngine:
         with obs_span(
             "ptk.scan", variant=COLUMNAR, k=self.k, columnar=True
         ) as scan_span:
-            depth, stats.stopped_by = state.theorem5_depth(self._limit, stop_at)
-            column = state.out[:depth]
-            tids = self._columns.tids
-            answer.answers = [
-                tids[i]
-                for i in np.flatnonzero(column >= self.threshold).tolist()
-            ]
-            answer.probabilities = dict(zip(tids[:depth], column.tolist()))
+            (
+                answer.answers,
+                answer.probabilities,
+                depth,
+                stats.stopped_by,
+            ) = state.read(
+                self._columns.tids, self.threshold, self._limit, stop_at
+            )
             stats.scan_depth = depth
             stats.tuples_evaluated = state.done
             stats.subset_extensions = state.extensions

@@ -26,6 +26,8 @@ pruning tracker, and the scalar oracle:
   oracle; see ``tests/test_kernel.py``).  :func:`columnar_topk_scan` is
   that pass run to the end of the table; a thresholded read stops it
   at Theorem 5's bound, and a read cut by its deadline resumes it.
+  The incremental index (:mod:`repro.dynamic`) keeps one such state
+  alive across writes.
 
 Layering: this module imports only :mod:`numpy` and
 :mod:`repro.exceptions` so every other layer (model, core, query,
@@ -34,6 +36,7 @@ durable) can depend on it without cycles.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -191,27 +194,6 @@ def dp_extend_chain(initial: np.ndarray, probabilities: np.ndarray) -> np.ndarra
     return chain
 
 
-def dp_divide_out(vector: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
-    """Invert one Theorem-2 extension: recover ``w`` with ``extend(w, q) == vector``.
-
-    The forward recurrence ``w[j] = (v[j] - q·w[j-1]) / (1-q)`` is exact
-    with respect to truncation — the first ``cap`` entries of ``v``
-    determine the first ``cap`` entries of ``w`` — but amplifies float
-    error by up to ``1/(1-2q)``, so it is only numerically safe for
-    ``q`` well below 0.5.  The full-scan kernel therefore serves rule
-    exclusions from a :class:`_RuleFactorTree` instead; this primitive
-    remains for callers with provably cold factors.
-    """
-    inverse = 1.0 / (1.0 - q)
-    previous = 0.0
-    recovered: List[float] = []
-    for value in vector.tolist():
-        previous = (value - q * previous) * inverse
-        recovered.append(previous)
-    out[:] = recovered
-    return out
-
-
 # ----------------------------------------------------------------------
 # The columnar table representation
 # ----------------------------------------------------------------------
@@ -329,16 +311,26 @@ class _RuleFactorTree:
 
     def __init__(self, slots: int, cap: int) -> None:
         self.cap = cap
-        size = 1
-        while size < max(slots, 1):
-            size *= 2
-        self.size = size
+        self.size = _tree_size(slots)
         one = np.ones(1, dtype=np.float64)
         # Heap layout: node 1 is the root, leaves start at ``size``.
-        self.nodes: List[np.ndarray] = [one] * (2 * size)
+        self.nodes: List[np.ndarray] = [one] * (2 * self.size)
+
+    def copy(self) -> "_RuleFactorTree":
+        """An independent tree with the same nodes (node arrays are
+        immutable, so they are shared)."""
+        clone = copy.copy(self)
+        clone.nodes = list(self.nodes)
+        return clone
 
     def update(self, slot: int, q: float) -> None:
-        """Set rule ``slot``'s factor to ``(1-q) + q·x`` and re-product."""
+        """Set rule ``slot``'s factor to ``(1-q) + q·x`` and re-product.
+
+        ``q`` is clamped at 1: a compensated sum of member probabilities
+        can sit an ulp above it.
+        """
+        if q > 1.0:
+            q = 1.0
         node = self.size + slot
         self.nodes[node] = np.array([1.0 - q, q], dtype=np.float64)
         node //= 2
@@ -376,6 +368,12 @@ class _RuleFactorTree:
         return full[: self.cap] if full.shape[0] > self.cap else full
 
 
+def _tree_size(slots: int) -> int:
+    """Leaf count of a factor tree over ``slots`` rule slots: the
+    smallest power of two at least ``max(slots, 1)``."""
+    return 1 << max(slots - 1, 0).bit_length()
+
+
 def _combined(v_independent: np.ndarray, factors: np.ndarray, k: int) -> np.ndarray:
     """Fresh length-``k`` DP vector ``v_independent ⊗ factors``."""
     if factors.shape[0] == 1 and factors[0] == 1.0:
@@ -407,6 +405,32 @@ def columnar_topk_scan(
     return state.out, state.extensions
 
 
+#: The attributes of a :class:`TopKScanState` a snapshot holds: its
+#: DP state and Theorem-5 read at row ``done``, without the columns.
+_DP_STATE = (
+    "done", "extensions", "_v", "_chain", "_tree", "_member_probs",
+    "_units", "_run_start", "_run_base",
+    "_limit", "_mass", "_massed", "_crossed",
+)
+
+
+def _copied(state: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of a scan's DP state that shares nothing mutable with it."""
+    copied = dict(state)
+    copied["_v"] = state["_v"].copy()
+    if state["_chain"] is not None:
+        copied["_chain"] = (
+            copied["_v"]
+            if state["_chain"] is state["_v"]
+            else state["_chain"].copy()
+        )
+    if state["_tree"] is not None:
+        copied["_tree"] = state["_tree"].copy()
+    copied["_member_probs"] = dict(state["_member_probs"])
+    copied["_mass"] = copy.copy(state["_mass"])
+    return copied
+
+
 class TopKScanState:
     """The columnar ``Pr^k`` scan at one ``k``, resumable at any row.
 
@@ -433,8 +457,13 @@ class TopKScanState:
     uninterrupted pass would (a fresh ``v_independent ⊗ root``
     convolution is mathematically equal but not bitwise).
     :meth:`theorem5_depth` adds Theorem 5's stop rule on top, so a PT-k
-    read prices only the rows its answer needs, and a read cut by its
-    deadline continues where it stopped.
+    read (:meth:`read`) prices only the rows its answer needs, and a
+    read cut by its deadline continues where it stopped.
+
+    The state at row ``done`` depends only on the column entries above
+    it (plus the table's rule-slot count, which sizes the factor tree),
+    so :meth:`snapshot`, :meth:`restore` and :meth:`rebase` let a caller
+    keep the scan across a write to the table.
 
     Rows below :attr:`done` never change once priced.  Instances are
     not thread-safe; callers sharing one serialise access.
@@ -454,37 +483,17 @@ class TopKScanState:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
         self.k = int(k)
-        self._p = np.ascontiguousarray(probability, dtype=np.float64)
-        self.n = int(self._p.shape[0])
-        #: the ``Pr^k`` column; rows ``[0, done)`` are priced
-        self.out = np.zeros(self.n, dtype=np.float64)
         self.done = 0
         #: Theorem-2 extensions so far (Equation-5 cost; each rule
         #: factor refresh counts as one)
         self.extensions = 0
         self._v = np.zeros(self.k, dtype=np.float64)
         self._v[0] = 1.0
-        members = np.empty(0, dtype=np.int64)
-        if rule_index is not None:
-            slots = np.ascontiguousarray(rule_index, dtype=np.int64)
-            members = np.flatnonzero(slots >= 0)
-        # Rule members in ranking order; everything between two of them
-        # is one run of independent tuples.
-        self._member_rows: List[int] = members.tolist()
-        self._member_slots: List[int] = (
-            slots[members].tolist() if members.size else []
-        )
-        self._cursor = 0  # index of the first member at or after ``done``
-        self._tree: Optional[_RuleFactorTree] = (
-            _RuleFactorTree(max(self._member_slots) + 1, self.k)
-            if members.size
-            else None
-        )
+        self._tree: Optional[_RuleFactorTree] = None
         # Per-rule member probabilities in scan order; the rule-tuple
         # probability is their compensated sum — the same quantity
         # DominantSetScan computes, so both paths see identical units.
-        self._member_probs: Dict[int, List[float]] = {}
-        self._rule_sum: Dict[int, float] = {}
+        self._member_probs: Dict[int, Tuple[float, ...]] = {}
         # Number of live units (independents + one rule-tuple per seen
         # rule) before row ``done``.  While a tuple's dominant set has
         # fewer than k units, ``Pr(|T(t)| < k) = 1`` *exactly* — served
@@ -497,11 +506,86 @@ class TopKScanState:
         self._chain: Optional[np.ndarray] = None
         self._run_start = 0
         self._run_base = 0
-        # Theorem-5 running mass over rows [0, _massed), and the depth
-        # where it crossed the read's limit (a full scan needs neither).
+        # Theorem-5 running mass over rows [0, _massed) for the read
+        # limit _limit, and the depth where it crossed that limit.
+        self._limit: Optional[float] = None
         self._mass = RunningSum()
         self._massed = 0
         self._crossed: Optional[int] = None
+        self._set_columns(probability, rule_index)
+        #: the ``Pr^k`` column; rows ``[0, done)`` are priced
+        self.out = np.zeros(self.n, dtype=np.float64)
+
+    def _set_columns(
+        self, probability: np.ndarray, rule_index: Optional[np.ndarray]
+    ) -> None:
+        """Read the scan's columns and size the factor tree to them."""
+        self._p = np.ascontiguousarray(probability, dtype=np.float64)
+        self.n = int(self._p.shape[0])
+        # Rule members in ranking order and their slots; everything
+        # between two members is one run of independent tuples.
+        self._member_rows = np.empty(0, dtype=np.int64)
+        self._member_slots = self._member_rows
+        if rule_index is not None:
+            slots = np.ascontiguousarray(rule_index, dtype=np.int64)
+            self._member_rows = np.flatnonzero(slots >= 0)
+            self._member_slots = slots[self._member_rows]
+        self._fit()
+
+    def _fit(self) -> None:
+        """Point the member cursor at ``done`` and size the factor tree
+        to the columns' rule-slot count, as the cold scan does."""
+        # index of the first member at or after ``done``
+        self._cursor = int(np.searchsorted(self._member_rows, self.done))
+        if not self._member_slots.size:
+            return
+        slot_count = int(self._member_slots.max()) + 1
+        if self._tree is not None and self._tree.size == _tree_size(slot_count):
+            return
+        # A tree's nodes depend only on its leaves: refit from the sums.
+        self._tree = _RuleFactorTree(slot_count, self.k)
+        for slot, members in self._member_probs.items():
+            self._tree.update(slot, compensated_sum(members))
+        if self._chain is self._v:
+            # Without rules the run chain *is* the independent vector;
+            # from now on both are extended separately.
+            self._chain = self._v.copy()
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The scan's state at row ``done``, for :meth:`restore`.
+
+        It holds the DP state only — no columns and no priced rows — so
+        it costs ``O(k + rules)``, not ``O(n)``.  Treat it as opaque.
+        """
+        return _copied({name: getattr(self, name) for name in _DP_STATE})
+
+    def restore(self, snapshot: Dict[str, Any]) -> None:
+        """Rewind this scan to a :meth:`snapshot` it took earlier.
+
+        The column entries above the snapshot's row must be unchanged
+        since it was taken.  Rows priced above that row are kept, and
+        the scan continues from it exactly as it did the first time.  A
+        snapshot can be restored any number of times.
+        """
+        for name, value in _copied(snapshot).items():
+            setattr(self, name, value)
+        self._fit()
+
+    def rebase(
+        self, probability: np.ndarray, rule_index: Optional[np.ndarray]
+    ) -> None:
+        """Continue this scan over new columns.
+
+        The new columns must equal the old ones on rows ``[0, done)``;
+        rows past ``done`` (and the table length) may differ.  The
+        priced prefix, the DP state and the current read carry over;
+        continuing from here is bitwise the cold scan of the new
+        columns.
+        """
+        priced = self.out[: self.done]
+        self._set_columns(probability, rule_index)
+        self.out = np.zeros(self.n, dtype=np.float64)
+        self.out[: self.done] = priced
 
     def advance(self, stop: int) -> None:
         """Price rows ``[done, stop)`` (clamped to the table)."""
@@ -510,13 +594,13 @@ class TopKScanState:
         i = self.done
         while i < stop:
             cursor = self._cursor
-            member = rows[cursor] if cursor < len(rows) else self.n
+            member = int(rows[cursor]) if cursor < rows.size else self.n
             if i < member:
                 j = min(member, stop)
                 self._price_run(i, j)
                 i = j
             else:
-                self._price_member(i, slots[cursor])
+                self._price_member(i, int(slots[cursor]))
                 self._cursor = cursor + 1
                 i += 1
         self.done = i
@@ -558,17 +642,15 @@ class TopKScanState:
         self._chain = None  # a member closes the open run
         k = self.k
         own_probability = float(self._p[i])
-        seen_sum = self._rule_sum.get(slot, 0.0)
+        seen = self._member_probs.get(slot, ())
+        seen_sum = compensated_sum(seen)
         if self._units - (1 if seen_sum > 0.0 else 0) < k:
             self.out[i] = own_probability
         else:
             excluded = _combined(self._v, self._tree.product_excluding(slot), k)
             self.out[i] = own_probability * fewer_than_k(excluded, k)
-        members = self._member_probs.setdefault(slot, [])
-        members.append(own_probability)
-        new_sum = compensated_sum(members)
-        self._rule_sum[slot] = new_sum
-        self._tree.update(slot, new_sum if new_sum < 1.0 else 1.0)
+        members = self._member_probs[slot] = seen + (own_probability,)
+        self._tree.update(slot, compensated_sum(members))
         self.extensions += 1  # the rule-tuple factor refresh
         if seen_sum <= 0.0:
             self._units += 1  # a fresh rule-tuple joined the live units
@@ -581,14 +663,12 @@ class TopKScanState:
         Theorem 5: ``sum_t Pr^k(t) = E[min(k, |W|)] <= k``, so once the
         compensated running mass of the column exceeds ``limit = k - p``
         no deeper tuple can reach ``p``.  The depth is the first row
-        where the mass crosses ``limit``; rows are priced in
-        :data:`ANSWER_CHUNK` steps until it does — the stop rule
-        (:meth:`RunningSum.add_until`) of
-        :meth:`repro.dynamic.index.DynamicIndex.scan_answer`.
+        where the mass crosses ``limit``; rows are priced to the next
+        multiple of :data:`ANSWER_CHUNK` until it does.
 
-        One state serves one read: every call must pass the same
-        ``limit``, and a call after a ``"deadline"`` cut continues the
-        read.
+        A call with the previous call's ``limit`` continues that read (a
+        finished read costs nothing, a ``"deadline"`` cut resumes); a
+        new ``limit`` starts a new read over the rows already priced.
 
         :param limit: ``k - p``; ``math.inf`` reads the whole column.
         :param stop_at: optional ``time.perf_counter()`` deadline,
@@ -600,6 +680,11 @@ class TopKScanState:
             ``stop_at`` cut the read, ``depth`` is the rows priced so
             far, and a later call continues from there.
         """
+        if limit != self._limit:
+            self._limit = limit
+            self._mass = RunningSum()
+            self._massed = 0
+            self._crossed = None
         while self._crossed is None:
             if self._massed < self.done:
                 folded = self._mass.add_until(
@@ -613,5 +698,33 @@ class TopKScanState:
                 return self.n, "exhausted"
             if stop_at is not None and time.perf_counter() >= stop_at:
                 return self.done, "deadline"
-            self.advance(self.done + ANSWER_CHUNK)
+            self.advance((self.done // ANSWER_CHUNK + 1) * ANSWER_CHUNK)
         return self._crossed, "total-probability"
+
+    def read(
+        self,
+        tids: Sequence[Any],
+        threshold: float,
+        limit: float,
+        stop_at: Optional[float] = None,
+    ) -> Tuple[List[Any], Dict[Any, float], int, str]:
+        """A thresholded PT-k read: :meth:`theorem5_depth` plus what it
+        reveals.
+
+        :param tids: tuple ids in ranking order (``tids[i]`` is row i).
+        :param threshold: the query's ``p``.
+        :param limit: the stop search's limit, ``k - p`` (``math.inf``
+            reveals the whole column).
+        :param stop_at: optional ``time.perf_counter()`` deadline.
+        :returns: ``(answers, probabilities, depth, stopped_by)`` —
+            the ids of revealed rows with ``Pr^k >= threshold`` in
+            ranking order, ``tid -> Pr^k`` for the revealed rows, and
+            :meth:`theorem5_depth`'s result.
+        """
+        depth, stopped_by = self.theorem5_depth(limit, stop_at)
+        column = self.out[:depth]
+        answers = [
+            tids[i] for i in np.flatnonzero(column >= threshold).tolist()
+        ]
+        probabilities = dict(zip(tids[:depth], column.tolist()))
+        return answers, probabilities, depth, stopped_by

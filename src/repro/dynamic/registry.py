@@ -10,11 +10,11 @@ mediates between the write path and the read path:
 
 * **writes** enqueue :class:`~repro.dynamic.delta.TableDelta` records
   (cheap, no DP work on the mutating thread);
-* **reads** drain the pending queue into every built index — constant
-  column surgery per delta, the invalidated suffix merely lowers the
-  index's clean watermark — and answer from the maintained ``Pr^k``
-  column for the requested ``k``, re-pricing lazily only up to the
-  Theorem-5 stop depth the answer needs.
+* **reads** drain the pending queue into every built index — column
+  surgery per delta, plus moving the index's live kernel scan back to
+  its latest snapshot above the changed rank — and answer from that
+  scan for the requested ``k``, pricing only up to the Theorem-5 stop
+  depth the answer needs.
 
 Degradation is the design's safety net, not an afterthought: any
 condition under which an incremental answer could be wrong — a version

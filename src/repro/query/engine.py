@@ -365,9 +365,10 @@ class UncertainDB:
         With :meth:`enable_dynamic` on, a default-shape query (no
         explicit ``query`` object) whose ``k`` fits the registry cap is
         answered from the maintained incremental index: same answer
-        set, ``method="dynamic"``, and ``probabilities`` covering every
-        tuple (the full-scan shape) — bitwise what a cold columnar scan
-        of the current table would compute.
+        set, ``method="dynamic"``, and ``probabilities`` covering the
+        ranks down to the Theorem-5 stop depth
+        (``answer.stats.scan_depth``), not every tuple — bitwise what a
+        cold columnar scan of the current table computes for them.
         """
         with query_scope(
             "ptk", table=name, k=k, threshold=threshold

@@ -136,7 +136,7 @@ class TestByteEquality:
             )
 
     def test_crossing_checkpoint_blocks(self):
-        # n > BLOCK exercises checkpoint truncation and mid-run restarts
+        # n > BLOCK exercises snapshot truncation and mid-run restores
         from repro.dynamic.index import BLOCK
 
         table = UncertainTable(name="t")
@@ -228,6 +228,7 @@ class TestRegistry:
         assert answer.answers == cold.answers
         for tid in answer.answers:
             assert answer.probabilities[tid] == cold.probabilities[tid]
+        assert len(answer.probabilities) == answer.stats.scan_depth
 
     def test_mutations_flow_through_deltas(self):
         db = self.build_db()

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exact import exact_ptk_query
@@ -65,11 +65,34 @@ mutation_scripts = st.lists(
 )
 
 
+# Snapshot strides small enough that the tables here (n of about 8 to
+# 50) restore from snapshots inside independent runs and inside member
+# stretches, and across factor-tree resizes; at the default stride
+# every restore would start from row 0.
+SMALL_STRIDES = pytest.mark.parametrize("block", [2, 5])
+
+
+@pytest.fixture
+def stride(monkeypatch, block):
+    monkeypatch.setattr("repro.dynamic.index.BLOCK", block)
+
+
 class TestInterleavedMutations:
+    # Pinned: the first rule lands behind a restored snapshot taken
+    # inside the rule-free table's only run; rule slots outgrow the
+    # factor tree mid-table.
+    @SMALL_STRIDES
     @given(script=mutation_scripts, k=st.integers(1, 4),
            seed=st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_every_step_bitwise_equal_to_cold_scan(self, script, k, seed):
+    @example(script=[(0, 55842), (3, 35866), (4, 5237), (0, 61336)],
+             k=3, seed=494)
+    @example(script=[(4, 62246), (4, 24250), (4, 3275), (4, 46628)],
+             k=2, seed=315)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_step_bitwise_equal_to_cold_scan(
+        self, stride, script, k, seed
+    ):
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(8)
@@ -88,18 +111,25 @@ class TestInterleavedMutations:
             assert tuple(index.tids) == tids
             assert np.array_equal(out, index.topk_probabilities(k))
 
+    @SMALL_STRIDES
     @given(script=mutation_scripts, k=st.integers(1, 4),
            seed=st.integers(0, 1000), threshold=st.floats(0.05, 0.95))
-    @settings(max_examples=30, deadline=None)
+    @example(script=[(0, 60071), (3, 48184), (2, 12924), (4, 6816),
+                     (2, 6029)], k=2, seed=951, threshold=0.28)
+    @example(script=[(4, 62246), (4, 24250), (4, 3275), (4, 46628)],
+             k=2, seed=315, threshold=0.44)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_lazy_scan_answer_equals_cold_threshold_set(
-        self, script, k, seed, threshold
+        self, stride, script, k, seed, threshold
     ):
         # The prune-bounded lazy path: interleave mutations with
         # scan_answer reads only — never topk_probabilities, so the
-        # watermark genuinely lags — and pin the answer set plus the
+        # index's scan genuinely lags — and pin the answer set plus the
         # scanned prefix's values to the cold full column at every
         # step.  A final full read checks that the chain of partial
-        # rescans composes bitwise into the uninterrupted scan.
+        # scans and restores composes bitwise into the uninterrupted
+        # scan.
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(8)

@@ -29,7 +29,6 @@ from repro.core.kernel import (
     TopKScanState,
     columnar_topk_scan,
     compensated_sum,
-    dp_divide_out,
     dp_extend,
     dp_extend_chain,
     fewer_than_k,
@@ -217,18 +216,6 @@ class TestDPPrimitives:
         for i, p in enumerate(probs):
             dp_extend(rolling, np.array([p]))
             assert np.array_equal(chain[i + 1], rolling)
-
-    def test_divide_out_inverts_extend(self):
-        rng = random.Random(7)
-        base = np.zeros(6)
-        base[0] = 1.0
-        dp_extend(base, np.array([rng.uniform(0.05, 0.9) for _ in range(10)]))
-        for q in (0.05, 0.2, 0.45):
-            extended = base.copy()
-            dp_extend(extended, np.array([q]))
-            recovered = np.empty(6)
-            dp_divide_out(extended, q, recovered)
-            assert recovered == pytest.approx(base, abs=1e-12)
 
 
 class TestTableColumns:
@@ -553,6 +540,53 @@ class TestResumableScan:
             state.advance(stop)
         state.advance(200)
         assert state.out.tobytes() == reference.tobytes()
+
+    @given(scan_tables(), st.integers(1, 12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_restored_snapshot_rebases_to_cold_scan(self, table, k, data):
+        # A snapshot taken at row s, restored after the scan ran on and
+        # rebased onto columns that agree on [0, s) but whose suffix
+        # brings a rule slot past the factor tree's power-of-two size
+        # (or the table's first rule), continues bitwise as the cold
+        # scan of the new columns.
+        columns = prepare_ranking(table, TopKQuery(k=k)).columns
+        n = len(columns)
+        s = data.draw(st.integers(0, n - 1), label="s")
+        state = TopKScanState(columns.probability, columns.rule_index, k)
+        state.advance(s)
+        snapshot = state.snapshot()
+        state.advance(n)
+        original = state.out
+        slot_count = int(columns.rule_index.max()) + 1
+        size = 1
+        while size < max(slot_count, 1):
+            size *= 2
+        suffix = data.draw(
+            st.lists(
+                st.tuples(st.floats(0.01, 0.3), st.integers(-1, size)),
+                min_size=1,
+                max_size=30,
+            ),
+            label="suffix",
+        )
+        suffix[data.draw(st.integers(0, len(suffix) - 1))] = (0.2, size)
+        probability = np.concatenate(
+            [columns.probability[:s], [p for p, _ in suffix]]
+        )
+        rule_index = np.concatenate(
+            [columns.rule_index[:s], [slot for _, slot in suffix]]
+        ).astype(np.int64)
+        state.restore(snapshot)
+        assert state.done == s
+        state.rebase(probability, rule_index)
+        state.advance(len(probability))
+        reference, _ = columnar_topk_scan(probability, rule_index, k)
+        assert state.out.tobytes() == reference.tobytes()
+        # the column the scan returned before the rebase is untouched
+        cold, _ = columnar_topk_scan(
+            columns.probability, columns.rule_index, k
+        )
+        assert original.tobytes() == cold.tobytes()
 
     def test_theorem5_depth_reports_reason_and_prices_one_chunk_past(self):
         table = random_table(5, 300, rule_fraction=0.3)
