@@ -27,6 +27,13 @@ from repro.query.topk import TopKQuery
 from repro.serve.scheduler import CostScheduler, ExactTask
 
 
+@pytest.fixture(autouse=True)
+def _tag_scale(benchmark):
+    """Stamp the workload scale on every result: the regression gate
+    refuses to compare against a baseline recorded at another scale."""
+    benchmark.extra_info["scale"] = bench_scale()
+
+
 @pytest.fixture(scope="module")
 def workload():
     scale = bench_scale()
@@ -162,11 +169,12 @@ def _dynamic_write_read(benchmark, candidates):
     """Time one write→read cycle of the incremental PT-k index.
 
     Each round flips the probability of one independent tuple — the
-    first of ``candidates(ranked tuples, stop depth)`` — applies the
-    delta and serves the prune-bounded answer (Theorem-5 stop depth).
+    first of ``candidates(ranked tuples, stop depth)`` — carries the
+    preparation across the write (:func:`refresh_prepared`, columns
+    included), moves the index onto it and serves the prune-bounded
+    answer (Theorem-5 stop depth).
     """
-    from repro.dynamic import DynamicIndex
-    from repro.dynamic.delta import TableDelta
+    from repro.dynamic import DynamicIndex, TableDelta, refresh_prepared
 
     scale = bench_scale()
     table = generate_synthetic_table(
@@ -177,20 +185,23 @@ def _dynamic_write_read(benchmark, candidates):
         )
     )
     k = max(10, int(200 * scale))
-    index = DynamicIndex.build("bench", table, cap=k)
+    prepared = prepare_ranking(table, TopKQuery(k=k))
+    index = DynamicIndex.build(prepared)
     _, _, depth = index.scan_answer(k, 0.3)  # settle the lazy build once
     tid = next(
         t.tid
         for t in candidates(table.ranked_tuples(), depth)
         if table.is_independent(t.tid)
     )
-    state = {"probability": 0.4}
+    state = {"probability": 0.4, "prepared": prepared}
 
     def cycle():
         state["probability"] = 1.0 - state["probability"]
         previous = table.version
         table.update_probability(tid, state["probability"])
-        index.apply(
+        state["prepared"] = refresh_prepared(
+            state["prepared"],
+            table,
             TableDelta(
                 table="bench",
                 op="update",
@@ -198,8 +209,9 @@ def _dynamic_write_read(benchmark, candidates):
                 version=table.version,
                 tid=tid,
                 probability=state["probability"],
-            )
+            ),
         )
+        index.apply(state["prepared"])
         return index.scan_answer(k, 0.3)
 
     benchmark.pedantic(cycle, rounds=30, iterations=1)

@@ -11,11 +11,12 @@ loopback transport — twice per workload mix:
   version, the next read's ``PrepareCache.get`` misses and re-prepares,
   and the answer is a fresh pruned scan (the pre-``repro.dynamic``
   behaviour);
-* **delta-refresh** — ``dynamic`` on: the mutation enqueues a
-  :class:`~repro.dynamic.delta.TableDelta`; the next read drains it
-  into the incremental index (column surgery + a rewind of its kernel
-  scan) and answers from that scan, pricing lazily only to
-  the Theorem-5 stop depth — byte-identical to a cold scan.  The
+* **delta-refresh** — ``dynamic`` on: the mutation's
+  :class:`~repro.dynamic.delta.TableDelta` refreshes the warm
+  preparation, columns included; the next read moves the incremental
+  index onto it (a column compare + a rewind of its kernel scans) and
+  answers from the scan, pricing lazily only to the Theorem-5 stop
+  depth — byte-identical to a cold scan.  The
   ``invalidate`` arm additionally stubs the prepare-cache refresh hook
   so it measures the true pre-subsystem baseline.
 
@@ -35,7 +36,7 @@ What to look for (committed results under ``results/dynamic_mixed*``):
 * ``prepare_misses`` — flat (0) with refresh on, roughly one per write
   without;
 * ``write_p50_ms`` — the cost that moved: the delta arm's writes carry
-  the prepare-surgery + enqueue work the baseline defers to reads;
+  the prepare surgery (columns included) the baseline defers to reads;
 * ``diffs`` — always 0.
 
 Host caveats as in ``bench_serve.py``: loopback, GIL-bound Python —

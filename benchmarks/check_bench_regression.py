@@ -12,6 +12,12 @@ median time of a fixed, dependency-free python + numpy workload
 measured on the spot.  A check on hardware 2x slower than the baseline
 machine sees its calibration double too, cancelling out.
 
+Medians are not comparable across workload scales either
+(``REPRO_BENCH_SCALE``, which ``bench_core_micro.py`` stamps on every
+result): the baseline records the scale it was measured at, and a check
+of a run at any other scale fails instead of comparing.  The baseline
+also records the recording host's core count (``nproc``).
+
 Usage::
 
     # record / refresh the committed baseline
@@ -26,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -88,6 +95,18 @@ def load_medians(bench_json: Path) -> dict:
     }
 
 
+def run_scale(bench_json: Path) -> object:
+    """The workload scale the gated benchmarks ran at: a float, ``None``
+    when they carry no scale, or a set when they disagree."""
+    data = json.loads(bench_json.read_text())
+    scales = {
+        bench.get("extra_info", {}).get("scale")
+        for bench in data["benchmarks"]
+        if any(g in bench["name"] for g in GATED)
+    }
+    return scales.pop() if len(scales) == 1 else scales
+
+
 def gated_only(medians: dict) -> dict:
     out = {}
     for name, median in medians.items():
@@ -101,10 +120,17 @@ def update(bench_json: Path) -> int:
     if not medians:
         print("no gated benchmarks found in", bench_json, file=sys.stderr)
         return 1
+    scale = run_scale(bench_json)
+    if not isinstance(scale, float):
+        print(f"gated benchmarks carry no single scale: {scale}",
+              file=sys.stderr)
+        return 1
     payload = {
         "calibration_seconds": calibrate(),
         "budget": BUDGET,
         "medians": medians,
+        "nproc": os.cpu_count(),
+        "scale": scale,
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {BASELINE_PATH} ({len(medians)} gated benchmarks)")
@@ -116,6 +142,15 @@ def check(bench_json: Path) -> int:
         print(f"missing baseline {BASELINE_PATH}", file=sys.stderr)
         return 1
     baseline = json.loads(BASELINE_PATH.read_text())
+    scale = run_scale(bench_json)
+    if scale != baseline.get("scale"):
+        print(
+            f"baseline recorded at scale {baseline.get('scale')}, this run "
+            f"at {scale}: medians are not comparable (set "
+            "REPRO_BENCH_SCALE to the baseline's scale, or re-record)",
+            file=sys.stderr,
+        )
+        return 1
     budget = float(baseline.get("budget", BUDGET))
     machine_factor = calibrate() / float(baseline["calibration_seconds"])
     print(f"machine calibration factor: {machine_factor:.3f}x baseline")

@@ -832,9 +832,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dynamic",
         action="store_true",
-        help="maintain incremental PT-k indexes: POST /mutate becomes "
-        "an answer delta instead of a cache invalidation, and reads "
-        "are served from the refreshed index (see docs/dynamic.md)",
+        help="maintain incremental PT-k indexes: reads are served from "
+        "live scans moved onto each write's refreshed preparation "
+        "(see docs/dynamic.md)",
     )
     serve.add_argument(
         "--dynamic-cap",

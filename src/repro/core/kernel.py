@@ -241,25 +241,14 @@ class TableColumns:
         probability = np.fromiter(
             (t.probability for t in ranked), dtype=np.float64, count=n
         )
-        rule_index = np.full(n, -1, dtype=np.int64)
-        rule_ids: List[Any] = []
-        slot_of: Dict[Any, int] = {}
-        for position, tup in enumerate(ranked):
-            rule = rule_of.get(tup.tid)
-            if rule is None:
-                continue
-            slot = slot_of.get(rule.rule_id)
-            if slot is None:
-                slot = len(rule_ids)
-                slot_of[rule.rule_id] = slot
-                rule_ids.append(rule.rule_id)
-            rule_index[position] = slot
+        tids = tuple(t.tid for t in ranked)
+        rule_index, rule_ids = rule_slots(tids, rule_of)
         return cls(
-            tids=tuple(t.tid for t in ranked),
+            tids=tids,
             score=score,
             probability=probability,
             rule_index=rule_index,
-            rule_ids=tuple(rule_ids),
+            rule_ids=rule_ids,
         )
 
     def unit_counts(self) -> Tuple[int, int, int]:
@@ -273,6 +262,30 @@ class TableColumns:
         independent = len(self.tids) - members
         rules = int(np.unique(self.rule_index[rule_positions]).size)
         return independent, rules, max(members - rules, 0)
+
+
+def rule_slots(
+    tids: Sequence[Any], rule_of: Mapping[Any, Any]
+) -> Tuple[np.ndarray, Tuple[Any, ...]]:
+    """Rule slots by first encounter in ranking order: the
+    ``(rule_index, rule_ids)`` columns of :class:`TableColumns`.
+
+    ``rule_of`` maps tuple id to an object with a ``rule_id`` attribute
+    (independent tuples absent); slot ``i`` is the ``i``-th rule met.
+    """
+    rule_index = np.full(len(tids), -1, dtype=np.int64)
+    rule_ids: List[Any] = []
+    slot_of: Dict[Any, int] = {}
+    for position, tid in enumerate(tids):
+        rule = rule_of.get(tid)
+        if rule is None:
+            continue
+        slot = slot_of.get(rule.rule_id)
+        if slot is None:
+            slot = slot_of[rule.rule_id] = len(rule_ids)
+            rule_ids.append(rule.rule_id)
+        rule_index[position] = slot
+    return rule_index, tuple(rule_ids)
 
 
 def ranked_order(scores: np.ndarray, tids: Sequence[Any]) -> np.ndarray:

@@ -127,10 +127,6 @@ class DurableDB(UncertainDB):
                 "doc": table_to_dict(table),
             }
         )
-        if self.dynamic is not None:
-            # Re-register under the *bumped* epoch (the base register
-            # hook ran before the bump and used the stale one).
-            self.dynamic.register(key, epoch)
         return key
 
     def drop(self, name: str) -> None:
@@ -180,8 +176,6 @@ class DurableDB(UncertainDB):
                     "doc": table_to_dict(table),
                 }
             )
-            if self.dynamic is not None:
-                self.dynamic.register(name, epoch)
             fenced[name] = epoch
         self.wal.sync()
         return fenced
@@ -190,13 +184,10 @@ class DurableDB(UncertainDB):
     # Journalled mutations
     # ------------------------------------------------------------------
     # Each method delegates to the engine-level mutation (validation,
-    # prepared-ranking refresh, dynamic-index delta) and then journals
-    # the committed record; a rejected mutation raises before either.
+    # prepared-ranking refresh) and then journals the committed record;
+    # a rejected mutation raises before either.
     # Both run under the table lock, so concurrent writers to one table
     # journal their records in version order.
-
-    def _dynamic_epoch(self, name: str) -> int:
-        return self._epochs.get(name, 0)
 
     def add(
         self,

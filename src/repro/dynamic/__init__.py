@@ -1,27 +1,26 @@
 """``repro.dynamic`` — incremental PT-k maintenance under point mutations.
 
-Turns WAL mutations into answer *deltas* instead of cache
-invalidations: a :class:`~repro.dynamic.index.DynamicIndex` keeps the
-ranked order and per-rank DP state of the columnar full scan and
-re-evaluates only the suffix a mutation can affect, a
-:class:`~repro.dynamic.registry.DynamicIndexRegistry` routes committed
-:class:`~repro.dynamic.delta.TableDelta` records from the write path to
-the indexes and serves byte-exact ``Pr^k`` answers from them, and
-:func:`~repro.dynamic.refresh.refresh_prepared` advances warm prepared
-rankings in place so the prepare cache stops cold-starting on every
-write.  See ``docs/dynamic.md`` for the design and its fallback
-conditions.
+Turns WAL mutations into column moves instead of cache invalidations:
+:func:`~repro.dynamic.refresh.refresh_prepared` carries a table's warm
+default-shape preparation — its ranking and its columns, the table's
+only ranked state — across one committed
+:class:`~repro.dynamic.delta.TableDelta`; a
+:class:`~repro.dynamic.index.DynamicIndex` keeps one live kernel scan
+per served ``k`` over that preparation's columns and moves them onto
+each newer preparation, re-pricing only the rows a write can affect;
+and a :class:`~repro.dynamic.registry.DynamicIndexRegistry` holds one
+index per table and serves byte-exact ``Pr^k`` answers from it.  See
+``docs/dynamic.md`` for the design and its fallback conditions.
 """
 
 from repro.dynamic.delta import DELTA_OPS, TableDelta, delta_from_record
 from repro.dynamic.index import DEFAULT_CAP, DynamicIndex
 from repro.dynamic.refresh import DEFAULT_SHAPE_KEY, refresh_prepared
-from repro.dynamic.registry import DEFAULT_MAX_BACKLOG, DynamicIndexRegistry
+from repro.dynamic.registry import DynamicIndexRegistry
 
 __all__ = [
     "DELTA_OPS",
     "DEFAULT_CAP",
-    "DEFAULT_MAX_BACKLOG",
     "DEFAULT_SHAPE_KEY",
     "DynamicIndex",
     "DynamicIndexRegistry",

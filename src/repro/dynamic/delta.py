@@ -1,22 +1,21 @@
-"""Table deltas: the unit of change the incremental PT-k index consumes.
+"""Table deltas: the description of one committed table mutation.
 
 A :class:`TableDelta` is a *descriptive* record of one committed table
 mutation — which operation ran, which tuple or rule it touched, and the
-``(epoch, version)`` pair that places it in the table's mutation
-history.  Deltas are emitted by :class:`~repro.query.engine.UncertainDB`
-mutation methods after the table layer has validated and applied the
-change (so a delta always describes a mutation that *succeeded*), ride
-alongside the WAL record in :class:`~repro.durable.db.DurableDB`, and
-are reconstructed on replicas from the shipped WAL stream
-(:func:`delta_from_record`) — the primary's index and every replica's
-index consume the same logical delta sequence.
+table versions before and after it.  Deltas are emitted by
+:class:`~repro.query.engine.UncertainDB` mutation methods after the
+table layer has validated and applied the change (so a delta always
+describes a mutation that *succeeded*), and are reconstructed on
+replicas from the shipped WAL stream (:func:`delta_from_record`).  Their
+one consumer is :meth:`~repro.query.prepare.PrepareCache.refresh`,
+which carries warm preparations — and with them the columns the
+dynamic indexes price — across the write.
 
 Versioning contract: ``previous_version`` is the table version the
 mutation was applied against and ``version`` the version it produced.
-The index applies a delta only when its own version equals
-``previous_version``; any gap means deltas were lost and the consumer
-must rebuild from the table instead
-(:class:`~repro.exceptions.StaleDeltaError`).
+:func:`~repro.dynamic.refresh.refresh_prepared` advances a preparation
+only when its ``source_version`` equals ``previous_version``; on any
+gap the stale entry is purged and the next read re-prepares cold.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ class TableDelta:
     :param previous_version: table version the mutation was applied
         against.
     :param version: table version after the mutation.
-    :param epoch: registration epoch of the table at emission time;
-        deltas stamped under an older epoch than the index's are stale
-        by definition (the table was re-registered in between).
     :param tid: the tuple id (``add`` / ``remove`` / ``update`` /
         ``score``).
     :param score: the tuple's score (``add``) or new score (``score``).
@@ -56,7 +52,6 @@ class TableDelta:
     op: str
     previous_version: int
     version: int
-    epoch: int = 0
     tid: Any = None
     score: Optional[float] = None
     probability: Optional[float] = None
@@ -64,37 +59,20 @@ class TableDelta:
     rule_id: Any = None
     members: Tuple[Any, ...] = field(default=())
 
-    def describe(self) -> dict:
-        """Compact dict form for logs and ``/debug`` payloads."""
-        body: dict = {
-            "table": self.table,
-            "op": self.op,
-            "previous_version": self.previous_version,
-            "version": self.version,
-            "epoch": self.epoch,
-        }
-        if self.tid is not None:
-            body["tid"] = self.tid
-        if self.rule_id is not None:
-            body["rule_id"] = self.rule_id
-        return body
 
-
-def delta_from_record(
-    record: Dict[str, Any], *, epoch: int = 0
-) -> Optional[TableDelta]:
+def delta_from_record(record: Dict[str, Any]) -> Optional[TableDelta]:
     """Reconstruct the :class:`TableDelta` described by one WAL record.
 
     The replica-side twin of the primary's in-process delta emission:
     after :func:`repro.durable.recover.apply_record` applies a shipped
-    record, the applier feeds the equivalent delta to its dynamic
-    registry, so a replica's index advances through the same state
-    sequence as the primary's without ever rebuilding from scratch.
+    record, the applier refreshes its warm preparations with the
+    equivalent delta, so a replica's prepared state (and the dynamic
+    indexes priced on it) advances as the primary's does, without a
+    cold re-prepare.
 
     :param record: a decoded WAL record dict (``op`` / ``table`` /
         ``version`` plus op-specific fields; tids in the WAL's encoded
         form).
-    :param epoch: the registry epoch to stamp onto the delta.
     :returns: the delta, or ``None`` for record types that do not
         mutate tuple/rule state (``register`` / ``drop`` / ``serve``).
     """
@@ -109,7 +87,6 @@ def delta_from_record(
         op=op,
         previous_version=version - 1,
         version=version,
-        epoch=epoch,
     )
     if op == "add":
         return TableDelta(

@@ -10,7 +10,8 @@ produces exactly the object :func:`~repro.query.prepare.prepare_ranking`
 would build against the mutated table, at the cost of one point write:
 
 * **ranking** — the written tuple's old rank comes from the
-  preparation's cached id column (one C-level ``index``), its new rank
+  preparation's cached id column (one C-level ``index``, started at a
+  binary search of the unchanged sort key for an update), its new rank
   from a binary search over the ranked tuples (``bisect`` with the sort
   key as ``key=``, no materialised key list); the rest is one list
   insert/delete/replace, mirrored in the id column the refreshed
@@ -20,7 +21,13 @@ would build against the mutated table, at the cost of one point write:
   update of a rule member changes a ``Pr(R)``; that one sum is re-taken.
   A ``rule`` op and the removal of a rule member, where the table's
   shrink semantics apply, re-index the rules from the table;
-* **columns** — left to the preparation's lazy ``cached_property``.
+* **columns** — carried across when the old preparation had
+  materialised them (:attr:`~repro.query.prepare.PreparedRanking
+  .columns` is lazy): a row inserted or deleted by concatenation, or a
+  copy-and-assign, at the written ranks — never a write into an array
+  an older preparation or a scan still holds.  Rule slots are renumbered by
+  first encounter only when rule membership changes or a member moves.
+  A preparation that never materialised its columns stays lazy.
 
 A refresh that cannot guarantee the exact cold order returns ``None``
 and the entry dies by ordinary version purge — never a wrong order.
@@ -32,9 +39,12 @@ order among them is table insertion order, which surgery cannot see.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Optional, Tuple
 
+import numpy as np
+
+from repro.core.kernel import TableColumns, rule_slots
 from repro.model.table import UncertainTable
 from repro.query.prepare import PreparedRanking, index_rules
 
@@ -49,9 +59,34 @@ def _sort_key(tup: Any) -> Tuple[float, str]:
     return (-tup.score, str(tup.tid))
 
 
-def _rank_of(tids: List[Any], tid: Any) -> Optional[int]:
+def _edited(
+    column: np.ndarray, removed: Optional[int], inserted: Optional[int], value
+) -> np.ndarray:
+    """``column`` without row ``removed``, then with ``value`` at row
+    ``inserted`` (either may be ``None``); a new array whenever either
+    is given, so no array an older preparation holds is written."""
+    if removed is not None:
+        column = np.concatenate((column[:removed], column[removed + 1 :]))
+    if inserted is not None:
+        column = np.concatenate(
+            (column[:inserted], np.array([value], column.dtype),
+             column[inserted:])
+        )
+    return column
+
+
+def _rank_of(
+    prepared: PreparedRanking, table: UncertainTable, delta: TableDelta
+) -> Optional[int]:
+    """The written tuple's rank in ``prepared``.  An update keeps the
+    tuple's sort key, so a binary search finds where to start looking;
+    a remove or a score move scans the id column from the top."""
+    start = 0
+    if delta.op == "update":
+        key = _sort_key(table.get(delta.tid))
+        start = bisect_left(prepared.ranked, key, key=_sort_key)
     try:
-        return tids.index(tid)
+        return prepared.tids.index(delta.tid, start)
     except ValueError:
         return None
 
@@ -78,11 +113,12 @@ def refresh_prepared(
     if op not in DELTA_OPS:
         return None
     ranked = list(prepared.ranked)
-    tids = list(prepared.tids)
+    tids = prepared.tids
     rule_of = prepared.rule_of
     rule_probability = prepared.rule_probability
+    removed = inserted = None
     if op in ("remove", "update", "score"):
-        position = _rank_of(tids, delta.tid)
+        position = _rank_of(prepared, table, delta)
         if position is None:
             return None
         if op == "update":
@@ -93,7 +129,8 @@ def refresh_prepared(
                 rule_probability[rule.rule_id] = table.rule_probability(rule)
         else:
             del ranked[position]
-            del tids[position]
+            tids = tids[:position] + tids[position + 1 :]
+            removed = position
             if op == "remove" and delta.tid in rule_of:
                 rule_of, rule_probability = index_rules(table)
     elif op == "rule":
@@ -103,14 +140,14 @@ def refresh_prepared(
         key = _sort_key(tup)
         # bisect_right: a fresh tuple is newest in insertion order, so
         # the stable ranking sort places it after any equal key.
-        position = bisect_right(ranked, key, key=_sort_key)
-        collides = position and _sort_key(ranked[position - 1]) == key
+        inserted = bisect_right(ranked, key, key=_sort_key)
+        collides = inserted and _sort_key(ranked[inserted - 1]) == key
         if op == "score" and collides:
             # Equal sort key held by another tuple: the cold order among
             # equals is insertion order, which surgery cannot see.
             return None
-        ranked.insert(position, tup)
-        tids.insert(position, tup.tid)
+        ranked.insert(inserted, tup)
+        tids = tids[:inserted] + (tup.tid,) + tids[inserted:]
     refreshed = PreparedRanking(
         table=prepared.table,
         ranked=tuple(ranked),
@@ -120,7 +157,38 @@ def refresh_prepared(
         predicate=prepared.predicate,
         ranking=prepared.ranking,
     )
-    # Seed the cached id column the way cached_property stores it, so
-    # the next write does not rebuild it.
-    refreshed.__dict__["tids"] = tuple(tids)
+    # Seed the cached properties the way cached_property stores them,
+    # so the next write and the next columnar read rebuild neither.
+    refreshed.__dict__["tids"] = tids
+    columns = prepared.__dict__.get("columns")
+    if columns is None:
+        return refreshed
+    # An added or moved tuple lands independent (rule slot -1); a moved
+    # member is renumbered with its rule below.
+    new_row = (None, None, None) if inserted is None else (
+        tup.score, tup.probability, -1
+    )
+    score, probability, rule_index = (
+        _edited(column, removed, inserted, value)
+        for column, value in zip(
+            (columns.score, columns.probability, columns.rule_index), new_row
+        )
+    )
+    if op == "update":
+        probability = probability.copy()
+        probability[position] = ranked[position].probability
+    rule_ids = columns.rule_ids
+    # A new rule_of means the rules were re-indexed (membership may have
+    # changed); a moved member can change its rule's first encounter.
+    if rule_of is not prepared.rule_of or (
+        op == "score" and delta.tid in rule_of
+    ):
+        rule_index, rule_ids = rule_slots(tids, rule_of)
+    refreshed.__dict__["columns"] = TableColumns(
+        tids=tids,
+        score=score,
+        probability=probability,
+        rule_index=rule_index,
+        rule_ids=rule_ids,
+    )
     return refreshed

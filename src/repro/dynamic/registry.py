@@ -1,86 +1,76 @@
-"""The dynamic-index registry: delta queues, fallback policy, answers.
+"""The dynamic-index registry: one index per table, fallback policy, answers.
 
 One :class:`DynamicIndexRegistry` lives inside an
 :class:`~repro.query.engine.UncertainDB` once
 :meth:`~repro.query.engine.UncertainDB.enable_dynamic` is called.  It
-owns a small family of :class:`~repro.dynamic.index.DynamicIndex`\\ es
-per registered table — **one per requested** ``k``, because an index is
-byte-exact at exactly one ``k`` (see the index module docstring) — and
-mediates between the write path and the read path:
+owns one :class:`~repro.dynamic.index.DynamicIndex` per registered table
+— the live ``Pr^k`` scans, one per requested ``k``, over the table's
+default-shape preparation — and answers reads from it:
 
-* **writes** enqueue :class:`~repro.dynamic.delta.TableDelta` records
-  (cheap, no DP work on the mutating thread);
-* **reads** drain the pending queue into every built index — column
-  surgery per delta, plus moving the index's live kernel scan back to
-  its latest snapshot above the changed rank — and answer from that
-  scan for the requested ``k``, pricing only up to the Theorem-5 stop
-  depth the answer needs.
+* **writes** touch nothing here: the engine's mutation path refreshes
+  the prepare cache's preparation (columns included), the table's only
+  ranked state;
+* **reads** take the table's current preparation from the prepare cache
+  and, when it is not the one the index is priced on, move the index
+  onto it (:meth:`DynamicIndex.apply`: a column compare plus a rewind of
+  each scan to its latest snapshot above the first changed rank), then
+  answer from the scan for the requested ``k``, pricing only up to the
+  Theorem-5 stop depth the answer needs.
 
-Degradation is the design's safety net, not an afterthought: any
-condition under which an incremental answer could be wrong — a version
-gap in the delta chain, a sort-key collision the index refuses, a
-backlog past :attr:`max_backlog` (where replaying deltas would cost
-more than scanning), a ``k`` above the registry cap, or an unexpected
-error — falls back to :meth:`DynamicIndex.build`, which *is* the cold
-scan in the index's representation.  Every fallback is counted by
-reason (``repro_dyn_fallbacks_total``), so "the escape hatch fired" is
-an observable event, never a silent behavior change.
+Callers hold the table's lock (:meth:`~repro.query.engine.UncertainDB
+.table_lock`) across :meth:`~DynamicIndexRegistry.answer`, so the
+preparation it reads describes one table version.
+
+Degradation is the design's safety net, not an afterthought: a ``k``
+above the registry cap is answered by the caller's cold path, and an
+unexpected error while moving or reading the index discards it and
+rebuilds it from the preparation (:meth:`DynamicIndex.build`).  Every
+fallback is counted by reason (``repro_dyn_fallbacks_total``), so "the
+escape hatch fired" is an observable event, never a silent behavior
+change.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.results import PTKAnswer
-from repro.exceptions import (
-    DynamicIndexError,
-    QueryError,
-    UnsupportedDeltaError,
-)
+from repro.exceptions import QueryError
 from repro.model.table import UncertainTable
 from repro.obs import OBS, catalogued
+from repro.query.prepare import PrepareCache
+from repro.query.topk import TopKQuery
 
-from repro.dynamic.delta import TableDelta
 from repro.dynamic.index import DEFAULT_CAP, DynamicIndex
-
-#: Pending deltas beyond which a read rebuilds instead of replaying.
-DEFAULT_MAX_BACKLOG = 256
 
 
 class _TableState:
-    """Per-table registry slot: the per-``k`` index family, the shared
-    pending delta queue, and the registration epoch."""
+    """Per-table registry slot: the table's index (``None`` until its
+    first read) and the lock that serialises access to it."""
 
-    __slots__ = ("epoch", "indexes", "pending", "lock")
+    __slots__ = ("index", "lock")
 
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.indexes: Dict[int, DynamicIndex] = {}
-        self.pending: Deque[TableDelta] = deque()
+    def __init__(self) -> None:
+        self.index: Optional[DynamicIndex] = None
         self.lock = threading.Lock()
 
 
 class DynamicIndexRegistry:
     """Dynamic PT-k indexes for the tables of one database.
 
-    :param cap: largest ``k`` served incrementally; one index is built
+    :param cache: the database's prepare cache; its default-shape
+        preparation of each table is what the indexes price.
+    :param cap: largest ``k`` served incrementally; one scan is built
         per distinct requested ``k`` up to this bound.
-    :param max_backlog: pending deltas beyond which a read rebuilds the
-        indexes from the table instead of replaying the queue.
     """
 
-    def __init__(
-        self,
-        cap: int = DEFAULT_CAP,
-        max_backlog: int = DEFAULT_MAX_BACKLOG,
-    ) -> None:
+    def __init__(self, cache: PrepareCache, cap: int = DEFAULT_CAP) -> None:
         if cap <= 0:
             raise QueryError(f"dynamic cap must be positive, got {cap}")
+        self.cache = cache
         self.cap = int(cap)
-        self.max_backlog = int(max_backlog)
         self._states: Dict[str, _TableState] = {}
         self._lock = threading.Lock()
         # Cumulative counters (also exported as repro_dyn_* metrics;
@@ -92,27 +82,16 @@ class DynamicIndexRegistry:
         self.reads_rebuild = 0
 
     # ------------------------------------------------------------------
-    # Registration and the write path
+    # Registration
     # ------------------------------------------------------------------
-    def register(self, name: str, epoch: int = 0) -> int:
-        """Track ``name``; indexes are built lazily on first read per
-        ``k``.  Re-registering under a higher epoch discards the old
-        indexes and queue (their deltas describe a dead lineage).
-
-        :returns: the epoch the registry now associates with the name.
-        """
+    def register(self, name: str) -> None:
+        """Track ``name``, discarding any index of an earlier table by
+        that name; the index is built lazily on the first read."""
         with self._lock:
-            state = self._states.get(name)
-            if state is None:
-                self._states[name] = _TableState(epoch)
-                return epoch
-            if epoch > state.epoch:
-                self._states[name] = _TableState(epoch)
-                return epoch
-            return state.epoch
+            self._states[name] = _TableState()
 
     def drop(self, name: str) -> None:
-        """Forget a table's indexes and pending deltas."""
+        """Forget a table's index."""
         with self._lock:
             self._states.pop(name, None)
 
@@ -121,109 +100,36 @@ class DynamicIndexRegistry:
         with self._lock:
             return list(self._states)
 
-    def enqueue(self, delta: TableDelta) -> bool:
-        """Queue one committed mutation for its table's indexes.
-
-        Constant-time on the write path: the DP work happens at the
-        next read.  Deltas for untracked tables or stale epochs are
-        dropped (the indexes will rebuild from the table anyway).
-
-        :returns: True when the delta was queued.
-        """
-        with self._lock:
-            state = self._states.get(delta.table)
-        if state is None or delta.epoch != state.epoch:
-            return False
-        with state.lock:
-            state.pending.append(delta)
-        return True
-
     # ------------------------------------------------------------------
     # The read path
     # ------------------------------------------------------------------
-    def index_for(
-        self, name: str, table: UncertainTable, k: int
-    ) -> Optional[DynamicIndex]:
-        """The table's index for ``k``, advanced through every pending
-        delta.
-
-        Drains the queue under the per-table lock, applying each delta
-        to every built sibling as a suffix re-evaluation; rebuilds cold
-        on any degradation condition (see the module docstring).
-        Returns ``None`` for untracked names or ``k`` above the cap.
-        """
-        if k <= 0 or k > self.cap:
-            return None
-        with self._lock:
-            state = self._states.get(name)
-        if state is None:
-            return None
-        with state.lock:
-            index, _ = self._advance(state, name, table, k)
-            return index
-
-    def _advance(
-        self, state: _TableState, name: str, table: UncertainTable, k: int
-    ) -> Tuple[DynamicIndex, bool]:
-        """Drain the pending queue into the built index family, then
-        hand back (index for ``k``, whether a cold build happened).
-        Callers hold ``state.lock``."""
-        indexes = state.indexes
-        if not indexes:
-            # Nothing built yet: queued deltas are subsumed by building
-            # from the live table.
-            state.pending.clear()
-        elif len(state.pending) > self.max_backlog:
-            self._fallback(state, reason="backlog")
-        while state.pending and indexes:
-            delta = state.pending.popleft()
-            started = time.perf_counter()
-            suffix = -1
-            try:
-                for index in indexes.values():
-                    if delta.version <= index.version:
-                        continue  # already covered (e.g. by a rebuild)
-                    suffix = index.apply(delta)
-            except UnsupportedDeltaError:
-                self._fallback(state, reason="unsupported")
-                break
-            except DynamicIndexError:
-                self._fallback(state, reason="stale")
-                break
-            except Exception:
-                self._fallback(state, reason="error")
-                break
-            if suffix < 0:
-                continue
-            self.deltas_applied += 1
-            if OBS.enabled:
-                elapsed = time.perf_counter() - started
-                catalogued("repro_dyn_deltas_applied_total").inc(
-                    1.0, op=delta.op
-                )
-                catalogued("repro_dyn_suffix_length").observe(suffix)
-                catalogued("repro_dyn_refresh_seconds").observe(elapsed)
-        index = indexes.get(k)
-        if index is not None and index.version != table.version:
-            # Mutations bypassed the delta path (direct table writes):
-            # the chain is broken, only the table knows the truth.
-            self._fallback(state, reason="stale")
-            index = None
-        if index is None:
-            index = DynamicIndex.build(name, table, cap=k, epoch=state.epoch)
-            indexes[k] = index
-            return index, True
-        return index, False
-
-    def _fallback(self, state: _TableState, reason: str) -> None:
-        """Discard the index family and queue; the caller rebuilds the
-        requested ``k`` cold (siblings rebuild lazily on their next
-        read).  Counted per reason."""
+    def _fallback(self, reason: str) -> None:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
         if OBS.enabled:
             catalogued("repro_dyn_fallbacks_total").inc(1.0, reason=reason)
-        state.indexes.clear()
-        state.pending.clear()
+
+    def _index_for(self, state: _TableState, prepared) -> DynamicIndex:
+        """The table's index, moved onto ``prepared`` (built on first
+        use).  Callers hold ``state.lock``."""
+        index = state.index
+        if index is None:
+            index = state.index = DynamicIndex.build(prepared)
+            return index
+        if index.prepared is prepared:
+            return index
+        started = time.perf_counter()
+        carried = prepared.source_version - index.prepared.source_version
+        suffix = index.apply(prepared)
+        self.deltas_applied += max(carried, 0)
+        if OBS.enabled:
+            elapsed = time.perf_counter() - started
+            # The index sees versions, not operations: op="any".
+            catalogued("repro_dyn_deltas_applied_total").inc(
+                float(max(carried, 0)), op="any"
+            )
+            catalogued("repro_dyn_suffix_length").observe(suffix)
+            catalogued("repro_dyn_refresh_seconds").observe(elapsed)
+        return index
 
     def answer(
         self,
@@ -241,30 +147,30 @@ class DynamicIndexRegistry:
         produce for those ranks — with ``answers`` holding the ids at
         or above ``threshold`` in ranking order and ``stats.scan_depth``
         the Theorem-5 stop depth the read actually priced (see
-        :meth:`DynamicIndex.scan_answer`).
+        :meth:`DynamicIndex.scan_answer`).  Inputs are the caller's to
+        validate (:meth:`~repro.query.engine.UncertainDB.ptk` does).
         """
         if k > self.cap:
-            self.fallbacks["cap"] = self.fallbacks.get("cap", 0) + 1
-            if OBS.enabled:
-                catalogued("repro_dyn_fallbacks_total").inc(1.0, reason="cap")
+            self._fallback("cap")
             return None
         with self._lock:
             state = self._states.get(name)
         if state is None:
             return None
         with state.lock:
-            index, rebuilt = self._advance(state, name, table, k)
+            prepared = self.cache.get(table, TopKQuery(k=k))
             try:
+                index = self._index_for(state, prepared)
+                rebuilt = k not in index.scans
                 answers, probabilities, depth = index.scan_answer(
                     k, threshold
                 )
             except Exception:
-                # Lazy re-pricing happens at read time, outside
-                # _advance's per-delta guards: degrade exactly the same
-                # way — rebuild cold and re-read (a second failure is a
-                # genuine bug and propagates).
-                self._fallback(state, reason="error")
-                index, rebuilt = self._advance(state, name, table, k)
+                # Degrade: rebuild cold from the preparation and re-read
+                # (a second failure is a genuine bug and propagates).
+                self._fallback("error")
+                index = state.index = DynamicIndex.build(prepared)
+                rebuilt = True
                 answers, probabilities, depth = index.scan_answer(
                     k, threshold
                 )
@@ -287,23 +193,18 @@ class DynamicIndexRegistry:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Registry-level counters plus per-table index stats."""
+        """Registry-level counters plus per-table, per-``k`` scan stats."""
         with self._lock:
             states = dict(self._states)
         tables = {}
         for name, state in states.items():
             with state.lock:
+                index = state.index
                 tables[name] = {
-                    "epoch": state.epoch,
-                    "pending": len(state.pending),
-                    "indexes": {
-                        k: index.stats()
-                        for k, index in sorted(state.indexes.items())
-                    },
+                    "indexes": {} if index is None else index.stats()
                 }
         return {
             "cap": self.cap,
-            "max_backlog": self.max_backlog,
             "deltas_applied": self.deltas_applied,
             "fallbacks": dict(self.fallbacks),
             "reads": {"index": self.reads_index, "rebuild": self.reads_rebuild},

@@ -125,29 +125,6 @@ class CursorLostError(ReplicationError):
     """
 
 
-class DynamicIndexError(ReproError):
-    """Base class for errors raised by the incremental PT-k index
-    (:mod:`repro.dynamic`).  Both subclasses are *recoverable*: the
-    registry catches them and falls back to a cold rebuild rather than
-    serving an answer from suspect state."""
-
-
-class StaleDeltaError(DynamicIndexError):
-    """A delta does not chain onto the index's current ``(epoch, version)``.
-
-    Raised when ``delta.previous_version`` is not the index's version or
-    the registration epochs differ — e.g. after a promotion re-registered
-    the table, or when deltas were dropped under backlog pressure.
-    """
-
-
-class UnsupportedDeltaError(DynamicIndexError):
-    """The index cannot apply a delta (or build) without risking a
-    wrong answer — e.g. a ranking-key collision (two tuple ids with
-    equal score *and* equal ``str(tid)``), where incremental insertion
-    cannot reproduce the stable sort order of a cold prepare."""
-
-
 class EnumerationLimitError(ReproError):
     """Possible-world enumeration would exceed the configured safety limit.
 

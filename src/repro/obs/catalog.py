@@ -153,26 +153,28 @@ CATALOG: Dict[str, MetricSpec] = {
         # -------------------------------------------------- dynamic index
         _spec(
             "repro_dyn_deltas_applied_total", "counter", ("op",),
-            "Mutations applied to a dynamic PT-k index as localized "
-            "deltas (op=add|remove|update|score|rule).",
+            "Committed mutations carried into a built dynamic PT-k "
+            "index without a cold rebuild (op=any: the index follows "
+            "table versions, not operations).",
             "Beyond the paper (incremental maintenance)",
         ),
         _spec(
             "repro_dyn_suffix_length", "histogram", (),
-            "Ranks re-evaluated per delta (the suffix of the ranked "
-            "order whose DP state the mutation could change).",
+            "Ranks invalidated per column move (the suffix of the "
+            "ranked order from the first rank where the new columns "
+            "differ).",
             "Beyond the paper (incremental maintenance)",
         ),
         _spec(
             "repro_dyn_fallbacks_total", "counter", ("reason",),
             "Dynamic-index reads that fell back to a cold rebuild "
-            "(reason=stale|unsupported|backlog|cap|error).",
+            "(reason=cap|error).",
             "Beyond the paper (incremental maintenance)",
         ),
         _spec(
             "repro_dyn_refresh_seconds", "timer", (),
-            "Wall time applying one delta to a dynamic index "
-            "(suffix re-evaluation included).",
+            "Wall time moving a dynamic index onto a newer "
+            "preparation (column compare plus snapshot restore).",
             "Beyond the paper (incremental maintenance)",
         ),
         _spec(

@@ -108,7 +108,7 @@ class QueryProfile:
     # decision, and (when applicable) checkpoint_depth/resumed_from_depth
     scheduler: Optional[Dict[str, Any]] = None
     # dynamic-index trace: deltas_applied, reads, fallbacks, and the
-    # answering table's pending/index family (mode == "dynamic" only)
+    # answering table's served k values (mode == "dynamic" only)
     dynamic: Optional[Dict[str, Any]] = None
     serve_flush_seconds: Optional[float] = None
     slow: bool = False

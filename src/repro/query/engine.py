@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.exact import (
     ExactVariant,
+    _validate_threshold,
     exact_ptk_query,
     exact_topk_probabilities,
 )
@@ -92,15 +93,14 @@ class UncertainDB:
 
         A mutation holds it across the table write *and*
         :meth:`_emit_delta`.  A read holds it at least while it takes
-        its snapshot of the table (a prepare-cache lookup, a dynamic
-        index build or advance); the ``ptk*`` methods here hold it for
+        its snapshot of the table (a prepare-cache lookup, which a
+        dynamic read makes too); the ``ptk*`` methods here hold it for
         the whole query.  Without it a read could pair one version's
-        contents with the other's number: an index built from the old
-        tuples but stamped with the new version (it then skips the
-        write's delta), or a preparation of the new tuples stored under
-        the old version (the writer's refresh then applies the delta a
-        second time).  Re-entrant, so a journalling subclass can hold
-        it around the engine-level mutation plus its WAL append.
+        contents with the other's number: a preparation of the new
+        tuples stored under the old version (the writer's refresh then
+        applies the delta a second time).  Re-entrant, so a journalling
+        subclass can hold it around the engine-level mutation plus its
+        WAL append.
 
         :meth:`register` creates the lock; a name that was never
         registered gets a private lock (its callers fail on the table
@@ -124,55 +124,33 @@ class UncertainDB:
         :meth:`enable_dynamic` is called."""
         return self._dynamic
 
-    def enable_dynamic(
-        self,
-        cap: Optional[int] = None,
-        max_backlog: Optional[int] = None,
-    ) -> Any:
+    def enable_dynamic(self, cap: Optional[int] = None) -> Any:
         """Turn on incremental PT-k maintenance (:mod:`repro.dynamic`).
 
-        Once enabled, every mutation routed through this engine's
-        methods (:meth:`add`, :meth:`remove_tuple`, ...) emits a
-        :class:`~repro.dynamic.delta.TableDelta` that advances the
-        per-table dynamic indexes and refreshes warm prepared rankings
-        in place; default-shape :meth:`ptk` reads are answered from the
-        maintained index (byte-identical to a cold columnar scan).
+        Every mutation routed through this engine's methods
+        (:meth:`add`, :meth:`remove_tuple`, ...) already carries the
+        table's warm default-shape preparation across the write,
+        columns included.  Once enabled, default-shape :meth:`ptk` reads
+        are answered from a per-table index of live kernel scans over
+        that preparation (byte-identical to a cold columnar scan).
 
         Idempotent: a second call returns the existing registry
-        unchanged (``cap`` / ``max_backlog`` are only read on the
-        first).
+        unchanged (``cap`` is only read on the first).
 
         :param cap: largest ``k`` served incrementally (default
             :data:`repro.dynamic.index.DEFAULT_CAP`).
-        :param max_backlog: queued deltas beyond which a read rebuilds
-            cold instead of replaying.
         :returns: the :class:`~repro.dynamic.registry.DynamicIndexRegistry`.
         """
-        from repro.dynamic.registry import (
-            DEFAULT_MAX_BACKLOG,
-            DynamicIndexRegistry,
-        )
+        from repro.dynamic.registry import DynamicIndexRegistry
         from repro.dynamic.index import DEFAULT_CAP
 
         if self._dynamic is None:
             self._dynamic = DynamicIndexRegistry(
-                cap=DEFAULT_CAP if cap is None else cap,
-                max_backlog=(
-                    DEFAULT_MAX_BACKLOG if max_backlog is None else max_backlog
-                ),
+                self._prepare_cache, cap=DEFAULT_CAP if cap is None else cap
             )
             for name in self.tables():
-                self._dynamic.register(name, self._dynamic_epoch(name))
+                self._dynamic.register(name)
         return self._dynamic
-
-    def _dynamic_epoch(self, name: str) -> int:
-        """The registration epoch deltas for ``name`` are stamped with.
-
-        The in-memory engine has no re-registration history, so every
-        table lives in epoch 0; :class:`~repro.durable.db.DurableDB`
-        overrides this with its journalled epochs.
-        """
-        return 0
 
     def _emit_delta(
         self,
@@ -182,20 +160,16 @@ class UncertainDB:
         previous_version: int,
         **fields: Any,
     ) -> TableDelta:
-        """Publish one committed mutation to the incremental machinery:
-        refresh warm prepared rankings in place, then queue the delta
-        for the dynamic indexes (if enabled)."""
+        """Publish one committed mutation: refresh warm prepared
+        rankings in place (the dynamic indexes read them)."""
         delta = TableDelta(
             table=name,
             op=op,
             previous_version=previous_version,
             version=table.version,
-            epoch=self._dynamic_epoch(name),
             **fields,
         )
         self._prepare_cache.refresh(table, delta)
-        if self._dynamic is not None:
-            self._dynamic.enqueue(delta)
         return delta
 
     # ------------------------------------------------------------------
@@ -218,7 +192,7 @@ class UncertainDB:
         # are already gone (``drop`` invalidates them) and a table object
         # registered under a second name must keep its warm preparations.
         if self._dynamic is not None:
-            self._dynamic.register(key, self._dynamic_epoch(key))
+            self._dynamic.register(key)
         return key
 
     def table(self, name: str) -> UncertainTable:
@@ -251,8 +225,8 @@ class UncertainDB:
     # model layer (probabilities in (0, 1], finite scores, no duplicate
     # ids — all raising MutationError subclasses *before* any state
     # changes), and every committed mutation is published through
-    # ``_emit_delta`` so warm preparations and dynamic indexes advance
-    # instead of going cold.  DurableDB overrides each method to add
+    # ``_emit_delta`` so warm preparations (which the dynamic indexes
+    # price) advance instead of going cold.  DurableDB overrides each method to add
     # WAL journalling on top.
 
     def add(
@@ -368,20 +342,25 @@ class UncertainDB:
         set, ``method="dynamic"``, and ``probabilities`` covering the
         ranks down to the Theorem-5 stop depth
         (``answer.stats.scan_depth``), not every tuple — bitwise what a
-        cold columnar scan of the current table computes for them.
+        cold columnar scan of the current table computes for them.  A
+        bad ``k`` or ``threshold`` raises the same :class:`QueryError`
+        on either path.
         """
         with query_scope(
             "ptk", table=name, k=k, threshold=threshold
         ), self.table_lock(name):
-            if query is None and self._dynamic is not None:
-                answer = self._dynamic.answer(
-                    name, self.table(name), k, threshold
-                )
-                if answer is not None:
-                    return answer
+            if query is None:
+                query = TopKQuery(k=k)
+                if self._dynamic is not None:
+                    _validate_threshold(threshold)
+                    answer = self._dynamic.answer(
+                        name, self.table(name), k, threshold
+                    )
+                    if answer is not None:
+                        return answer
             return exact_ptk_query(
                 self.table(name),
-                query or TopKQuery(k=k),
+                query,
                 threshold,
                 variant=variant,
                 pruning=pruning,

@@ -88,9 +88,11 @@ class PreparedRanking:
         Built once per preparation and cached on the instance (a
         ``cached_property`` writes straight into ``__dict__``, which a
         frozen dataclass permits), so every full-scan query against a
-        cached preparation shares one columnarisation.  The arrays are
-        immutable by convention — consumers, including the columnar
-        kernel, only read them.
+        cached preparation shares one columnarisation;
+        :func:`repro.dynamic.refresh.refresh_prepared` carries them
+        across a write when they were built.  The arrays are immutable
+        by convention — consumers, including the columnar kernel and
+        the dynamic index's scans, only read them.
         """
         from repro.core.kernel import TableColumns
 
@@ -256,9 +258,9 @@ class PrepareCache:
         For every cached entry prepared at ``delta.previous_version``
         whose shape :func:`repro.dynamic.refresh.refresh_prepared`
         understands (trivial predicate, rank by score descending), the
-        entry is replaced in place by ranked-tuple surgery — the next
-        read hits a warm, current-version preparation with no cold
-        re-prepare.  Entries the surgery declines fall back to the
+        entry is replaced in place by ranked-tuple surgery (its columns
+        too, when built) — the next read hits a warm, current-version
+        preparation with no cold re-prepare.  Entries the surgery declines fall back to the
         ordinary stale-purge path, so a refresh is never less correct
         than an invalidation, only cheaper.
 

@@ -91,11 +91,6 @@ class ReplicaApplier:
         self.db = UncertainDB()
         self._tables: Dict[str, Any] = {}
         self._epochs: Dict[str, int] = {}
-        # The replica's registration epochs live here, not on the
-        # engine; shadowing the epoch hook keeps delta ``(epoch,
-        # version)`` stamps consistent between primary and replica
-        # when the replica enables its own dynamic indexes.
-        self.db._dynamic_epoch = lambda name: self._epochs.get(name, 0)
         self.cursor = WalCursor()
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.local_wal: Optional[WriteAheadLog] = None
@@ -183,18 +178,15 @@ class ReplicaApplier:
                             # surgery (the table object is shared and its
                             # version bump keeps the prepare cache sound)
                             # — but the same delta the primary emitted
-                            # advances warm preparations and the dynamic
-                            # indexes here, so a replica read after apply
-                            # is served from refreshed state, not a cold
-                            # re-prepare.
-                            delta = delta_from_record(
-                                record, epoch=self._epochs.get(name, 0)
-                            )
+                            # advances warm preparations here (and with
+                            # them the dynamic indexes' columns), so a
+                            # replica read after apply is served from
+                            # refreshed state, not a cold re-prepare.
+                            delta = delta_from_record(record)
                             if delta is not None:
-                                table = self._tables[name]
-                                self.db.prepare_cache.refresh(table, delta)
-                                if self.db.dynamic is not None:
-                                    self.db.dynamic.enqueue(delta)
+                                self.db.prepare_cache.refresh(
+                                    self._tables[name], delta
+                                )
                     else:
                         skipped += 1
             if "cursor" in payload:

@@ -144,10 +144,9 @@ class ServeConfig:
         snapshots registry metrics (and span trees) into ``flight_dir``;
         0 disables it.
     :param dynamic: maintain incremental PT-k indexes
-        (:mod:`repro.dynamic`): each ``POST /mutate`` becomes an answer
-        delta instead of a cache invalidation, and default-shape reads
-        are served straight from the refreshed index with no cold
-        re-prepare.
+        (:mod:`repro.dynamic`): default-shape reads are served from
+        live kernel scans moved onto each write's refreshed
+        preparation, re-pricing only the rows the write can affect.
     :param dynamic_cap: largest ``k`` the dynamic indexes serve; larger
         requests fall back to the ordinary planned path.
     """
@@ -1294,7 +1293,6 @@ class ServeApp:
         }
         table_stats = stats["tables"].get(name)
         if table_stats is not None:
-            block["pending"] = table_stats["pending"]
             block["indexes"] = sorted(table_stats["indexes"])
         return block
 

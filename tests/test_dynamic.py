@@ -5,6 +5,10 @@ must be bit-for-bit identical to a cold recompute of the current table
 — same ``Pr^k`` doubles, same answer set, same order.  These tests pin
 that contract per mutation kind, across suffix restarts, through the
 registry's fallback policy, and end to end through the serve layer.
+
+The index prices a preparation's columns; :func:`advance` moves a
+preparation across one write the way the prepare cache does (a refresh,
+or a cold re-prepare where the refresh declines).
 """
 
 import json
@@ -26,7 +30,7 @@ from repro.dynamic import (
     delta_from_record,
     refresh_prepared,
 )
-from repro.exceptions import ReproError, UnsupportedDeltaError
+from repro.exceptions import QueryError, ReproError
 from repro.model.table import UncertainTable
 from repro.query.engine import UncertainDB
 from repro.query.prepare import prepare_ranking
@@ -39,6 +43,18 @@ def cold_probabilities(table, k):
     columns = TableColumns.from_ranked(ranked, rule_index_of_table(table))
     out, _ = columnar_topk_scan(columns.probability, columns.rule_index, k)
     return columns.tids, out
+
+
+def advance(prepared, table, delta):
+    """The preparation after ``delta``: refreshed, or cold on a decline."""
+    refreshed = refresh_prepared(prepared, table, delta)
+    return refreshed or prepare_ranking(table, TopKQuery(k=1))
+
+
+def build_index(table):
+    """A fresh index over a cold preparation of ``table``."""
+    prepared = prepare_ranking(table, TopKQuery(k=1))
+    return prepared, DynamicIndex.build(prepared)
 
 
 class MutationDriver:
@@ -119,15 +135,13 @@ class TestByteEquality:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(25)
-        index = DynamicIndex.build("t", table, cap=k)
+        prepared, index = build_index(table)
         for step in range(80):
             delta = driver.random_op()
             if delta is None:
                 continue
-            try:
-                index.apply(delta)
-            except UnsupportedDeltaError:
-                index = DynamicIndex.build("t", table, cap=k)
+            prepared = advance(prepared, table, delta)
+            index.apply(prepared)
             tids, out = cold_probabilities(table, k)
             assert tuple(index.tids) == tids, f"order differs at step {step}"
             dyn = index.topk_probabilities(k)
@@ -142,15 +156,13 @@ class TestByteEquality:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=42)
         driver.seed_tuples(BLOCK + 40)
-        index = DynamicIndex.build("t", table, cap=3)
+        prepared, index = build_index(table)
         for _ in range(30):
             delta = driver.random_op()
             if delta is None:
                 continue
-            try:
-                index.apply(delta)
-            except UnsupportedDeltaError:
-                index = DynamicIndex.build("t", table, cap=3)
+            prepared = advance(prepared, table, delta)
+            index.apply(prepared)
         tids, out = cold_probabilities(table, 3)
         assert tuple(index.tids) == tids
         assert np.array_equal(out, index.topk_probabilities(3))
@@ -160,51 +172,58 @@ class TestByteEquality:
         table = UncertainTable(name="t")
         for i in range(200):
             table.add(f"t{i}", float(1000 - i), 0.5)
-        index = DynamicIndex.build("t", table, cap=2)
+        prepared, index = build_index(table)
         prev = table.version
         table.update_probability("t199", 0.9)
-        suffix = index.apply(TableDelta("t", "update", prev, table.version,
-                                        tid="t199", probability=0.9))
+        suffix = index.apply(advance(
+            prepared, table, TableDelta("t", "update", prev, table.version,
+                                        tid="t199", probability=0.9)))
         assert suffix <= 2
 
 
 class TestIndexContracts:
     def test_index_serves_exactly_its_k(self):
+        # One scan per k: each column is bitwise the cold scan at its
+        # own k, never a slice of a wider one.
         table = UncertainTable(name="t")
         for i in range(10):
             table.add(f"t{i}", float(10 - i), 0.5)
-        index = DynamicIndex.build("t", table, cap=3)
-        index.topk_probabilities(3)
-        with pytest.raises(UnsupportedDeltaError):
-            index.topk_probabilities(2)
+        _, index = build_index(table)
+        for k in (3, 2):
+            _, out = cold_probabilities(table, k)
+            assert np.array_equal(out, index.topk_probabilities(k))
+        assert sorted(index.scans) == [2, 3]
 
-    def test_version_gap_raises(self):
-        from repro.exceptions import StaleDeltaError
-
+    def test_apply_skips_versions(self):
+        # apply needs no delta chain: a preparation several writes ahead,
+        # built cold, moves the scans as well as one refresh at a time.
         table = UncertainTable(name="t")
-        for i in range(5):
-            table.add(f"t{i}", float(5 - i), 0.5)
-        index = DynamicIndex.build("t", table, cap=2)
-        table.update_probability("t0", 0.9)
-        table.update_probability("t1", 0.9)
-        # skip the first mutation: previous_version doesn't chain
-        with pytest.raises(StaleDeltaError):
-            index.apply(TableDelta("t", "update", table.version - 1,
-                                   table.version, tid="t1", probability=0.9))
+        for i in range(40):
+            table.add(f"t{i}", float(40 - i), 0.1 + 0.02 * i)
+        _, index = build_index(table)
+        index.topk_probabilities(2)
+        table.update_probability("t30", 0.9)
+        table.update_score("t35", 100.0)
+        table.remove_tuple("t10")
+        suffix = index.apply(prepare_ranking(table, TopKQuery(k=1)))
+        assert suffix == len(table)  # the moved tuple now ranks first
+        tids, out = cold_probabilities(table, 2)
+        assert tuple(index.tids) == tids
+        assert np.array_equal(out, index.topk_probabilities(2))
 
     def test_score_collision_refused_before_mutation(self):
         table = UncertainTable(name="t")
         table.add("a", 10.0, 0.5)
         table.add("b", 9.0, 0.5)
-        index = DynamicIndex.build("t", table, cap=1)
+        prepared, index = build_index(table)
         prev = table.version
         table.update_score("b", 10.0)  # collides with ("a", 10.0)? no —
         # sort key is (-score, str(tid)); same score, different tid is
         # fine.  A true collision needs the same tid key too, which two
         # distinct tuples cannot have — so moving onto an equal score
         # must be *supported*:
-        index.apply(TableDelta("t", "score", prev, table.version,
-                               tid="b", score=10.0))
+        index.apply(advance(prepared, table, TableDelta(
+            "t", "score", prev, table.version, tid="b", score=10.0)))
         tids, out = cold_probabilities(table, 1)
         assert tuple(index.tids) == tids
         assert np.array_equal(out, index.topk_probabilities(1))
@@ -229,6 +248,14 @@ class TestRegistry:
         for tid in answer.answers:
             assert answer.probabilities[tid] == cold.probabilities[tid]
         assert len(answer.probabilities) == answer.stats.scan_depth
+        # The full-scan sentinel: every Pr^k, no answers, whole depth.
+        full = db.ptk("t", k=4, threshold=0.0)
+        assert full.method == "dynamic"
+        cold = exact_ptk_query(db.table("t"), TopKQuery(k=4), 0.0)
+        assert full.answers == cold.answers == []
+        assert full.probabilities == cold.probabilities
+        assert full.stats.scan_depth == cold.stats.scan_depth == 20
+        assert full.stats.stopped_by == cold.stats.stopped_by == "exhausted"
 
     def test_mutations_flow_through_deltas(self):
         db = self.build_db()
@@ -253,24 +280,17 @@ class TestRegistry:
         assert answer.method != "dynamic"
         assert db.dynamic.fallbacks.get("cap") == 1
 
-    def test_backlog_triggers_rebuild(self):
-        db = self.build_db(cap=4)
-        db.dynamic.max_backlog = 3
-        db.ptk("t", k=2, threshold=0.3)
-        for i in range(6):
-            db.update_probability("t", f"t{i}", 0.6)
-        answer = db.ptk("t", k=2, threshold=0.3)
-        assert db.dynamic.fallbacks.get("backlog") == 1
-        cold = exact_ptk_query(db.table("t"), TopKQuery(k=2), 0.3)
-        assert answer.answers == cold.answers
-
     def test_direct_table_write_detected_as_stale(self):
         db = self.build_db(cap=4)
         db.ptk("t", k=2, threshold=0.3)
-        # bypass the engine: the version advances with no delta
+        # bypass the engine: the version advances with no delta, the
+        # prepare cache purges the stale preparation and re-prepares
+        # cold, and the index moves onto the cold columns
         db.table("t").update_probability("t0", 0.9)
         answer = db.ptk("t", k=2, threshold=0.3)
-        assert db.dynamic.fallbacks.get("stale") == 1
+        assert answer.method == "dynamic"
+        assert db.dynamic.fallbacks == {}
+        assert db.dynamic.deltas_applied == 1
         cold = exact_ptk_query(db.table("t"), TopKQuery(k=2), 0.3)
         assert answer.answers == cold.answers
 
@@ -293,6 +313,28 @@ class TestRegistry:
         assert stats["cap"] == 4
         assert stats["tables"]["t"]["indexes"][2]["n"] == 20
         assert stats["reads"] == {"index": 0, "rebuild": 1}
+
+
+class TestInputValidation:
+    BAD = [(5, 1.5), (5, -0.2), (5, float("nan")), (0, 0.5), (-1, 0.5)]
+
+    @staticmethod
+    def error_of(db, k, threshold):
+        with pytest.raises(ReproError) as caught:
+            db.ptk("t", k=k, threshold=threshold)
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("k, threshold", BAD)
+    def test_bad_input_raises_like_the_engine(self, dynamic, k, threshold):
+        db = TestRegistry().build_db(n=200)
+        plain = UncertainDB()
+        plain.register(db.table("t"), name="t")
+        db = db if dynamic else plain
+        assert (db.dynamic is not None) == dynamic
+        expected = self.error_of(plain, k, threshold)
+        assert expected[0] is QueryError
+        assert self.error_of(db, k, threshold) == expected
 
 
 class TestPrepareRefresh:
@@ -378,12 +420,11 @@ class TestDeltaCodec:
              "members": [encode_tid("a"), encode_tid("b")]},
         ]
         for record in records:
-            delta = delta_from_record(record, epoch=2)
+            delta = delta_from_record(record)
             assert delta is not None
             assert delta.op == record["op"]
             assert delta.version == record["version"]
             assert delta.previous_version == record["version"] - 1
-            assert delta.epoch == 2
         assert delta_from_record({"op": "register", "table": "t"}) is None
         assert delta_from_record({"op": "serve", "table": "t"}) is None
 
@@ -496,19 +537,21 @@ class TestWriteReadOrdering:
         from repro import obs
         from repro.serve.client import LoopbackTransport, ServeClient
 
+        from repro.query.ranking import RankingFunction
+
         db, app = self.build_app(dynamic=True)
         table = db.table("demo")
         writers = []
-        real_ranked_tuples = table.ranked_tuples
+        real_rank_table = RankingFunction.rank_table
 
-        def ranked_tuples(*args, **kwargs):
-            # DynamicIndex.build reads the tuples, then the version.
-            ranked = real_ranked_tuples(*args, **kwargs)
+        def rank_table(ranking, selected):
+            # The index is built over the preparation, and
+            # prepare_ranking reads the version, then ranks the tuples.
             if not writers:
                 writers.append(self.inject_write(table, client))
-            return ranked
+            return real_rank_table(ranking, selected)
 
-        monkeypatch.setattr(table, "ranked_tuples", ranked_tuples)
+        monkeypatch.setattr(RankingFunction, "rank_table", rank_table)
         try:
             with LoopbackTransport(app) as transport:
                 client = ServeClient(transport)
@@ -571,9 +614,9 @@ class TestWriteReadOrdering:
         for i in range(60):
             table.add(f"t{i}", float(i % 17), 0.2 + 0.01 * (i % 50))
         db.register(table, name="t")
-        # A small backlog makes reads rebuild often, and every build is
-        # a snapshot the table lock must keep whole.
-        db.enable_dynamic(cap=4, max_backlog=2)
+        # Every read moves the index onto the preparation it takes, a
+        # snapshot the table lock must keep whole.
+        db.enable_dynamic(cap=4)
         errors = []
 
         def writer(seed):

@@ -10,9 +10,13 @@ Three oracles, in increasing strength:
    whose ``Fraction >= float`` threshold comparisons are themselves
    exact.
 
-The warm prepared ranking is held to the same standard: after every
-delta, :func:`refresh_prepared` must return the object a cold
-:func:`prepare_ranking` builds, or ``None`` on a sort-key collision.
+The index prices whatever preparation it is handed, so the index
+suites run every step twice: once on the refreshed preparation, once on
+a cold :func:`prepare_ranking`.  The warm prepared ranking is held to
+the same standard: after every delta, :func:`refresh_prepared` must
+return the object a cold :func:`prepare_ranking` builds — its columns
+too, when the old one had materialised them — or ``None`` on a sort-key
+collision.
 
 Plus the two hard end-to-end cases: a SIGKILL mid-mutation (recovery
 must rebuild state the index then answers identically on) and the
@@ -40,20 +44,34 @@ from repro.dynamic import (
     delta_from_record,
     refresh_prepared,
 )
-from repro.exceptions import UnsupportedDeltaError
 from repro.model.table import UncertainTable
 from repro.query.engine import UncertainDB
 from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
 from repro.semantics.naive import naive_topk_probabilities
-from tests.test_dynamic import MutationDriver, cold_probabilities
+from tests.test_dynamic import MutationDriver, advance, cold_probabilities
 
 
 def feed(db, table, delta):
     """Mirror UncertainDB._emit_delta for driver-made mutations."""
     db.prepare_cache.refresh(table, delta)
-    if db.dynamic is not None:
-        db.dynamic.enqueue(delta)
+
+
+def twin_indexes(table):
+    """Two indexes over one table: ``warm`` follows refreshed
+    preparations, ``cold`` a cold re-prepare at every step."""
+    prepared = prepare_ranking(table, TopKQuery(k=1))
+    return prepared, DynamicIndex.build(prepared), DynamicIndex.build(prepared)
+
+
+def step_both(prepared, warm, cold, table, delta):
+    """Move both indexes across ``delta``; returns the new preparation
+    and the indexes to check."""
+    prepared = advance(prepared, table, delta)
+    warm.apply(prepared)
+    cold.apply(prepare_ranking(table, TopKQuery(k=1)))
+    return prepared, (warm, cold)
+
 
 # Mutation scripts are drawn as (op-code, seed) pairs; the driver turns
 # them into valid mutations against the evolving table.
@@ -96,20 +114,18 @@ class TestInterleavedMutations:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(8)
-        index = DynamicIndex.build("t", table, cap=k)
+        prepared, warm, cold = twin_indexes(table)
         for op_index, op_seed in script:
             driver.rng.seed(op_seed)
             op = OPS[op_index] if len(table) >= 3 else "add"
             delta = driver.emit(op)
             if delta is None:
                 continue
-            try:
-                index.apply(delta)
-            except UnsupportedDeltaError:
-                index = DynamicIndex.build("t", table, cap=k)
-            tids, out = cold_probabilities(table, k)
-            assert tuple(index.tids) == tids
-            assert np.array_equal(out, index.topk_probabilities(k))
+            prepared, indexes = step_both(prepared, warm, cold, table, delta)
+            for index in indexes:
+                tids, out = cold_probabilities(table, k)
+                assert tuple(index.tids) == tids
+                assert np.array_equal(out, index.topk_probabilities(k))
 
     @SMALL_STRIDES
     @given(script=mutation_scripts, k=st.integers(1, 4),
@@ -133,27 +149,30 @@ class TestInterleavedMutations:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(8)
-        index = DynamicIndex.build("t", table, cap=k)
+        prepared, warm, cold = twin_indexes(table)
         for op_index, op_seed in script:
             driver.rng.seed(op_seed)
             op = OPS[op_index] if len(table) >= 3 else "add"
             delta = driver.emit(op)
             if delta is None:
                 continue
-            try:
-                index.apply(delta)
-            except UnsupportedDeltaError:
-                index = DynamicIndex.build("t", table, cap=k)
-            answers, probabilities, depth = index.scan_answer(k, threshold)
+            prepared, indexes = step_both(prepared, warm, cold, table, delta)
+            for index in indexes:
+                answers, probabilities, depth = index.scan_answer(
+                    k, threshold
+                )
+                tids, out = cold_probabilities(table, k)
+                expected = [
+                    t for i, t in enumerate(tids) if out[i] >= threshold
+                ]
+                assert answers == expected
+                assert depth <= len(tids)
+                for position in range(depth):
+                    assert probabilities[tids[position]] == out[position]
+        for index in (warm, cold):
             tids, out = cold_probabilities(table, k)
-            expected = [t for i, t in enumerate(tids) if out[i] >= threshold]
-            assert answers == expected
-            assert depth <= len(tids)
-            for position in range(depth):
-                assert probabilities[tids[position]] == out[position]
-        tids, out = cold_probabilities(table, k)
-        assert tuple(index.tids) == tids
-        assert np.array_equal(out, index.topk_probabilities(k))
+            assert tuple(index.tids) == tids
+            assert np.array_equal(out, index.topk_probabilities(k))
 
     @given(script=mutation_scripts, k=st.integers(1, 3),
            seed=st.integers(0, 1000))
@@ -288,6 +307,14 @@ def score_collides(table, delta):
     )
 
 
+def assert_columns_bitwise(got, expected):
+    assert got.tids == expected.tids
+    for name in ("score", "probability", "rule_index"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.rule_ids == expected.rule_ids
+
+
 class TestPrepareRefreshProperty:
     # Op-codes past OPS draw a collision write (emit_twin).
     @given(
@@ -316,12 +343,25 @@ class TestPrepareRefreshProperty:
                 delta = driver.emit(OPS[op_index])
             if delta is None:
                 continue
+            # Two steps in three refresh a preparation with materialised
+            # columns; the third drops the cached property's value, so
+            # the lazy path is exercised mid-script too.
+            columnar = op_seed % 3 != 0
+            if columnar:
+                prepared.columns
+            else:
+                prepared.__dict__.pop("columns", None)
             refreshed = refresh_prepared(prepared, table, delta)
             cold = prepare_ranking(table, query)
             if refreshed is None:
                 assert score_collides(table, delta)
                 prepared = cold
                 continue
+            if columnar:
+                assert_columns_bitwise(refreshed.__dict__["columns"],
+                                       cold.columns)
+            else:
+                assert "columns" not in refreshed.__dict__
             assert refreshed.ranked == cold.ranked
             assert refreshed.tids == cold.tids
             assert dict(refreshed.rule_of) == dict(cold.rule_of)

@@ -507,7 +507,7 @@ class TestResumableScan:
             columnar=True,
         )
         answers, probabilities, depth = DynamicIndex.build(
-            "t", table, cap=k
+            prepare_ranking(table, query)
         ).scan_answer(k, threshold)
         assert read.answers == answers
         assert read.probabilities == probabilities
