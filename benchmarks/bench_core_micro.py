@@ -187,7 +187,7 @@ def _dynamic_write_read(benchmark, candidates):
     k = max(10, int(200 * scale))
     prepared = prepare_ranking(table, TopKQuery(k=k))
     index = DynamicIndex.build(prepared)
-    _, _, depth = index.scan_answer(k, 0.3)  # settle the lazy build once
+    _, _, depth, _ = index.scan_answer(k, 0.3)  # settle the lazy build once
     tid = next(
         t.tid
         for t in candidates(table.ranked_tuples(), depth)
@@ -286,3 +286,37 @@ def test_prepare_cache_refresh(benchmark):
         write("remove", tid)
 
     benchmark.pedantic(cycle, setup=setup, rounds=50, iterations=1)
+
+
+def test_ptk_many_round(benchmark):
+    """One ``UncertainDB.ptk_many`` call, inline (``n_workers=1``).
+
+    The library's many-query read: two tables, three k's each, every
+    (table, k) asked at three thresholds, so each pair's requests share
+    one columnar scan read once per threshold.  The preparations (and
+    their columns) are warm; each call prices its scans afresh.
+    """
+    from repro.query.engine import UncertainDB
+
+    scale = bench_scale()
+    db = UncertainDB()
+    for seed in (31, 37):
+        db.register(
+            generate_synthetic_table(
+                SyntheticConfig(
+                    n_tuples=max(500, int(20_000 * scale)),
+                    n_rules=max(50, int(2_000 * scale)),
+                    seed=seed,
+                )
+            )
+        )
+    requests = [
+        (name, k, threshold)
+        for name in db.tables()
+        for k in (5, 20, 50)
+        for threshold in (0.5, 0.2, 0.3)
+    ]
+    db.ptk_many(requests, n_workers=1)  # warm the preparations
+    benchmark.pedantic(
+        lambda: db.ptk_many(requests, n_workers=1), rounds=20, iterations=1
+    )

@@ -14,7 +14,8 @@ Two experiments beyond the paper's figures:
    core count in the notes.
 
 2. **Multi-query fan-out** — ``ptk_many`` over a batch of independent
-   exact PT-k requests, 1 worker vs 4, sharing one prepared ranking.
+   exact PT-k requests, 1 worker vs 4, each worker receiving the
+   prepared columns and answering whole ``(table, k)`` groups.
 
 Scaling: these experiments pin the acceptance sizes rather than using
 ``REPRO_BENCH_SCALE`` — the speedup claim is about a fixed workload.
@@ -147,7 +148,7 @@ def test_fanout_many_queries(benchmark, table):
     )
     emit(result, "parallel_fanout.txt")
 
-    # The exact engine is deterministic: answers must match exactly.
+    # The kernel is deterministic: answers must match exactly.
     for a, b in zip(parallel, serial):
         assert a.answers == b.answers
         assert a.probabilities == b.probabilities

@@ -50,6 +50,7 @@ GATED = (
     "test_dynamic_delta_refresh",
     "test_dynamic_shallow_write_read",
     "test_prepare_cache_refresh",
+    "test_ptk_many_round",
 )
 
 #: Allowed slowdown of a calibrated median before the gate fails.

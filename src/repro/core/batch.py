@@ -1,24 +1,21 @@
-"""Batch PT-k answering: many (k, p) queries over one scan.
+"""Batch PT-k answering: many (k, p) queries over one scan per k.
 
 Dashboards and report generators routinely ask several threshold
 queries over the same table and ranking (different k for different
-panels, several thresholds for sensitivity).  Since the subset-
-probability vector computed for the largest k contains every smaller
-k's answer as a prefix sum (see :mod:`repro.core.profile`), all queries
-can share a single RC+LR scan.
+panels, several thresholds for sensitivity).  A ``Pr^k`` column priced
+once answers every threshold at that k, so the requests share one
+columnar scan per distinct k (:func:`repro.core.exact.shared_scan_reads`)
+over one preparation of the table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.profile import topk_probability_profile
-from repro.core.results import AlgorithmStats, PTKAnswer
+from repro.core.exact import shared_scan_reads
+from repro.core.results import PTKAnswer
 from repro.exceptions import QueryError
 from repro.model.table import UncertainTable
-from repro.model.tuples import UncertainTuple
 from repro.query.prepare import PrepareCache, resolve_prepared
 from repro.query.ranking import RankingFunction, by_score
 from repro.query.topk import TopKQuery
@@ -33,36 +30,6 @@ def validate_requests(requests: Sequence[Tuple[int, float]]) -> None:
             raise QueryError(
                 f"probability threshold must be in (0, 1], got {threshold!r}"
             )
-
-
-def answers_from_profiles(
-    profiles: Mapping[Any, np.ndarray],
-    ranked: Sequence[UncertainTuple],
-    requests: Sequence[Tuple[int, float]],
-) -> List[PTKAnswer]:
-    """Slice one shared probability profile into per-request answers.
-
-    Stats report the shared scan honestly: every answer records the
-    common scan depth, but only the first answer bills the
-    ``tuples_evaluated`` of the single underlying scan (the others
-    report 0 — their marginal cost).
-    """
-    answers: List[PTKAnswer] = []
-    for index, (k, threshold) in enumerate(requests):
-        probabilities: Dict[Any, float] = {
-            tid: float(profile[k - 1]) for tid, profile in profiles.items()
-        }
-        answer = PTKAnswer(k=k, threshold=threshold, method="batch")
-        answer.probabilities = probabilities
-        answer.answers = [
-            tup.tid for tup in ranked if probabilities[tup.tid] >= threshold
-        ]
-        answer.stats = AlgorithmStats(
-            scan_depth=len(ranked),
-            tuples_evaluated=len(ranked) if index == 0 else 0,
-        )
-        answers.append(answer)
-    return answers
 
 
 def batch_ptk_queries(
@@ -80,20 +47,19 @@ def batch_ptk_queries(
     :param cache: an optional :class:`PrepareCache`; selection, ranking,
         and rule indexing run at most once either way — the cache lets
         *successive* batch calls on an unchanged table skip them too.
-    :param n_workers: ``1`` (the default) answers all requests serially
-        over one shared scan; ``> 1`` (or ``0`` for one per CPU)
-        partitions the requests across a process pool, each worker
-        scanning the shared prepared ranking for its own partition — see
+    :param n_workers: ``1`` (the default) answers all requests serially,
+        one full columnar scan per distinct k; ``> 1`` (or ``0`` for one
+        per CPU) deals the distinct k's across a process pool that
+        receives the prepared columns — see
         :func:`repro.parallel.fanout.parallel_batch_ptk_queries`.
     :param use_processes: parallel mode only — set False to run the
         partitions inline (identical answers, no pool).
     :returns: one :class:`PTKAnswer` per request, in request order.
-        Each answer carries the full probability map for its k (sliced
-        from the shared profile), so per-request behaviour matches
-        :func:`repro.core.exact.exact_ptk_query` with ``pruning=False``.
-        In parallel mode each worker partition bills its own scan the
-        same way (first answer of the partition carries
-        ``tuples_evaluated``).
+        Each answer carries the full ``Pr^k`` map for its k and is
+        bitwise :func:`repro.core.exact.exact_ptk_query` with
+        ``pruning=False, columnar=True``.  The first request at each k
+        bills that k's scan (``tuples_evaluated``); later ones at the
+        same k bill 0, their marginal cost.
     """
     if not requests:
         return []
@@ -113,8 +79,7 @@ def batch_ptk_queries(
     max_k = max(k for k, _ in requests)
     query = TopKQuery(k=max_k, ranking=ranking)
     prepared = resolve_prepared(table, query, cache=cache)
-    profiles = topk_probability_profile(table, query, prepared=prepared)
-    return answers_from_profiles(profiles, prepared.ranked, requests)
+    return shared_scan_reads(prepared.columns, requests, pruning=False)
 
 
 def threshold_sweep(

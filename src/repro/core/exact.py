@@ -202,6 +202,13 @@ class ExactPTKEngine:
     :param columns: pre-built :class:`~repro.core.kernel.TableColumns`
         for ``ranked`` (e.g. from a prepared ranking or a recovered
         snapshot); built on demand when omitted.
+    :param state: a columnar read's :class:`~repro.core.kernel.
+        TopKScanState` at this ``k`` over ``columns``, to read instead of
+        a fresh one.  Several engines may read one state in turn (see
+        :func:`shared_scan_reads`): rows another engine priced are not
+        priced again, and each engine's ``tuples_evaluated`` and
+        ``subset_extensions`` bill only the state's growth during its
+        own ``run()`` segments.
     """
 
     def __init__(
@@ -217,6 +224,7 @@ class ExactPTKEngine:
         pruning_flags: Optional[PruningFlags] = None,
         columnar: Optional[bool] = None,
         columns: Optional[TableColumns] = None,
+        state: Optional[kernel.TopKScanState] = None,
     ) -> None:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
@@ -244,10 +252,21 @@ class ExactPTKEngine:
             # scan's per-tuple structures are built.
             if not self.full_scan:
                 columns = self._table_columns()
-                self._topk = kernel.TopKScanState(
-                    columns.probability, columns.rule_index, k
-                )
+                if state is None:
+                    state = kernel.TopKScanState(
+                        columns.probability, columns.rule_index, k
+                    )
+                elif state.k != k:
+                    raise QueryError(
+                        f"scan state is for k={state.k}, cannot read "
+                        f"k={k} from it"
+                    )
+                self._topk = state
                 self._limit = k - threshold if self.pruning else math.inf
+                # Rows and extensions this engine priced, summed over
+                # its run() segments.
+                self._rows = 0
+                self._extensions = 0
             return
         self._stream = RankedStream(ranked, presorted=True)
         self._scan = DominantSetScan(ranked, rule_of)
@@ -409,10 +428,11 @@ class ExactPTKEngine:
         the dynamic index serves too); the answers are the revealed rows with ``Pr^k >= p``, since by
         Theorem 5 no deeper row can reach ``p``.  Theorems 3–4 do not
         apply to the kernel, so no row is skipped:
-        ``stats.tuples_evaluated`` counts the rows priced (the stop depth
-        rounded up to a whole chunk) and the pruning counters stay 0.
-        A deadline cut returns a partial answer whose checkpoint
-        continues the same state.
+        ``stats.tuples_evaluated`` counts the rows this engine priced
+        (on a fresh state, the stop depth rounded up to a whole chunk;
+        on a shared one, only the rows earlier readers had not) and the
+        pruning counters stay 0.  A deadline cut returns a partial
+        answer whose checkpoint continues the same state.
         """
         stop_at = (
             None
@@ -422,6 +442,7 @@ class ExactPTKEngine:
         answer = PTKAnswer(k=self.k, threshold=self.threshold, method=COLUMNAR)
         stats = answer.stats
         state = self._topk
+        done, extensions = state.done, state.extensions
         with obs_span(
             "ptk.scan", variant=COLUMNAR, k=self.k, columnar=True
         ) as scan_span:
@@ -433,9 +454,11 @@ class ExactPTKEngine:
             ) = state.read(
                 self._columns.tids, self.threshold, self._limit, stop_at
             )
+            self._rows += state.done - done
+            self._extensions += state.extensions - extensions
             stats.scan_depth = depth
-            stats.tuples_evaluated = state.done
-            stats.subset_extensions = state.extensions
+            stats.tuples_evaluated = self._rows
+            stats.subset_extensions = self._extensions
             if stats.stopped_by == "deadline":
                 answer.checkpoint = ScanCheckpoint(
                     engine=self,
@@ -612,6 +635,45 @@ def exact_ptk_query(
         columns=columns,
     )
     return engine.run(deadline_seconds=deadline_seconds)
+
+
+def shared_scan_reads(
+    columns: TableColumns,
+    requests: Sequence[Tuple[int, float]],
+    pruning: bool = True,
+) -> List[PTKAnswer]:
+    """Columnar PT-k reads of one table that share one scan per ``k``.
+
+    One :class:`~repro.core.kernel.TopKScanState` is built per distinct
+    ``k`` and read once per request, in request order, by a columnar
+    :class:`ExactPTKEngine`.  Every answer is bitwise the one a read on
+    a fresh state gives — answers, probabilities, ``scan_depth`` and
+    ``stopped_by`` — because pausing the scan is bitwise neutral and a
+    read at a new threshold restarts Theorem 5's running mass.  Rows
+    are priced once per ``k``: each answer's ``tuples_evaluated`` and
+    ``subset_extensions`` bill the rows its read added to the state.
+
+    :param columns: the table's ranked columns (a preparation's
+        :attr:`~repro.query.prepare.PreparedRanking.columns`).
+    :param requests: ``(k, threshold)`` pairs, thresholds in ``(0, 1]``.
+    :param pruning: ``False`` reads every row (``limit = inf``), so
+        each answer carries the full ``Pr^k`` map.
+    :returns: one answer per request, in request order.
+    """
+    states: Dict[int, kernel.TopKScanState] = {}
+    answers: List[PTKAnswer] = []
+    for k, threshold in requests:
+        state = states.get(k)
+        if state is None:
+            state = states[k] = kernel.TopKScanState(
+                columns.probability, columns.rule_index, k
+            )
+        engine = ExactPTKEngine(
+            (), {}, {}, k=k, threshold=threshold, pruning=pruning,
+            columnar=True, columns=columns, state=state,
+        )
+        answers.append(engine.run())
+    return answers
 
 
 def exact_topk_probabilities(

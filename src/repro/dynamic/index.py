@@ -205,7 +205,7 @@ class DynamicIndex:
 
     def scan_answer(
         self, k: int, threshold: float
-    ) -> Tuple[List[Any], Dict[Any, float], int]:
+    ) -> Tuple[List[Any], Dict[Any, float], int, str]:
         """The PT-k answer with Theorem-5-bounded depth.
 
         The kernel's read (:meth:`~repro.core.kernel.TopKScanState.read`,
@@ -220,14 +220,17 @@ class DynamicIndex:
         answers nothing, as the exact engine does.
 
         :returns: ``(answer tids in ranking order, tid -> Pr^k for the
-            scanned prefix, stop depth)``.  The scanned values are
-            bitwise the cold full-column values; the answer set equals
-            the full column's threshold set.
+            scanned prefix, stop depth, stopped_by)``.  The scanned
+            values are bitwise the cold full-column values; the answer
+            set equals the full column's threshold set; ``stopped_by``
+            is the read's (``"total-probability"`` or ``"exhausted"``).
         """
         full_scan = threshold == 0.0
-        answers, probabilities, depth, _ = self._scan(k).read(
+        answers, probabilities, depth, stopped_by = self._scan(k).read(
             self.prepared.tids,
             threshold,
             math.inf if full_scan else k - threshold,
         )
-        return ([] if full_scan else answers), probabilities, depth
+        return (
+            ([] if full_scan else answers), probabilities, depth, stopped_by
+        )

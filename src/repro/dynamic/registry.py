@@ -162,8 +162,8 @@ class DynamicIndexRegistry:
             try:
                 index = self._index_for(state, prepared)
                 rebuilt = k not in index.scans
-                answers, probabilities, depth = index.scan_answer(
-                    k, threshold
+                answers, probabilities, depth, stopped_by = (
+                    index.scan_answer(k, threshold)
                 )
             except Exception:
                 # Degrade: rebuild cold from the preparation and re-read
@@ -171,14 +171,15 @@ class DynamicIndexRegistry:
                 self._fallback("error")
                 index = state.index = DynamicIndex.build(prepared)
                 rebuilt = True
-                answers, probabilities, depth = index.scan_answer(
-                    k, threshold
+                answers, probabilities, depth, stopped_by = (
+                    index.scan_answer(k, threshold)
                 )
             answer = PTKAnswer(k=k, threshold=threshold, method="dynamic")
             answer.probabilities.update(probabilities)
             answer.answers.extend(answers)
             answer.stats.scan_depth = depth
             answer.stats.tuples_evaluated = depth
+            answer.stats.stopped_by = stopped_by
         if rebuilt:
             self.reads_rebuild += 1
         else:

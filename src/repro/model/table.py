@@ -53,6 +53,9 @@ class UncertainTable:
         self._order: Dict[Any, None] = {}
         self._rules: Dict[Any, GenerationRule] = {}
         self._rule_of_tuple: Dict[Any, Any] = {}
+        # tid -> ids of its explicitly registered singleton rules, in
+        # registration order (rule_of reports the first).
+        self._singletons_of: Dict[Any, List[Any]] = {}
         self._version = 0
 
     @property
@@ -133,6 +136,10 @@ class UncertainTable:
         if rule.is_multi:
             for tid in rule.tuple_ids:
                 self._rule_of_tuple[tid] = rule.rule_id
+        else:
+            self._singletons_of.setdefault(rule.tuple_ids[0], []).append(
+                rule.rule_id
+            )
         self._version += 1
 
     def add_exclusive(self, rule_id: Any, *tuple_ids: Any) -> GenerationRule:
@@ -157,18 +164,17 @@ class UncertainTable:
         rule_id = self._rule_of_tuple.pop(tid, None)
         if rule_id is not None:
             rule = self._rules[rule_id]
-            shrunk = rule.restricted_to(set(self._tuples))
+            shrunk = rule.restricted_to(
+                [member for member in rule.tuple_ids if member != tid]
+            )
             if shrunk is None or not shrunk.is_multi:
                 del self._rules[rule_id]
                 if shrunk is not None:
                     self._rule_of_tuple.pop(shrunk.tuple_ids[0], None)
             else:
                 self._rules[rule_id] = shrunk
-        else:
-            # an explicitly registered singleton rule, if any
-            for key, rule in list(self._rules.items()):
-                if rule.is_singleton and rule.tuple_ids[0] == tid:
-                    del self._rules[key]
+        for key in self._singletons_of.pop(tid, ()):
+            del self._rules[key]
         self._version += 1
         return removed
 
@@ -285,9 +291,9 @@ class UncertainTable:
             return self._rules[rule_id]
         # An explicitly-registered singleton rule still wins over the
         # synthetic one so round-tripping through io preserves rule ids.
-        for rule in self._rules.values():
-            if rule.is_singleton and rule.tuple_ids[0] == tid:
-                return rule
+        singletons = self._singletons_of.get(tid)
+        if singletons:
+            return self._rules[singletons[0]]
         return GenerationRule(rule_id=f"{_SINGLETON_PREFIX}{tid}", tuple_ids=(tid,))
 
     def multi_rule_id_of(self, tid: Any) -> Optional[Any]:

@@ -7,8 +7,8 @@ Two independent axes of parallelism over the same process-pool plumbing
   the Monte-Carlo unit budget across workers and merges inclusion
   counts, deterministic for a fixed ``(seed, batch_size, n_workers)``;
 * **across many queries** — :mod:`repro.parallel.fanout` partitions
-  independent PT-k requests across workers sharing one prepared ranking
-  per table.
+  independent PT-k requests across workers that receive each table's
+  prepared columns, one shared scan per ``(table, k)``.
 
 See ``docs/parallel.md`` for the worker model and determinism contract.
 """
@@ -16,7 +16,6 @@ See ``docs/parallel.md`` for the worker model and determinism contract.
 from repro.parallel.fanout import (
     parallel_batch_ptk_queries,
     parallel_ptk_queries,
-    strip_for_shipping,
 )
 from repro.parallel.pool import (
     MAX_WORKERS,
@@ -40,5 +39,4 @@ __all__ = [
     "shard_budgets",
     "shard_seeds",
     "shard_map",
-    "strip_for_shipping",
 ]

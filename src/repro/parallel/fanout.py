@@ -2,40 +2,42 @@
 
 Serving workloads rarely ask one query at a time: a dashboard refresh
 issues dozens of independent ``(table, k, threshold)`` requests at once.
-Each is answered by the exact engine — CPU-bound, no shared mutable
-state — so they partition cleanly across workers.
+Each is answered by the columnar read of the exact engine — CPU-bound,
+no shared mutable state across tables — so they partition cleanly
+across workers.
 
 The expensive shared part, query preparation (selection + ranking + rule
 indexing), is **not** repeated per worker: the parent prepares each
 table once (through its :class:`~repro.query.prepare.PrepareCache`,
-warming it for later queries) and ships the prepared ranking to the
-workers.  Predicate and ranking objects may close over lambdas, so the
-shipped copy is stripped to the picklable parts the engines actually
-consume (ranked tuples, rule index, rule probabilities).
+warming it for later queries) and ships the preparation's cached
+:class:`~repro.core.kernel.TableColumns` — tids and dense arrays, cheap
+to pickle — to the workers.  Requests on one ``(table, k)`` form a group
+that one worker answers from one shared
+:class:`~repro.core.kernel.TopKScanState`, read once per threshold
+(:func:`repro.core.exact.shared_scan_reads`).
 
 Two entry points:
 
 * :func:`parallel_ptk_queries` — arbitrary ``(table_key, k, threshold)``
-  requests, each answered by :func:`repro.core.exact.exact_ptk_query`
-  against its table's shared preparation.  Backs
+  requests against each table's shared preparation.  Backs
   :meth:`repro.query.engine.UncertainDB.ptk_many`.
 * :func:`parallel_batch_ptk_queries` — the parallel mode of
-  :func:`repro.core.batch.batch_ptk_queries`: one table, requests
-  partitioned round-robin, each worker running one shared profile scan
-  for its partition.
+  :func:`repro.core.batch.batch_ptk_queries`: one table, every row of
+  each distinct k's column priced once, by one worker.
 
 Answers are returned in request order and are identical to the serial
-paths (the exact engine is deterministic), whichever executor runs them.
+paths (the kernel is deterministic and pausing it is bitwise neutral),
+whichever executor runs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.batch import answers_from_profiles, validate_requests
-from repro.core.exact import ExactVariant, exact_ptk_query
-from repro.core.profile import topk_probability_profile
+from repro.core.batch import validate_requests
+from repro.core.exact import shared_scan_reads
+from repro.core.kernel import TableColumns
 from repro.core.results import PTKAnswer
 from repro.exceptions import QueryError
 from repro.model.table import UncertainTable
@@ -46,77 +48,66 @@ from repro.query.ranking import RankingFunction, by_score
 from repro.query.topk import TopKQuery
 
 
-def strip_for_shipping(prepared: PreparedRanking) -> PreparedRanking:
-    """A copy of ``prepared`` safe to pickle into worker processes.
-
-    Predicate and ranking objects may hold closures (``by_score`` does);
-    the engines consuming a ready preparation never touch them, so the
-    shipped copy carries ``None`` in their place.
-    """
-    if prepared.predicate is None and prepared.ranking is None:
-        return prepared
-    return replace(prepared, predicate=None, ranking=None)
-
-
 @dataclass(frozen=True)
 class _ExactChunk:
-    """One worker's slice of a fan-out: requests plus their preparations."""
+    """One worker's slice of a fan-out: whole ``(table, k)`` groups of
+    requests plus the columns of their tables."""
 
     items: Tuple[Tuple[int, str, int, float], ...]  # (position, key, k, p)
-    prepared_of: Mapping[str, PreparedRanking]
-    variant_value: str
+    columns_of: Mapping[str, TableColumns]
     pruning: bool
 
 
 def _run_exact_chunk(chunk: _ExactChunk) -> List[Tuple[int, PTKAnswer]]:
     """Answer one chunk's requests (module-level: must pickle)."""
-    out: List[Tuple[int, PTKAnswer]] = []
-    variant = ExactVariant(chunk.variant_value)
+    by_table: Dict[str, List[Tuple[int, int, float]]] = {}
     for position, key, k, threshold in chunk.items:
-        prepared = chunk.prepared_of[key]
-        answer = exact_ptk_query(
-            prepared.table,
-            TopKQuery(k=k),
-            threshold,
-            variant=variant,
+        by_table.setdefault(key, []).append((position, k, threshold))
+    out: List[Tuple[int, PTKAnswer]] = []
+    for key, items in by_table.items():
+        answers = shared_scan_reads(
+            chunk.columns_of[key],
+            [(k, threshold) for _, k, threshold in items],
             pruning=chunk.pruning,
-            prepared=prepared,
         )
-        out.append((position, answer))
+        out.extend(zip((position for position, _, _ in items), answers))
     return out
 
 
-def parallel_ptk_queries(
+def _fan_out(
     prepared_of: Mapping[str, PreparedRanking],
     requests: Sequence[Tuple[str, int, float]],
-    n_workers: Optional[int] = None,
-    variant: ExactVariant = ExactVariant.RC_LR,
-    pruning: bool = True,
-    use_processes: bool = True,
+    n_workers: Optional[int],
+    pruning: bool,
+    use_processes: bool,
+    mode: str,
 ) -> List[PTKAnswer]:
-    """Answer independent exact PT-k requests across a worker pool.
-
-    :param prepared_of: table key -> prepared ranking; every key named in
-        ``requests`` must be present.  Prepare once in the parent (see
-        :meth:`UncertainDB.ptk_many`) — workers never re-prepare.
-    :param requests: ``(table_key, k, threshold)`` triples.
-    :param n_workers: pool size; ``None``/``0`` means one per CPU, ``1``
-        answers serially in-process.
-    :returns: answers in request order, identical to calling
-        :func:`exact_ptk_query` per request.
-    """
-    if not requests:
-        return []
-    validate_requests([(k, threshold) for _, k, threshold in requests])
-    missing = {key for key, _, _ in requests} - set(prepared_of)
-    if missing:
-        raise QueryError(
-            f"no prepared ranking supplied for table(s) {sorted(missing)!r}"
-        )
+    """Deal whole ``(table, k)`` groups round-robin (first-appearance
+    order) to at most ``n_workers`` chunks and answer them; ``mode``
+    labels the span and metrics."""
     workers = resolve_workers(n_workers)
-    chunks = _partition_exact(requests, prepared_of, workers, variant, pruning)
+    groups = list(dict.fromkeys((key, k) for key, k, _ in requests))
+    n_chunks = min(workers, len(groups))
+    chunk_of = {group: i % n_chunks for i, group in enumerate(groups)}
+    chunks = []
+    for c in range(n_chunks):
+        items = tuple(
+            (position, key, k, threshold)
+            for position, (key, k, threshold) in enumerate(requests)
+            if chunk_of[key, k] == c
+        )
+        chunks.append(
+            _ExactChunk(
+                items=items,
+                columns_of={
+                    key: prepared_of[key].columns
+                    for key in {key for _, key, _, _ in items}
+                },
+                pruning=pruning,
+            )
+        )
     with obs_span(
-        "query.fanout", mode="many", requests=len(requests), workers=workers
+        "query.fanout", mode=mode, requests=len(requests), workers=workers
     ):
         chunk_results = shard_map(
             _run_exact_chunk, chunks, workers, use_processes=use_processes
@@ -127,70 +118,44 @@ def parallel_ptk_queries(
             answers[position] = answer
     if OBS.enabled:
         catalogued("repro_parallel_fanout_queries_total").inc(
-            len(requests), mode="many"
+            len(requests), mode=mode
         )
         catalogued("repro_parallel_workers").set(workers)
     return answers  # type: ignore[return-value]
 
 
-def _partition_exact(
-    requests: Sequence[Tuple[str, int, float]],
+def parallel_ptk_queries(
     prepared_of: Mapping[str, PreparedRanking],
-    workers: int,
-    variant: ExactVariant,
-    pruning: bool,
-) -> List[_ExactChunk]:
-    """Round-robin request partition; each chunk ships only what it needs."""
-    n_chunks = max(1, min(workers, len(requests)))
-    chunks: List[_ExactChunk] = []
-    for c in range(n_chunks):
-        items = tuple(
-            (position, key, k, threshold)
-            for position, (key, k, threshold) in enumerate(requests)
-            if position % n_chunks == c
+    requests: Sequence[Tuple[str, int, float]],
+    n_workers: Optional[int] = None,
+    pruning: bool = True,
+    use_processes: bool = True,
+) -> List[PTKAnswer]:
+    """Answer independent exact PT-k requests across a worker pool.
+
+    :param prepared_of: table key -> prepared ranking; every key named in
+        ``requests`` must be present.  Prepare once in the parent (see
+        :meth:`UncertainDB.ptk_many`) — workers never re-prepare; they
+        receive the preparation's columns.
+    :param requests: ``(table_key, k, threshold)`` triples.
+    :param n_workers: pool size; ``None``/``0`` means one per CPU, ``1``
+        answers serially in-process.
+    :returns: answers in request order, identical to calling
+        :func:`exact_ptk_query` with ``columnar=True`` per request.
+        Requests on one ``(table, k)`` share a scan, so its rows are
+        billed (``tuples_evaluated``) to the reads that priced them.
+    """
+    if not requests:
+        return []
+    validate_requests([(k, threshold) for _, k, threshold in requests])
+    missing = {key for key, _, _ in requests} - set(prepared_of)
+    if missing:
+        raise QueryError(
+            f"no prepared ranking supplied for table(s) {sorted(missing)!r}"
         )
-        if not items:
-            continue
-        needed = {key for _, key, _, _ in items}
-        chunks.append(
-            _ExactChunk(
-                items=items,
-                prepared_of={
-                    key: strip_for_shipping(prepared_of[key]) for key in needed
-                },
-                variant_value=variant.value,
-                pruning=pruning,
-            )
-        )
-    return chunks
-
-
-# ----------------------------------------------------------------------
-# Parallel mode of batch_ptk_queries: one table, shared profile per chunk
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _BatchChunk:
-    """One worker's request partition over a single shared preparation."""
-
-    items: Tuple[Tuple[int, int, float], ...]  # (position, k, threshold)
-    prepared: PreparedRanking
-
-
-def _run_batch_chunk(chunk: _BatchChunk) -> List[Tuple[int, PTKAnswer]]:
-    """Answer one partition via a profile scan (module-level: must pickle)."""
-    chunk_requests = [(k, threshold) for _, k, threshold in chunk.items]
-    max_k = max(k for k, _ in chunk_requests)
-    query = TopKQuery(k=max_k)
-    profiles = topk_probability_profile(
-        chunk.prepared.table, query, prepared=chunk.prepared
+    return _fan_out(
+        prepared_of, requests, n_workers, pruning, use_processes, "many"
     )
-    answers = answers_from_profiles(
-        profiles, chunk.prepared.ranked, chunk_requests
-    )
-    return [
-        (position, answer)
-        for (position, _, _), answer in zip(chunk.items, answers)
-    ]
 
 
 def parallel_batch_ptk_queries(
@@ -204,43 +169,22 @@ def parallel_batch_ptk_queries(
     """The parallel mode of :func:`repro.core.batch.batch_ptk_queries`.
 
     The table is prepared once in the parent (through ``cache`` when
-    given); requests are partitioned round-robin and every worker runs
-    one shared profile scan capped at its partition's largest k.
-    Answers match the serial batch path exactly.
+    given); requests are grouped by k, the groups dealt round-robin to
+    the workers, and every worker prices each of its k's full column
+    once.  Answers match the serial batch path exactly.
     """
     if not requests:
         return []
     validate_requests(requests)
-    workers = resolve_workers(n_workers)
     ranking = ranking or by_score()
     max_k = max(k for k, _ in requests)
     query = TopKQuery(k=max_k, ranking=ranking)
-    prepared = strip_for_shipping(
-        resolve_prepared(table, query, cache=cache)
+    prepared = resolve_prepared(table, query, cache=cache)
+    return _fan_out(
+        {table.name: prepared},
+        [(table.name, k, threshold) for k, threshold in requests],
+        n_workers,
+        False,
+        use_processes,
+        "batch",
     )
-    n_chunks = max(1, min(workers, len(requests)))
-    chunks = []
-    for c in range(n_chunks):
-        items = tuple(
-            (position, k, threshold)
-            for position, (k, threshold) in enumerate(requests)
-            if position % n_chunks == c
-        )
-        if items:
-            chunks.append(_BatchChunk(items=items, prepared=prepared))
-    with obs_span(
-        "query.fanout", mode="batch", requests=len(requests), workers=workers
-    ):
-        chunk_results = shard_map(
-            _run_batch_chunk, chunks, workers, use_processes=use_processes
-        )
-    answers: List[Optional[PTKAnswer]] = [None] * len(requests)
-    for chunk_result in chunk_results:
-        for position, answer in chunk_result:
-            answers[position] = answer
-    if OBS.enabled:
-        catalogued("repro_parallel_fanout_queries_total").inc(
-            len(requests), mode="batch"
-        )
-        catalogued("repro_parallel_workers").set(workers)
-    return answers  # type: ignore[return-value]

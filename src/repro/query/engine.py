@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.exact import (
-    ExactVariant,
     _validate_threshold,
     exact_ptk_query,
     exact_topk_probabilities,
@@ -331,10 +330,14 @@ class UncertainDB:
         k: int,
         threshold: float,
         query: Optional[TopKQuery] = None,
-        variant: ExactVariant = ExactVariant.RC_LR,
         pruning: bool = True,
     ) -> PTKAnswer:
         """Exact PT-k query against a registered table.
+
+        Answered by the columnar read (``exact_ptk_query(...,
+        columnar=True)``): the preparation's cached columns are priced
+        in ranking order to Theorem 5's stop depth (every row with
+        ``pruning=False``), and ``method`` reads ``"columnar"``.
 
         With :meth:`enable_dynamic` on, a default-shape query (no
         explicit ``query`` object) whose ``k`` fits the registry cap is
@@ -362,9 +365,9 @@ class UncertainDB:
                 self.table(name),
                 query,
                 threshold,
-                variant=variant,
                 pruning=pruning,
                 cache=self._prepare_cache,
+                columnar=True,
             )
 
     def ptk_sampled(
@@ -423,7 +426,6 @@ class UncertainDB:
         self,
         requests: "List[Tuple[str, int, float]]",
         n_workers: Optional[int] = None,
-        variant: ExactVariant = ExactVariant.RC_LR,
         pruning: bool = True,
         use_processes: bool = True,
     ) -> List[PTKAnswer]:
@@ -432,10 +434,13 @@ class UncertainDB:
         Each request is a ``(table_name, k, threshold)`` triple; requests
         may span several registered tables.  Every distinct table is
         prepared **once** in the parent — through this engine's prepare
-        cache, so the warm entries also serve later queries — and the
-        prepared rankings are shared by all workers.  Answers come back
-        in request order and are identical to calling :meth:`ptk` per
-        request.
+        cache, so the warm entries also serve later queries — and its
+        cached columns are shipped to the workers.  Requests on the same
+        ``(table, k)`` share one columnar scan, read once per threshold
+        (see :func:`repro.core.exact.shared_scan_reads`).  Answers come
+        back in request order and are identical to calling :meth:`ptk`
+        per request (with the dynamic index off): answers,
+        probabilities, ``scan_depth`` and ``stopped_by``.
 
         :param n_workers: pool size; ``None``/``0`` means one worker per
             available CPU, ``1`` answers serially in-process.
@@ -460,7 +465,6 @@ class UncertainDB:
                 ready,
                 requests,
                 n_workers=n_workers,
-                variant=variant,
                 pruning=pruning,
                 use_processes=use_processes,
             )

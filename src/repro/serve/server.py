@@ -911,11 +911,9 @@ class ServeApp:
         # over the *shared* preparation's columns, dispatched in the
         # scheduler's order (cheapest predicted scan first under the
         # cost policy) with a pre-execution deadline re-check per
-        # item.  The unpruned shared-profile path
-        # (``batch_ptk_queries``) would answer every k from one scan,
-        # but it computes the full n-deep profile — quadratic on large
-        # tables — while pruned reads stop at the depth the latency
-        # model actually prices.
+        # item.  The unpruned batch path (``batch_ptk_queries``)
+        # would price every row of each k's column, while pruned reads
+        # stop at the depth the latency model actually prices.
         safety = self.config.deadline_safety
         for queue_position, task in enumerate(self.scheduler.order(exact_tasks)):
             work = items[task.position]

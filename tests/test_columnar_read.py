@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.core import exact as exact_module
 from repro.core.exact import COLUMNAR, ExactPTKEngine, exact_ptk_query
-from repro.core.kernel import ANSWER_CHUNK
+from repro.core.kernel import ANSWER_CHUNK, TopKScanState
 from repro.exceptions import QueryError
 from repro.obs import OBS, catalogued
 from repro.query.engine import UncertainDB
@@ -84,6 +84,13 @@ class TestAnswers:
             ExactPTKEngine(
                 prepared.ranked, prepared.rule_of, {}, k=0, threshold=0.3,
                 columnar=True, columns=prepared.columns,
+            )
+        columns = prepared.columns
+        with pytest.raises(QueryError, match="scan state is for k=4"):
+            ExactPTKEngine(
+                prepared.ranked, prepared.rule_of, {}, k=5, threshold=0.3,
+                columnar=True, columns=columns,
+                state=TopKScanState(columns.probability, columns.rule_index, 4),
             )
 
     def test_builds_no_scalar_scan(self, table):

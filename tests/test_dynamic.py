@@ -230,13 +230,14 @@ class TestIndexContracts:
 
 
 class TestRegistry:
-    def build_db(self, n=20, cap=8):
+    def build_db(self, n=20, cap=8, dynamic=True):
         db = UncertainDB()
         table = UncertainTable(name="t")
         for i in range(n):
             table.add(f"t{i}", float(n - i), 0.4)
         db.register(table, name="t")
-        db.enable_dynamic(cap=cap)
+        if dynamic:
+            db.enable_dynamic(cap=cap)
         return db
 
     def test_engine_answers_match_exact_engine(self):
@@ -256,6 +257,25 @@ class TestRegistry:
         assert full.probabilities == cold.probabilities
         assert full.stats.scan_depth == cold.stats.scan_depth == 20
         assert full.stats.stopped_by == cold.stats.stopped_by == "exhausted"
+        # With the index off, db.ptk is the columnar read: dynamic on and
+        # off agree bitwise, stop reason included.
+        stops = set()
+        for n, cap, shapes in (
+            (20, 8, [(4, 0.3), (2, 0.5), (8, 0.1), (4, 0.0)]),
+            (2000, 64, [(5, 0.3), (20, 0.3), (50, 0.3)]),
+        ):
+            on = self.build_db(n=n, cap=cap)
+            off = self.build_db(n=n, dynamic=False)
+            for k, threshold in shapes:
+                got = on.ptk("t", k=k, threshold=threshold)
+                want = off.ptk("t", k=k, threshold=threshold)
+                assert got.method == "dynamic"
+                assert got.answers == want.answers
+                assert got.probabilities == want.probabilities
+                assert got.stats.scan_depth == want.stats.scan_depth
+                assert got.stats.stopped_by == want.stats.stopped_by
+                stops.add(got.stats.stopped_by)
+        assert stops == {"total-probability", "exhausted"}
 
     def test_mutations_flow_through_deltas(self):
         db = self.build_db()

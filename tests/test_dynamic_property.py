@@ -158,7 +158,7 @@ class TestInterleavedMutations:
                 continue
             prepared, indexes = step_both(prepared, warm, cold, table, delta)
             for index in indexes:
-                answers, probabilities, depth = index.scan_answer(
+                answers, probabilities, depth, _ = index.scan_answer(
                     k, threshold
                 )
                 tids, out = cold_probabilities(table, k)

@@ -24,8 +24,10 @@ from repro.obs.flight import (
     summarize_profiles,
     write_spans_jsonl,
 )
+from repro.core.exact import exact_ptk_query
 from repro.core.sampling import SamplingConfig
 from repro.query.engine import UncertainDB
+from repro.query.topk import TopKQuery
 
 from tests.conftest import build_table
 
@@ -251,10 +253,12 @@ class TestCalibration:
 # ----------------------------------------------------------------------
 class TestEngineProfiles:
     def test_exact_query_fills_profile(self):
+        # The scalar engine, driven the way ``repro stats`` drives it.
         db = _query_db()
         obs.enable(fresh=True)
         OBS.flight.enable()
-        db.ptk("sightings", k=2, threshold=0.3)
+        with obs.query_scope("ptk", table="sightings", k=2, threshold=0.3):
+            exact_ptk_query(db.table("sightings"), TopKQuery(k=2), 0.3)
         profiles = OBS.flight.recent()
         assert len(profiles) == 1
         profile = profiles[0]
@@ -272,6 +276,18 @@ class TestEngineProfiles:
             + profile["compression_units_rule"]
             >= 1
         )
+
+    def test_columnar_ptk_fills_profile(self):
+        db = _query_db()
+        obs.enable(fresh=True)
+        OBS.flight.enable()
+        db.ptk("sightings", k=2, threshold=0.3)
+        [profile] = OBS.flight.recent()
+        assert profile["kind"] == "ptk"
+        assert profile["engine"] == "exact"
+        assert profile["variant"] == "columnar"
+        assert profile["scan_depth"] >= 1
+        assert profile["tuples_evaluated"] >= 1
 
     def test_sampled_query_fills_profile(self):
         db = _query_db()

@@ -506,7 +506,7 @@ class TestResumableScan:
             table, query, threshold, prepared=prepare_ranking(table, query),
             columnar=True,
         )
-        answers, probabilities, depth = DynamicIndex.build(
+        answers, probabilities, depth, _ = DynamicIndex.build(
             prepare_ranking(table, query)
         ).scan_answer(k, threshold)
         assert read.answers == answers

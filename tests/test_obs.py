@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.core.exact import exact_ptk_query
 from repro.datagen.sensors import panda_table
 from repro.exceptions import ObservabilityError, UnknownTableError, UnknownTupleError
 from repro.obs import catalog
@@ -22,6 +23,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import NOOP_SPAN, Tracer
 from repro.query.engine import UncertainDB
+from repro.query.topk import TopKQuery
 
 
 @pytest.fixture(autouse=True)
@@ -282,9 +284,15 @@ class TestQuerySnapshot:
     ]
 
     def test_single_ptk_query_snapshot(self):
+        # The scalar engine, driven the way ``repro stats`` drives it.
         db = _query_db()
         with obs.enabled_scope(fresh=True):
-            db.ptk("panda_sightings", k=2, threshold=0.35)
+            with obs.query_scope(
+                "ptk", table="panda_sightings", k=2, threshold=0.35
+            ):
+                exact_ptk_query(
+                    db.table("panda_sightings"), TopKQuery(k=2), 0.35
+                )
         snapshot = obs_export.snapshot()
         for name in self.REQUIRED:
             assert name in snapshot["metrics"], name
@@ -299,6 +307,19 @@ class TestQuerySnapshot:
         assert all(
             c["trace_id"] == trace["trace_id"] for c in trace["children"]
         )
+        assert catalog.validate_snapshot(snapshot) == []
+
+    def test_columnar_ptk_query_snapshot(self):
+        db = _query_db()
+        with obs.enabled_scope(fresh=True):
+            answer = db.ptk("panda_sightings", k=2, threshold=0.35)
+        snapshot = obs_export.snapshot()
+        assert answer.method == "columnar"
+        assert answer.stats.scan_depth >= 1
+        assert answer.stats.tuples_evaluated >= 1
+        assert "repro_ptk_scan_depth" in snapshot["metrics"]
+        [trace] = snapshot["traces"]
+        assert trace["name"] == "query.ptk"
         assert catalog.validate_snapshot(snapshot) == []
 
     def test_sampler_metrics(self):

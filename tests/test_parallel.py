@@ -14,10 +14,8 @@ from repro.parallel import (
     shard_budgets,
     shard_map,
     shard_seeds,
-    strip_for_shipping,
 )
 from repro.query.engine import UncertainDB
-from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
 from repro.stats.intervals import wilson_interval
 
@@ -163,15 +161,6 @@ class TestShardedSampling:
         assert inline.estimates == pooled.estimates
         assert inline.total_scanned == pooled.total_scanned
 
-    def test_prepared_shipping_strips_closures(self, table):
-        prepared = prepare_ranking(table, QUERY)
-        shipped = strip_for_shipping(prepared)
-        import pickle
-
-        pickle.dumps(shipped)  # the ranking lambda would choke here
-        assert shipped.ranked == prepared.ranked
-        assert shipped.predicate is None and shipped.ranking is None
-
 
 class TestFanOut:
     @pytest.fixture()
@@ -196,6 +185,106 @@ class TestFanOut:
             assert answer.answers == reference.answers
             assert answer.probabilities == reference.probabilities
             assert answer.k == k and answer.threshold == threshold
+
+    # Repeated (table, k) pairs: each pair's requests share one scan.
+    # synth k=10 reads deep (p=0.1) then shallow (p=0.6); k=20 reads
+    # shallow then deep; k=5 repeats one threshold.
+    GROUPED = [
+        ("synth", 10, 0.1),
+        ("panda_sightings", 2, 0.35),
+        ("synth", 20, 0.7),
+        ("synth", 10, 0.6),
+        ("synth", 5, 0.4),
+        ("synth", 20, 0.05),
+        ("panda_sightings", 2, 0.6),
+        ("synth", 5, 0.4),
+        ("synth", 10, 0.3),
+    ]
+
+    @pytest.mark.parametrize("use_processes", [False, True])
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_grouped_reads_equal_per_request_ptk(
+        self, db, use_processes, pruning
+    ):
+        many = db.ptk_many(
+            self.GROUPED, n_workers=2, pruning=pruning,
+            use_processes=use_processes,
+        )
+        references = [
+            db.ptk(name, k=k, threshold=threshold, pruning=pruning)
+            for name, k, threshold in self.GROUPED
+        ]
+        groups = {}
+        for answer, reference, (name, k, threshold) in zip(
+            many, references, self.GROUPED
+        ):
+            assert answer.method == reference.method == "columnar"
+            assert answer.answers == reference.answers
+            assert answer.probabilities == reference.probabilities
+            assert answer.stats.scan_depth == reference.stats.scan_depth
+            assert answer.stats.stopped_by == reference.stats.stopped_by
+            assert answer.k == k and answer.threshold == threshold
+            groups.setdefault((name, k), []).append((answer, reference))
+        stops = {r.stats.stopped_by for r in references}
+        assert stops == ({"total-probability"} if pruning else {"exhausted"})
+        for pairs in groups.values():
+            # The group's one state priced as far as its deepest read
+            # needed — what that read prices on a fresh state — and the
+            # group's answers bill those rows exactly once.
+            assert sum(a.stats.tuples_evaluated for a, _ in pairs) == max(
+                r.stats.tuples_evaluated for _, r in pairs
+            )
+            assert sum(a.stats.subset_extensions for a, _ in pairs) == max(
+                r.stats.subset_extensions for _, r in pairs
+            )
+
+    def test_fanout_chunks_ship_columns(self, db, monkeypatch):
+        import pickle
+
+        from repro.parallel import fanout
+
+        prepared_of = {
+            name: db.prepare_cache.get(db.table(name), TopKQuery(k=1))
+            for name in ("panda_sightings", "synth")
+        }
+        shipped = []
+        real = fanout.shard_map
+
+        def spy(fn, tasks, workers, use_processes=True):
+            shipped.extend(tasks)
+            return real(fn, tasks, workers, use_processes=use_processes)
+
+        monkeypatch.setattr(fanout, "shard_map", spy)
+        fanout.parallel_ptk_queries(
+            prepared_of, self.GROUPED, n_workers=2, use_processes=False
+        )
+        assert len(shipped) == 2
+        for chunk in shipped:
+            for key, columns in chunk.columns_of.items():
+                assert columns is prepared_of[key].columns
+            pickle.dumps(chunk)  # no closures: ranking lambdas stay home
+        # Every (table, k) group is answered by exactly one chunk.
+        groups = [
+            {(key, k) for _, key, k, _ in chunk.items} for chunk in shipped
+        ]
+        assert not groups[0] & groups[1]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_ptk_batch_equals_unpruned_ptk(self, db, n_workers):
+        requests = [(10, 0.3), (5, 0.5), (10, 0.05), (20, 0.2), (5, 0.9)]
+        batch = db.ptk_batch(
+            "synth", requests, n_workers=n_workers, use_processes=False
+        )
+        billed = {}
+        for answer, (k, threshold) in zip(batch, requests):
+            reference = db.ptk("synth", k, threshold, pruning=False)
+            assert answer.answers == reference.answers
+            assert answer.probabilities == reference.probabilities
+            assert len(answer.probabilities) == len(db.table("synth"))
+            assert answer.stats.scan_depth == reference.stats.scan_depth
+            assert answer.stats.stopped_by == reference.stats.stopped_by
+            billed[k] = billed.get(k, 0) + answer.stats.tuples_evaluated
+        assert billed == {k: len(db.table("synth")) for k in billed}
 
     def test_ptk_many_with_real_pool(self, db):
         many = db.ptk_many(self.REQUESTS, n_workers=2, use_processes=True)

@@ -18,6 +18,17 @@ class TestRemoveTuple:
         assert "t1" not in table
         table.validate()
 
+    def test_remove_independent_with_explicit_singleton_rule(self):
+        table = build_table([0.5, 0.4, 0.3], rule_groups=[[0, 2]])
+        table.add_exclusive("solo", "t1")
+        assert table.rule_of("t1").rule_id == "solo"
+        table.remove_tuple("t1")
+        assert "solo" not in {rule.rule_id for rule in table.rules()}
+        assert [set(rule.tuple_ids) for rule in table.multi_rules()] == [
+            {"t0", "t2"}
+        ]
+        table.validate()
+
     def test_remove_unknown_raises(self):
         table = build_table([0.5], rule_groups=[])
         with pytest.raises(UnknownTupleError):
