@@ -19,6 +19,7 @@ from repro.core.exact import (
 )
 from repro.query.planner import LatencyEstimate
 from repro.query.prepare import prepare_ranking
+from repro.core.kernel import TableColumns
 from repro.core.rule_compression import rule_index_of_table
 from repro.core.sampling import WorldSampler
 from repro.core.subset_probability import SubsetProbabilityVector
@@ -66,7 +67,9 @@ def test_sample_unit_generation(benchmark, workload):
     table, k = workload
     query = TopKQuery(k=k)
     ranked = query.ranking.rank_table(table)
-    sampler = WorldSampler(ranked, rule_index_of_table(table), k=k)
+    sampler = WorldSampler(
+        TableColumns.from_ranked(ranked, rule_index_of_table(table)), k=k
+    )
     rng = np.random.default_rng(0)
     benchmark(sampler.sample_unit, rng)
 
@@ -238,9 +241,9 @@ def test_prepare_cache_refresh(benchmark):
     """One score move plus one remove through ``PrepareCache.refresh``.
 
     The write path's prepare stage: every committed point mutation
-    advances the warm default-shape preparation by ranked-tuple surgery
-    (binary-searched placement, the previous rule index reused) instead
-    of re-preparing it cold.  Each round's untimed setup adds the tuple
+    advances the warm default-shape preparation by a point write on its
+    columns (binary-searched old and new ranks, the previous rule index
+    reused) instead of re-preparing it cold.  Each round's untimed setup adds the tuple
     the round removes, so the table keeps its size.
     """
     from repro.dynamic.delta import TableDelta
@@ -278,12 +281,12 @@ def test_prepare_cache_refresh(benchmark):
         return (tid,), {}
 
     def cycle(tid):
-        moved = table.update_score(
-            rng.choice(independent), rng.uniform(0, 1000)
-        )
-        write("score", moved.tid, score=moved.score)
-        table.remove_tuple(tid)
-        write("remove", tid)
+        mover = rng.choice(independent)
+        old_score = table.get(mover).score
+        moved = table.update_score(mover, rng.uniform(0, 1000))
+        write("score", mover, score=moved.score, old_score=old_score)
+        removed = table.remove_tuple(tid)
+        write("remove", tid, old_score=removed.score)
 
     benchmark.pedantic(cycle, setup=setup, rounds=50, iterations=1)
 

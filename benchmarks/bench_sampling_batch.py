@@ -26,6 +26,7 @@ import pytest
 
 from benchmarks.conftest import bench_scale, emit
 from repro.bench.harness import ExperimentTable
+from repro.core.kernel import TableColumns
 from repro.core.rule_compression import rule_index_of_table
 from repro.core.sampling import (
     SamplingConfig,
@@ -55,7 +56,9 @@ def _per_unit_reference(table, k, budget, seed):
     query = TopKQuery(k=k)
     selected = query.selected(table)
     ranked = query.ranking.rank_table(selected)
-    sampler = WorldSampler(ranked, rule_index_of_table(selected), k=k)
+    sampler = WorldSampler(
+        TableColumns.from_ranked(ranked, rule_index_of_table(selected)), k=k
+    )
     rng = np.random.default_rng(seed)
     counts = {}
     for _ in range(budget):

@@ -618,11 +618,10 @@ def exact_ptk_query(
         prepared = resolve_prepared(table, query, prepared=prepared, cache=cache)
     columns = None
     if columnar or (columnar is None and threshold == 0.0):
-        # The prepared ranking caches its columnarisation, so repeated
-        # columnar scans against an unchanged table skip re-extraction.
+        # A columnar read prices the preparation's columns alone.
         columns = prepared.columns
     engine = ExactPTKEngine(
-        prepared.ranked,
+        () if columns is not None else prepared.ranked,
         prepared.rule_of,
         prepared.rule_probability,
         k=query.k,

@@ -45,15 +45,14 @@ wall-clock advantage comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.kernel import TableColumns
 from repro.core.results import AlgorithmStats, PTKAnswer
 from repro.exceptions import QueryError, SamplingError
-from repro.model.rules import GenerationRule
 from repro.model.table import UncertainTable
-from repro.model.tuples import UncertainTuple
 from repro.obs import OBS, catalogued, span as obs_span
 from repro.query.prepare import PrepareCache, PreparedRanking, resolve_prepared
 from repro.query.topk import TopKQuery
@@ -256,89 +255,75 @@ class SamplingResult:
 
 
 class WorldSampler:
-    """Draws top-k lists of sampled possible worlds from a ranked list.
+    """Draws top-k lists of sampled possible worlds from ranked columns.
 
     All randomness for one unit is drawn in two vectorised blocks (one
     coin per position for independent tuples, one per rule); the lazy
     early-stop of Section 5 is accounted for by reporting the position
     of the k-th inclusion as the unit's scan length.
 
-    :param ranked: tuples in ranking order, best first.
-    :param rule_of: maps tuple id -> multi-tuple rule.
+    :param columns: the ranked tuples as kernel columns (a preparation's
+        :attr:`~repro.query.prepare.PreparedRanking.columns`); rule
+        ``s`` of the sampler is rule slot ``s`` of ``rule_index``.
     :param k: how many inclusions complete a unit.
     :param lazy: report early-stopped scan lengths (estimates are
         unaffected).
     """
 
     def __init__(
-        self,
-        ranked: Sequence[UncertainTuple],
-        rule_of: Mapping[Any, GenerationRule],
-        k: int,
-        lazy: bool = True,
+        self, columns: TableColumns, k: int, lazy: bool = True
     ) -> None:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
         self.k = k
         self.lazy = lazy
-        self._ids = [t.tid for t in ranked]
-        n = len(ranked)
+        self._ids = columns.tids
+        n = len(columns)
         self._n = n
-        self._probabilities = np.array(
-            [t.probability for t in ranked], dtype=np.float64
-        )
-        position_of = {t.tid: i for i, t in enumerate(ranked)}
+        self._probabilities = columns.probability
+        rule_index = columns.rule_index
 
         # Independent positions: one membership coin each.
-        self._independent_mask = np.ones(n, dtype=bool)
+        self._independent_mask = rule_index < 0
 
-        # Rules, flattened: member positions grouped per rule with
-        # within-rule cumulative probabilities; one uniform per rule
-        # selects the member whose cumulative interval contains it (or
+        # Rules, flattened: member positions grouped per rule slot, in
+        # ranking order within each rule, with within-rule cumulative
+        # probabilities; one uniform per rule selects the member whose
+        # interval ``[previous cumulative, cumulative)`` contains it (or
         # no member, with mass 1 - Pr(R)).
-        rule_ids: List[Any] = []
-        rule_ordinal: Dict[Any, int] = {}
-        flat_positions: List[int] = []
-        flat_rule: List[int] = []
-        flat_cumulative: List[float] = []
-        for tup in ranked:
-            rule = rule_of.get(tup.tid)
-            if rule is None:
-                continue
-            self._independent_mask[position_of[tup.tid]] = False
-            if rule.rule_id not in rule_ordinal:
-                rule_ordinal[rule.rule_id] = len(rule_ids)
-                rule_ids.append(rule.rule_id)
-                cumulative = 0.0
-                for tid in rule.tuple_ids:
-                    if tid not in position_of:
-                        continue
-                    cumulative += ranked[position_of[tid]].probability
-                    flat_positions.append(position_of[tid])
-                    flat_rule.append(rule_ordinal[rule.rule_id])
-                    flat_cumulative.append(cumulative)
-        self._n_rules = len(rule_ids)
-        self._flat_positions = np.array(flat_positions, dtype=np.int64)
-        self._flat_rule = np.array(flat_rule, dtype=np.int64)
-        self._flat_cumulative = np.array(flat_cumulative, dtype=np.float64)
+        self._n_rules = len(columns.rule_ids)
+        self._member_positions = np.flatnonzero(~self._independent_mask)
+        slots = rule_index[self._member_positions]
+        order = np.argsort(slots, kind="stable")
+        self._flat_positions = self._member_positions[order]
+        self._flat_rule = slots[order]
+        running = np.cumsum(self._probabilities[self._flat_positions])
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = self._flat_rule[1:] != self._flat_rule[:-1]
+        starts = np.flatnonzero(first)
+        # Each member less the running sum before its rule's first one.
+        self._flat_cumulative = running - np.repeat(
+            np.concatenate(([0.0], running))[starts],
+            np.diff(np.append(starts, len(order))),
+        )
+        previous = np.zeros_like(self._flat_cumulative)
+        previous[1:] = self._flat_cumulative[:-1]
+        previous[first] = 0.0
         # Per-column lookup for the batched kernel: the member at ranked
         # position ``p`` appears iff its rule's uniform lands in the
-        # member's cumulative interval ``[cum - Pr(p), cum)`` — the same
-        # event as being the first hit of the suffix test above.
+        # member's interval — the same event as being the first hit of
+        # the suffix test in :meth:`sample_inclusion_mask`.
         self._col_rule = np.zeros(n, dtype=np.int64)
         self._col_cum = np.zeros(n, dtype=np.float64)
-        if self._flat_positions.size:
-            self._col_rule[self._flat_positions] = self._flat_rule
-            self._col_cum[self._flat_positions] = self._flat_cumulative
-        self._col_prev = self._col_cum - np.where(
-            self._independent_mask, 0.0, self._probabilities
-        )
-        self._member_positions = np.flatnonzero(~self._independent_mask)
+        self._col_prev = np.zeros(n, dtype=np.float64)
+        self._col_rule[self._flat_positions] = self._flat_rule
+        self._col_cum[self._flat_positions] = self._flat_cumulative
+        self._col_prev[self._flat_positions] = previous
 
     @property
-    def tuple_ids(self) -> List[Any]:
+    def tuple_ids(self) -> Tuple[Any, ...]:
         """Tuple ids in ranking order (position ``i`` -> id)."""
-        return list(self._ids)
+        return self._ids
 
     def sample_inclusion_mask(self, rng: np.random.Generator) -> np.ndarray:
         """Boolean mask over ranked positions: which tuples appear."""
@@ -490,15 +475,13 @@ def sampled_topk_probabilities(
         rng = np.random.default_rng(config.seed)
     with obs_span("sampling.prepare"):
         prepared = resolve_prepared(table, query, prepared=prepared, cache=cache)
-        sampler = WorldSampler(
-            prepared.ranked, prepared.rule_of, k=query.k, lazy=config.lazy
-        )
+        sampler = WorldSampler(prepared.columns, k=query.k, lazy=config.lazy)
 
     budget = config.resolved_sample_size()
     batch_size = config.resolved_batch_size()
     check_interval = max(1, config.check_interval)
     result = SamplingResult(budget=budget)
-    n_ranked = len(prepared.ranked)
+    n_ranked = len(prepared)
     counts = np.zeros(n_ranked, dtype=np.int64)
     previous: Optional[np.ndarray] = None
 
@@ -596,9 +579,9 @@ def sampled_ptk_query(
     answer = PTKAnswer(k=query.k, threshold=threshold, method="sampling")
     answer.probabilities = dict(sampling.estimates)
     answer.answers = [
-        tup.tid
-        for tup in prepared.ranked
-        if sampling.estimate_of(tup.tid) >= threshold
+        tid
+        for tid in prepared.columns.tids
+        if sampling.estimate_of(tid) >= threshold
     ]
     answer.stats = AlgorithmStats(
         scan_depth=0,

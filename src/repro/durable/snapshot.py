@@ -50,9 +50,15 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.kernel import TableColumns, columnar_topk_scan, ranked_order
+from repro.core.kernel import (
+    TableColumns,
+    columnar_topk_scan,
+    ranked_order,
+    rule_slots,
+)
 from repro.exceptions import SnapshotCorruptionError
 from repro.durable.wal import decode_tid, encode_tid
+from repro.model.rules import GenerationRule
 from repro.model.table import UncertainTable
 from repro.obs import OBS, catalogued
 
@@ -266,19 +272,12 @@ class SnapshotColumns:
         """
         order = ranked_order(np.asarray(self.score, dtype=np.float64), self.tids)
         ranked_tids = tuple(self.tids[i] for i in order)
-        slot_of: Dict[Any, int] = {}
-        rule_ids: List[Any] = []
-        for rule_id, members in self.rules:
-            slot = len(rule_ids)
-            rule_ids.append(rule_id)
-            for tid in members:
-                slot_of[tid] = slot
-        rule_index = np.full(len(ranked_tids), -1, dtype=np.int64)
-        if slot_of:
-            for position, tid in enumerate(ranked_tids):
-                slot = slot_of.get(tid)
-                if slot is not None:
-                    rule_index[position] = slot
+        rule_of = {
+            tid: rule
+            for rule in (GenerationRule(*entry) for entry in self.rules)
+            for tid in rule.tuple_ids
+        }
+        rule_index, rule_ids = rule_slots(ranked_tids, rule_of)
         return TableColumns(
             tids=ranked_tids,
             score=np.ascontiguousarray(self.score[order], dtype=np.float64),
@@ -286,7 +285,7 @@ class SnapshotColumns:
                 self.probability[order], dtype=np.float64
             ),
             rule_index=rule_index,
-            rule_ids=tuple(rule_ids),
+            rule_ids=rule_ids,
         )
 
     def topk_probabilities(self, k: int) -> Dict[Any, float]:

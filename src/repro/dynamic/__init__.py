@@ -2,8 +2,8 @@
 
 Turns WAL mutations into column moves instead of cache invalidations:
 :func:`~repro.dynamic.refresh.refresh_prepared` carries a table's warm
-default-shape preparation — its ranking and its columns, the table's
-only ranked state — across one committed
+default-shape preparation — its columns, the table's only ranked
+state — across one committed
 :class:`~repro.dynamic.delta.TableDelta`; a
 :class:`~repro.dynamic.index.DynamicIndex` keeps one live kernel scan
 per served ``k`` over that preparation's columns and moves them onto

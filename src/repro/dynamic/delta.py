@@ -41,6 +41,9 @@ class TableDelta:
     :param tid: the tuple id (``add`` / ``remove`` / ``update`` /
         ``score``).
     :param score: the tuple's score (``add``) or new score (``score``).
+    :param old_score: the tuple's score before the write (``remove`` /
+        ``score``), which refresh finds its old rank by; without it the
+        warm entry is re-prepared.
     :param probability: the tuple's membership probability (``add``) or
         new probability (``update``).
     :param attributes: the tuple's attribute payload (``add`` only).
@@ -54,13 +57,16 @@ class TableDelta:
     version: int
     tid: Any = None
     score: Optional[float] = None
+    old_score: Optional[float] = None
     probability: Optional[float] = None
     attributes: Any = None
     rule_id: Any = None
     members: Tuple[Any, ...] = field(default=())
 
 
-def delta_from_record(record: Dict[str, Any]) -> Optional[TableDelta]:
+def delta_from_record(
+    record: Dict[str, Any], old_score: Optional[float] = None
+) -> Optional[TableDelta]:
     """Reconstruct the :class:`TableDelta` described by one WAL record.
 
     The replica-side twin of the primary's in-process delta emission:
@@ -73,6 +79,8 @@ def delta_from_record(record: Dict[str, Any]) -> Optional[TableDelta]:
     :param record: a decoded WAL record dict (``op`` / ``table`` /
         ``version`` plus op-specific fields; tids in the WAL's encoded
         form).
+    :param old_score: the tuple's score before a ``remove`` / ``score``
+        record; the WAL does not journal it (see :func:`old_score_of`).
     :returns: the delta, or ``None`` for record types that do not
         mutate tuple/rule state (``register`` / ``drop`` / ``serve``).
     """
@@ -97,7 +105,9 @@ def delta_from_record(record: Dict[str, Any]) -> Optional[TableDelta]:
             **base,
         )
     if op == "remove":
-        return TableDelta(tid=decode_tid(record["tid"]), **base)
+        return TableDelta(
+            tid=decode_tid(record["tid"]), old_score=old_score, **base
+        )
     if op == "update":
         return TableDelta(
             tid=decode_tid(record["tid"]),
@@ -108,6 +118,7 @@ def delta_from_record(record: Dict[str, Any]) -> Optional[TableDelta]:
         return TableDelta(
             tid=decode_tid(record["tid"]),
             score=float(record["score"]),
+            old_score=old_score,
             **base,
         )
     return TableDelta(
@@ -115,3 +126,14 @@ def delta_from_record(record: Dict[str, Any]) -> Optional[TableDelta]:
         members=tuple(decode_tid(m) for m in record["members"]),
         **base,
     )
+
+
+def old_score_of(table: Any, record: Dict[str, Any]) -> Optional[float]:
+    """The score a ``remove`` / ``score`` record's tuple holds in
+    ``table``: read before the record is applied."""
+    from repro.durable.wal import decode_tid
+
+    if record.get("op") not in ("remove", "score") or table is None:
+        return None
+    tid = decode_tid(record["tid"])
+    return table.get(tid).score if tid in table else None

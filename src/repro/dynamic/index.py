@@ -134,13 +134,12 @@ class DynamicIndex:
         first read and prices only to that read's Theorem-5 stop depth,
         so a rebuild costs what a pruned cold scan costs.
         """
-        prepared.columns  # columnarise once, outside the first read
         return cls(prepared)
 
     @property
     def tids(self) -> Tuple[Any, ...]:
         """Tuple ids in ranking order."""
-        return self.prepared.tids
+        return self.prepared.columns.tids
 
     def stats(self) -> Dict[int, dict]:
         """Per-``k`` scan counters for ``/healthz`` and the registry."""
@@ -227,7 +226,7 @@ class DynamicIndex:
         """
         full_scan = threshold == 0.0
         answers, probabilities, depth, stopped_by = self._scan(k).read(
-            self.prepared.tids,
+            self.prepared.columns.tids,
             threshold,
             math.inf if full_scan else k - threshold,
         )

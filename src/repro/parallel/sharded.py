@@ -46,10 +46,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.kernel import TableColumns
 from repro.core.sampling import (
     SamplingConfig,
     SamplingResult,
@@ -57,9 +58,7 @@ from repro.core.sampling import (
     sampled_topk_probabilities,
 )
 from repro.exceptions import SamplingError
-from repro.model.rules import GenerationRule
 from repro.model.table import UncertainTable
-from repro.model.tuples import UncertainTuple
 from repro.obs import OBS, catalogued, span as obs_span
 from repro.parallel.pool import resolve_workers, shard_map
 from repro.query.prepare import PrepareCache, PreparedRanking, resolve_prepared
@@ -106,8 +105,7 @@ class _ShardTask:
     """Everything one worker needs, picklable and self-contained."""
 
     index: int
-    ranked: Tuple[UncertainTuple, ...]
-    rule_of: Mapping[Any, GenerationRule]
+    columns: TableColumns
     k: int
     lazy: bool
     budget: int
@@ -141,11 +139,9 @@ class _ShardResult:
 def _run_shard(task: _ShardTask) -> _ShardResult:
     """Draw one shard's units (module-level: must pickle for the pool)."""
     started = time.perf_counter()
-    sampler = WorldSampler(
-        task.ranked, task.rule_of, k=task.k, lazy=task.lazy
-    )
+    sampler = WorldSampler(task.columns, k=task.k, lazy=task.lazy)
     rng = np.random.default_rng(task.seed)
-    n = len(task.ranked)
+    n = len(task.columns)
     counts = np.zeros(n, dtype=np.int64)
     total_scanned = 0
     drawn = 0
@@ -289,12 +285,11 @@ def parallel_sampled_topk_probabilities(
     budgets = shard_budgets(budget, n_workers)
     seeds = shard_seeds(config.seed, len(budgets))
     stride = _snapshot_stride(config, len(budgets), max(budgets))
-    ranked = tuple(prepared.ranked)
+    columns = prepared.columns
     tasks = [
         _ShardTask(
             index=i,
-            ranked=ranked,
-            rule_of=dict(prepared.rule_of),
+            columns=columns,
             k=query.k,
             lazy=config.lazy,
             budget=shard_budget,
@@ -317,7 +312,9 @@ def parallel_sampled_topk_probabilities(
         )
         merge_started = time.perf_counter()
         with obs_span("sampling.merge", shards=len(results)):
-            merged, counts = _merge_shards(results, len(ranked), config, budget)
+            merged, counts = _merge_shards(
+                results, len(columns), config, budget
+            )
         merge_seconds = time.perf_counter() - merge_started
         draw_span.set(
             units_drawn=merged.units_drawn,
@@ -325,7 +322,7 @@ def parallel_sampled_topk_probabilities(
         )
 
     n = max(merged.units_drawn, 1)
-    ids = [t.tid for t in ranked]
+    ids = columns.tids
     merged.estimates = {
         ids[i]: int(counts[i]) / n for i in np.flatnonzero(counts)
     }

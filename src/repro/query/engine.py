@@ -289,7 +289,8 @@ class UncertainDB:
             table = self.table(name)
             previous = table.version
             removed = table.remove_tuple(tid)
-            self._emit_delta(name, table, "remove", previous, tid=tid)
+            self._emit_delta(name, table, "remove", previous, tid=tid,
+                             old_score=removed.score)
         return removed
 
     def update_probability(
@@ -315,9 +316,11 @@ class UncertainDB:
         with self.table_lock(name):
             table = self.table(name)
             previous = table.version
+            old_score = table.get(tid).score
             updated = table.update_score(tid, score)
             self._emit_delta(
-                name, table, "score", previous, tid=tid, score=updated.score
+                name, table, "score", previous, tid=tid, score=updated.score,
+                old_score=old_score,
             )
         return updated
 

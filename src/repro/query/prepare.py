@@ -34,11 +34,12 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.model.rules import GenerationRule
+from repro.model.statistics import TableStatistics
 from repro.model.table import UncertainTable
 from repro.model.tuples import UncertainTuple
 from repro.obs import OBS, catalogued, span as obs_span
@@ -58,8 +59,9 @@ class PreparedRanking:
 
     :param table: the *selected* table ``P(T)`` (the source table itself
         when the predicate is trivial).
-    :param ranked: tuples of the selected table in ranking order, best
-        first.
+    :param columns: the selected tuples in ranking order, best first, as
+        kernel columns: the one ranked state every served path reads.
+        Immutable by convention; a refresh builds new arrays.
     :param rule_of: tuple id -> multi-tuple generation rule (independent
         tuples omitted).
     :param rule_probability: rule id -> ``Pr(R)``.
@@ -70,47 +72,38 @@ class PreparedRanking:
     """
 
     table: UncertainTable
-    ranked: Tuple[UncertainTuple, ...]
+    columns: "TableColumns"
     rule_of: Mapping[Any, GenerationRule]
     rule_probability: Mapping[Any, float]
     source_version: int = 0
     predicate: Any = None
     ranking: Any = None
 
-    def ranked_list(self) -> List[UncertainTuple]:
-        """The ranked tuples as a fresh list (callers may not mutate it)."""
-        return list(self.ranked)
-
     @cached_property
-    def columns(self) -> "TableColumns":
-        """The ranked tuples as dense float64/int64 columns.
+    def ranked(self) -> Tuple[UncertainTuple, ...]:
+        """The ranked tuples, best first: the per-tuple view the scalar
+        reference engine and the profile scan walk.
 
-        Built once per preparation and cached on the instance (a
+        :func:`prepare_ranking` stores the list it sorted; a refreshed
+        preparation looks its tuples up in ``table`` on first use (a
         ``cached_property`` writes straight into ``__dict__``, which a
-        frozen dataclass permits), so every full-scan query against a
-        cached preparation shares one columnarisation;
-        :func:`repro.dynamic.refresh.refresh_prepared` carries them
-        across a write when they were built.  The arrays are immutable
-        by convention — consumers, including the columnar kernel and
-        the dynamic index's scans, only read them.
+        frozen dataclass permits), so a write pays for no tuple copy.
         """
-        from repro.core.kernel import TableColumns
-
-        return TableColumns.from_ranked(self.ranked, self.rule_of)
+        return tuple(map(self.table.get, self.columns.tids))
 
     @cached_property
-    def tids(self) -> Tuple[Any, ...]:
-        """The ranked tuples' ids, cached like :attr:`columns`.
-
-        :func:`repro.dynamic.refresh.refresh_prepared` finds a written
-        tuple's rank here and hands the edited ids to the refreshed
-        preparation, so the column is built once per cache entry, not
-        once per write.
-        """
-        return tuple(t.tid for t in self.ranked)
+    def statistics(self) -> TableStatistics:
+        """The planner's catalog summary of the selected table, taken
+        from the columns on first use and cached with the preparation."""
+        columns = self.columns
+        return TableStatistics.from_columns(
+            columns.probability,
+            columns.rule_index,
+            [self.rule_probability[rule_id] for rule_id in columns.rule_ids],
+        )
 
     def __len__(self) -> int:
-        return len(self.ranked)
+        return len(self.columns)
 
 
 def index_rules(
@@ -135,20 +128,24 @@ def prepare_ranking(table: UncertainTable, query: TopKQuery) -> PreparedRanking:
     :class:`PrepareCache` (every :class:`~repro.query.engine.UncertainDB`
     owns one) or pass ``prepared=`` explicitly.
     """
+    from repro.core.kernel import TableColumns
+
     with obs_span("query.prepare", table=table.name):
         version = table.version
         selected = query.selected(table)
         ranked = tuple(query.ranking.rank_table(selected))
         rule_of, rule_probability = index_rules(selected)
-    return PreparedRanking(
-        table=selected,
-        ranked=ranked,
-        rule_of=rule_of,
-        rule_probability=rule_probability,
-        source_version=version,
-        predicate=query.predicate,
-        ranking=query.ranking,
-    )
+        prepared = PreparedRanking(
+            table=selected,
+            columns=TableColumns.from_ranked(ranked, rule_of),
+            rule_of=rule_of,
+            rule_probability=rule_probability,
+            source_version=version,
+            predicate=query.predicate,
+            ranking=query.ranking,
+        )
+    prepared.__dict__["ranked"] = ranked
+    return prepared
 
 
 @dataclass
@@ -258,9 +255,9 @@ class PrepareCache:
         For every cached entry prepared at ``delta.previous_version``
         whose shape :func:`repro.dynamic.refresh.refresh_prepared`
         understands (trivial predicate, rank by score descending), the
-        entry is replaced in place by ranked-tuple surgery (its columns
-        too, when built) — the next read hits a warm, current-version
-        preparation with no cold re-prepare.  Entries the surgery declines fall back to the
+        entry is replaced in place by a point write on its columns — the
+        next read hits a warm, current-version preparation with no cold
+        re-prepare.  Entries the surgery declines fall back to the
         ordinary stale-purge path, so a refresh is never less correct
         than an invalidation, only cheaper.
 

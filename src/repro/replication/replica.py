@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.durable.db import DurableDB
 from repro.durable.recover import apply_record, recover_state
-from repro.dynamic.delta import delta_from_record
+from repro.dynamic.delta import delta_from_record, old_score_of
 from repro.durable.snapshot import write_snapshot
 from repro.durable.stream import WalCursor
 from repro.durable.wal import WriteAheadLog
@@ -160,6 +160,7 @@ class ReplicaApplier:
                 # never snapshot the table between the apply and the
                 # delta that refreshes the warm state.
                 with self.db.table_lock(name):
+                    old_score = old_score_of(self._tables.get(name), record)
                     changed = apply_record(self._tables, record, self._epochs)
                     if changed:
                         applied += 1
@@ -182,7 +183,7 @@ class ReplicaApplier:
                             # them the dynamic indexes' columns), so a
                             # replica read after apply is served from
                             # refreshed state, not a cold re-prepare.
-                            delta = delta_from_record(record)
+                            delta = delta_from_record(record, old_score)
                             if delta is not None:
                                 self.db.prepare_cache.refresh(
                                     self._tables[name], delta

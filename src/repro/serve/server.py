@@ -71,7 +71,6 @@ from repro.exceptions import (
     UnknownTableError,
     UnknownTupleError,
 )
-from repro.model.statistics import TableStatistics, collect_statistics
 from repro.obs import OBS, catalogued
 from repro.obs import export as obs_export
 from repro.obs import flight
@@ -227,7 +226,6 @@ class ServeApp:
         )
         self._executor: Optional[ThreadPoolExecutor] = None
         self._inflight: Optional[asyncio.Semaphore] = None
-        self._stats_cache: Dict[int, Tuple[int, TableStatistics]] = {}
         self._started = time.monotonic()
         self._flusher_task: Optional[asyncio.Task] = None
         self._exported_traces: set = set()
@@ -816,12 +814,11 @@ class ServeApp:
             return [error for _ in items]
         max_k = max(w.request.k for w in items)
         # POST /mutate writes on the event-loop thread: snapshot the
-        # table under its lock so the preparation and statistics each
-        # describe one version (UncertainDB.table_lock).
+        # table under its lock so the preparation describes one version
+        # (UncertainDB.table_lock).  Planning reads its statistics.
         table_lock = self.db.table_lock(name)
         with table_lock:
             prepared = self.db.prepare_cache.get(table, TopKQuery(k=max_k))
-            statistics = self._statistics_for(table)
         # A durable engine journals served keys so a restart re-prepares
         # what production traffic was actually using (cache warm start).
         # defer=True: buffer only — the WAL append (and any fsync) runs
@@ -896,7 +893,7 @@ class ServeApp:
                     ))
                     continue
             mode, config, degraded, estimate = self._plan(
-                table, work.request, remaining, statistics
+                table, work.request, remaining, prepared
             )
             if mode == "exact":
                 exact_tasks.append(ExactTask(position, estimate))
@@ -1177,22 +1174,23 @@ class ServeApp:
         table,
         request: QueryRequest,
         remaining: Optional[float],
-        statistics: TableStatistics,
+        prepared: PreparedRanking,
     ) -> Tuple[str, Optional[SamplingConfig], bool, Any]:
         """Pick the algorithm: ``(mode, config, degraded, estimate)``.
 
         ``degraded`` is True only when the client did not ask for
         sampling but the planner predicted the exact scan would miss the
         deadline.  The latency estimate is always computed (it is cheap:
-        a closed form over cached statistics) so the flight recorder can
-        compare it against the measured latency on every path.
+        a closed form over the preparation's cached statistics) so the
+        flight recorder can compare it against the measured latency on
+        every path.
         """
         estimate = estimate_latency(
             table,
             request.k,
             request.threshold,
             model=self.latency_model,
-            statistics=statistics,
+            statistics=prepared.statistics,
         )
         if request.mode == "exact":
             return "exact", None, False, estimate
@@ -1293,16 +1291,6 @@ class ServeApp:
         if table_stats is not None:
             block["indexes"] = sorted(table_stats["indexes"])
         return block
-
-    def _statistics_for(self, table) -> TableStatistics:
-        """Catalog statistics per (table, version), cached for planning."""
-        key = id(table)
-        cached = self._stats_cache.get(key)
-        if cached is not None and cached[0] == table.version:
-            return cached[1]
-        statistics = collect_statistics(table)
-        self._stats_cache[key] = (table.version, statistics)
-        return statistics
 
     @staticmethod
     def _count_request(endpoint: str) -> None:

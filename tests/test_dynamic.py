@@ -91,9 +91,9 @@ class MutationDriver:
                                   tid=tid, score=score, probability=p)
             if op == "remove":
                 tid = rng.choice(table.tuple_ids())
-                table.remove_tuple(tid)
+                removed = table.remove_tuple(tid)
                 return TableDelta(self.name, "remove", prev, table.version,
-                                  tid=tid)
+                                  tid=tid, old_score=removed.score)
             if op == "update":
                 tid = rng.choice(table.tuple_ids())
                 p = rng.uniform(0.05, 1.0)
@@ -105,9 +105,10 @@ class MutationDriver:
                 score = rng.choice(
                     [rng.uniform(0, 100), float(rng.randint(0, 20))]
                 )
+                old_score = table.get(tid).score
                 table.update_score(tid, score)
                 return TableDelta(self.name, "score", prev, table.version,
-                                  tid=tid, score=score)
+                                  tid=tid, score=score, old_score=old_score)
             free = [t for t in table.tuple_ids() if table.is_independent(t)]
             if len(free) < 2:
                 return None
@@ -223,7 +224,8 @@ class TestIndexContracts:
         # distinct tuples cannot have — so moving onto an equal score
         # must be *supported*:
         index.apply(advance(prepared, table, TableDelta(
-            "t", "score", prev, table.version, tid="b", score=10.0)))
+            "t", "score", prev, table.version, tid="b", score=10.0,
+            old_score=9.0)))
         tids, out = cold_probabilities(table, 1)
         assert tuple(index.tids) == tids
         assert np.array_equal(out, index.topk_probabilities(1))
@@ -387,14 +389,26 @@ class TestPrepareRefresh:
     def test_remove(self):
         self.run_refresh(
             lambda t: t.remove_tuple("t4"),
-            {"op": "remove", "tid": "t4"},
+            {"op": "remove", "tid": "t4", "old_score": 8.0},
         )
 
     def test_score_move(self):
         self.run_refresh(
             lambda t: t.update_score("t9", 11.5),
-            {"op": "score", "tid": "t9", "score": 11.5},
+            {"op": "score", "tid": "t9", "score": 11.5, "old_score": 3.0},
         )
+
+    def test_missing_old_score_declines(self):
+        # Without the old score the old rank is unknown: refuse, so the
+        # entry is re-prepared cold.
+        table = UncertainTable(name="t")
+        for i in range(5):
+            table.add(f"t{i}", float(5 - i), 0.4)
+        prepared = prepare_ranking(table, TopKQuery(k=1))
+        prev = table.version
+        table.remove_tuple("t2")
+        delta = TableDelta("t", "remove", prev, table.version, tid="t2")
+        assert refresh_prepared(prepared, table, delta) is None
 
     def test_version_mismatch_declines(self):
         table = UncertainTable(name="t")
@@ -493,6 +507,90 @@ class TestServeIntegration:
                 assert big["mode"] == "exact"
         finally:
             obs.disable()
+
+    def test_dynamic_read_after_write_walks_no_tuples(self, monkeypatch):
+        # The writes refresh the preparation; the read after them must
+        # neither compute planner statistics nor walk tuple objects.
+        from repro import obs
+        from repro.model.statistics import TableStatistics
+        from repro.model.tuples import UncertainTuple
+        from repro.query.prepare import PreparedRanking
+        from repro.serve.client import LoopbackTransport, ServeClient
+
+        def forbidden(*args, **kwargs):  # pragma: no cover
+            raise AssertionError(
+                "a dynamic read must not compute statistics or walk tuples"
+            )
+
+        db, app = self.build_app()
+        try:
+            with LoopbackTransport(app) as transport:
+                client = ServeClient(transport)
+                client.query(table="demo", k=3, threshold=0.15)
+                client.mutate({"op": "score", "table": "demo", "tid": "t5",
+                               "score": 600.0})
+                client.mutate({"op": "remove", "table": "demo",
+                               "tid": "t7"})
+                with monkeypatch.context() as patch:
+                    patch.setattr(TableStatistics, "from_columns",
+                                  classmethod(forbidden))
+                    patch.setattr(PreparedRanking, "statistics",
+                                  property(forbidden))
+                    patch.setattr(PreparedRanking, "ranked",
+                                  property(forbidden))
+                    patch.setattr(UncertainTable, "__iter__", forbidden)
+                    patch.setattr(UncertainTuple, "__init__", forbidden)
+                    answer = client.query(table="demo", k=3, threshold=0.15)
+                assert answer["mode"] == "dynamic"
+                cold = exact_ptk_query(db.table("demo"), TopKQuery(k=3), 0.15)
+                assert answer["answers"] == [str(t) for t in cold.answers]
+        finally:
+            obs.disable()
+
+    def test_planned_read_after_write_plans_on_current_statistics(
+        self, monkeypatch
+    ):
+        from repro import obs
+        from repro.model.statistics import collect_statistics
+        from repro.serve import server
+        from repro.serve.client import LoopbackTransport, ServeClient
+
+        planned = []
+        real = server.estimate_latency
+
+        def spy(*args, statistics=None, **kwargs):
+            planned.append(statistics)
+            return real(*args, statistics=statistics, **kwargs)
+
+        monkeypatch.setattr(server, "estimate_latency", spy)
+        db, app = self.build_app(dynamic=False)
+        db.add_exclusive("demo", "r0", "t1", "t2", "t3")
+        try:
+            with LoopbackTransport(app) as transport:
+                client = ServeClient(transport)
+                client.query(table="demo", k=3, threshold=0.15)
+                for write in (
+                    {"op": "score", "tid": "t5", "score": 600.0},
+                    {"op": "remove", "tid": "t2"},
+                    {"op": "update", "tid": "t9", "probability": 0.9},
+                    {"op": "add", "tid": "new", "score": 50.5,
+                     "probability": 0.35},
+                ):
+                    client.mutate({"table": "demo", **write})
+                del planned[:]
+                client.query(table="demo", k=3, threshold=0.15)
+        finally:
+            obs.disable()
+        [statistics] = planned
+        expected = collect_statistics(db.table("demo"))
+        for name, value in vars(expected).items():
+            if isinstance(value, float):
+                assert getattr(statistics, name) == pytest.approx(
+                    value, rel=0, abs=1e-12
+                ), name
+            else:
+                assert getattr(statistics, name) == value, name
+        assert statistics.n_rules == 1 and statistics.max_rule_size == 2
 
     def test_plain_server_accepts_writes_without_replication(self):
         from repro import obs

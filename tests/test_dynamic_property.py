@@ -15,8 +15,8 @@ suites run every step twice: once on the refreshed preparation, once on
 a cold :func:`prepare_ranking`.  The warm prepared ranking is held to
 the same standard: after every delta, :func:`refresh_prepared` must
 return the object a cold :func:`prepare_ranking` builds — its columns
-too, when the old one had materialised them — or ``None`` on a sort-key
-collision.
+bitwise — or ``None`` on a sort-key collision; and so must the deltas
+the engine emits and a replica rebuilds from the shipped WAL.
 
 Plus the two hard end-to-end cases: a SIGKILL mid-mutation (recovery
 must rebuild state the index then answers identically on) and the
@@ -315,6 +315,20 @@ def assert_columns_bitwise(got, expected):
     assert got.rule_ids == expected.rule_ids
 
 
+def assert_refreshed_is_cold(refreshed, cold):
+    assert_columns_bitwise(refreshed.columns, cold.columns)
+    assert refreshed.ranked == cold.ranked
+    assert dict(refreshed.rule_of) == dict(cold.rule_of)
+    assert {
+        rule_id: value.hex()
+        for rule_id, value in refreshed.rule_probability.items()
+    } == {
+        rule_id: value.hex()
+        for rule_id, value in cold.rule_probability.items()
+    }
+    assert refreshed.source_version == cold.source_version
+
+
 class TestPrepareRefreshProperty:
     # Op-codes past OPS draw a collision write (emit_twin).
     @given(
@@ -343,37 +357,96 @@ class TestPrepareRefreshProperty:
                 delta = driver.emit(OPS[op_index])
             if delta is None:
                 continue
-            # Two steps in three refresh a preparation with materialised
-            # columns; the third drops the cached property's value, so
-            # the lazy path is exercised mid-script too.
-            columnar = op_seed % 3 != 0
-            if columnar:
-                prepared.columns
-            else:
-                prepared.__dict__.pop("columns", None)
             refreshed = refresh_prepared(prepared, table, delta)
             cold = prepare_ranking(table, query)
             if refreshed is None:
                 assert score_collides(table, delta)
                 prepared = cold
                 continue
-            if columnar:
-                assert_columns_bitwise(refreshed.__dict__["columns"],
-                                       cold.columns)
-            else:
-                assert "columns" not in refreshed.__dict__
-            assert refreshed.ranked == cold.ranked
-            assert refreshed.tids == cold.tids
-            assert dict(refreshed.rule_of) == dict(cold.rule_of)
-            assert {
-                rule_id: value.hex()
-                for rule_id, value in refreshed.rule_probability.items()
-            } == {
-                rule_id: value.hex()
-                for rule_id, value in cold.rule_probability.items()
-            }
-            assert refreshed.source_version == cold.source_version
+            assert_refreshed_is_cold(refreshed, cold)
             prepared = refreshed
+
+    @given(script=mutation_scripts, seed=st.integers(0, 1000))
+    @settings(max_examples=25, deadline=None)
+    def test_primary_and_replica_deltas_refresh_like_cold(self, script, seed):
+        # The deltas the engine emits and the ones a replica rebuilds
+        # from the shipped WAL: equal, carrying the old score of every
+        # remove and score move, and each refreshes to the cold prepare.
+        import tempfile
+
+        from repro.durable import DurableDB
+        from repro.exceptions import ReproError
+        from repro.replication.replica import ReplicaApplier
+
+        def spy(target, name, into):
+            real = getattr(target, name)
+
+            def wrapper(*args):
+                into.append(args[-1])
+                return real(*args)
+
+            setattr(target, name, wrapper)
+
+        query = TopKQuery(k=3)
+        with tempfile.TemporaryDirectory() as data_dir:
+            primary = DurableDB(data_dir, fsync="off")
+            replica = ReplicaApplier()
+            records, primary_deltas, replica_deltas = [], [], []
+            spy(primary.wal, "append", records)
+            spy(primary.prepare_cache, "refresh", primary_deltas)
+            spy(replica.db.prepare_cache, "refresh", replica_deltas)
+            primary.register(refresh_table(seed), name="t")
+            replica.apply_batch({"records": records})
+            table = primary.table("t")
+            prepared = prepare_ranking(table, query)
+            replica_prepared = prepare_ranking(replica.db.table("t"), query)
+            rng = random.Random(seed)
+            for op_index, op_seed in script:
+                rng.seed(op_seed)
+                tids = table.tuple_ids()
+                op = OPS[op_index] if len(tids) >= 3 else "add"
+                tid = rng.choice(tids) if tids else None
+                old_score = table.get(tid).score if tid is not None else None
+                del records[:], primary_deltas[:], replica_deltas[:]
+                try:
+                    if op == "add":
+                        primary.add("t", f"n{op_seed}-{len(table)}",
+                                    float(rng.randint(0, 20)), 0.2)
+                    elif op == "remove":
+                        primary.remove_tuple("t", tid)
+                    elif op == "update":
+                        primary.update_probability(
+                            "t", tid, rng.uniform(0.05, 0.3))
+                    elif op == "score":
+                        primary.update_score(
+                            "t", tid, float(rng.randint(0, 20)))
+                    else:
+                        free = [t for t in tids if table.is_independent(t)]
+                        if len(free) < 2:
+                            continue
+                        primary.add_exclusive(
+                            "t", f"r{op_seed}-{len(table)}",
+                            *rng.sample(free, 2))
+                except ReproError:
+                    continue
+                replica.apply_batch({"records": records})
+                [delta] = primary_deltas
+                assert replica_deltas == [delta]
+                if op in ("remove", "score"):
+                    assert delta.old_score == old_score
+                else:
+                    assert delta.old_score is None
+                cold = prepare_ranking(table, query)
+                for chain, source in ((prepared, table),
+                                      (replica_prepared,
+                                       replica.db.table("t"))):
+                    refreshed = refresh_prepared(chain, source, delta)
+                    assert refreshed is not None
+                    assert_refreshed_is_cold(refreshed, cold)
+                prepared = refresh_prepared(prepared, table, delta)
+                replica_prepared = refresh_prepared(
+                    replica_prepared, replica.db.table("t"), delta)
+            primary.close()
 
 
 # ----------------------------------------------------------------------

@@ -391,7 +391,7 @@ class TestSnapshotColumnServing:
             live = exact_topk_probabilities(table, TopKQuery(k=k))
             assert set(from_snapshot) == set(live)
             for tid, value in from_snapshot.items():
-                assert abs(value - live[tid]) <= 1e-12
+                assert value == live[tid]
 
     def test_serving_materialises_no_tuples(self, tmp_path, monkeypatch):
         table = self.sample_table()

@@ -161,6 +161,35 @@ class TestShardedSampling:
         assert inline.estimates == pooled.estimates
         assert inline.total_scanned == pooled.total_scanned
 
+    def test_shards_ship_columns(self, table, monkeypatch):
+        import pickle
+
+        from repro.parallel import sharded
+        from repro.query.prepare import prepare_ranking
+
+        prepared = prepare_ranking(table, QUERY)
+        shipped = []
+        real = sharded.shard_map
+
+        def spy(fn, tasks, workers, use_processes=True):
+            shipped.extend(tasks)
+            return real(fn, tasks, workers, use_processes=use_processes)
+
+        monkeypatch.setattr(sharded, "shard_map", spy)
+        parallel_sampled_topk_probabilities(
+            table,
+            QUERY,
+            config=SamplingConfig(
+                n_workers=2, sample_size=2_000, progressive=False, seed=9
+            ),
+            prepared=prepared,
+            use_processes=False,
+        )
+        assert len(shipped) == 2
+        for task in shipped:
+            assert task.columns is prepared.columns
+            pickle.dumps(task)  # no closures: ranking lambdas stay home
+
 
 class TestFanOut:
     @pytest.fixture()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.exact import exact_ptk_query, exact_topk_probabilities
 from repro.core.profile import topk_probability_profile
+from repro.core.kernel import TableColumns
 from repro.core.rule_compression import rule_index_of_table
 from repro.core.sampling import WorldSampler
 from repro.model.table import UncertainTable
@@ -126,7 +127,8 @@ class TestSamplerDistribution:
         # probability (law of large numbers with a generous tolerance)
         ranked = table.ranked_tuples()
         sampler = WorldSampler(
-            ranked, rule_index_of_table(table), k=len(ranked), lazy=False
+            TableColumns.from_ranked(ranked, rule_index_of_table(table)),
+            k=len(ranked), lazy=False
         )
         rng = np.random.default_rng(7)
         n = 4000
@@ -145,7 +147,8 @@ class TestSamplerDistribution:
         table = build_table([0.4, 0.3, 0.5], rule_groups=[[0, 1]])
         ranked = table.ranked_tuples()
         sampler = WorldSampler(
-            ranked, rule_index_of_table(table), k=3, lazy=False
+            TableColumns.from_ranked(ranked, rule_index_of_table(table)),
+            k=3, lazy=False
         )
         rng = np.random.default_rng(3)
         n = 40_000

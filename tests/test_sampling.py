@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernel import TableColumns
 from repro.core.rule_compression import rule_index_of_table
 from repro.core.sampling import (
     SamplingConfig,
@@ -39,11 +40,13 @@ class TestConfig:
 class TestWorldSampler:
     def test_rejects_bad_k(self):
         with pytest.raises(QueryError):
-            WorldSampler([], {}, k=0)
+            WorldSampler(TableColumns.from_ranked([], {}), k=0)
 
     def test_certain_tuple_always_included(self):
         table = build_table([1.0, 0.5], rule_groups=[])
-        sampler = WorldSampler(table.ranked_tuples(), {}, k=2)
+        sampler = WorldSampler(
+            TableColumns.from_ranked(table.ranked_tuples(), {}), k=2
+        )
         rng = np.random.default_rng(0)
         for _ in range(50):
             top, _ = sampler.sample_unit(rng)
@@ -52,7 +55,9 @@ class TestWorldSampler:
     def test_rule_yields_at_most_one_member(self):
         table = build_table([0.5, 0.45], rule_groups=[[0, 1]])
         rule_of = rule_index_of_table(table)
-        sampler = WorldSampler(table.ranked_tuples(), rule_of, k=2)
+        sampler = WorldSampler(
+            TableColumns.from_ranked(table.ranked_tuples(), rule_of), k=2
+        )
         rng = np.random.default_rng(1)
         for _ in range(200):
             top, _ = sampler.sample_unit(rng)
@@ -61,7 +66,9 @@ class TestWorldSampler:
     def test_rule_member_frequencies(self):
         table = build_table([0.6, 0.3], rule_groups=[[0, 1]])
         rule_of = rule_index_of_table(table)
-        sampler = WorldSampler(table.ranked_tuples(), rule_of, k=2)
+        sampler = WorldSampler(
+            TableColumns.from_ranked(table.ranked_tuples(), rule_of), k=2
+        )
         rng = np.random.default_rng(2)
         counts = {"t0": 0, "t1": 0, None: 0}
         n = 20_000
@@ -74,7 +81,9 @@ class TestWorldSampler:
 
     def test_unit_has_at_most_k_tuples(self):
         table = build_table([0.9] * 10, rule_groups=[])
-        sampler = WorldSampler(table.ranked_tuples(), {}, k=3)
+        sampler = WorldSampler(
+            TableColumns.from_ranked(table.ranked_tuples(), {}), k=3
+        )
         rng = np.random.default_rng(3)
         for _ in range(50):
             top, _ = sampler.sample_unit(rng)
@@ -84,7 +93,7 @@ class TestWorldSampler:
         table = build_table([0.9] * 6, rule_groups=[])
         ranked = table.ranked_tuples()
         positions = {t.tid: i for i, t in enumerate(ranked)}
-        sampler = WorldSampler(ranked, {}, k=4)
+        sampler = WorldSampler(TableColumns.from_ranked(ranked, {}), k=4)
         rng = np.random.default_rng(4)
         for _ in range(50):
             top, _ = sampler.sample_unit(rng)
@@ -94,7 +103,9 @@ class TestWorldSampler:
     def test_lazy_scan_length_shorter_than_table(self):
         # high membership probabilities: the k-th inclusion comes early
         table = build_table([0.95] * 100, rule_groups=[])
-        sampler = WorldSampler(table.ranked_tuples(), {}, k=5)
+        sampler = WorldSampler(
+            TableColumns.from_ranked(table.ranked_tuples(), {}), k=5
+        )
         rng = np.random.default_rng(5)
         lengths = [sampler.sample_unit(rng)[1] for _ in range(100)]
         assert max(lengths) < 100
@@ -102,7 +113,10 @@ class TestWorldSampler:
 
     def test_nonlazy_scan_length_is_table_size(self):
         table = build_table([0.95] * 20, rule_groups=[])
-        sampler = WorldSampler(table.ranked_tuples(), {}, k=5, lazy=False)
+        sampler = WorldSampler(
+            TableColumns.from_ranked(table.ranked_tuples(), {}),
+            k=5, lazy=False,
+        )
         rng = np.random.default_rng(6)
         _, scanned = sampler.sample_unit(rng)
         assert scanned == 20
@@ -136,7 +150,7 @@ class TestBatchedSampler:
         rule_of = rule_index_of_table(table)
         ranked = table.ranked_tuples()
         n_units = 4000
-        sampler = WorldSampler(ranked, rule_of, k=2)
+        sampler = WorldSampler(TableColumns.from_ranked(ranked, rule_of), k=2)
         ref_counts, ref_scanned = self._reference_counts(
             sampler, seed=11, n_units=n_units
         )
@@ -169,7 +183,7 @@ class TestBatchedSampler:
     def test_batch_estimates_match_truth_on_random_tables(self, table, k):
         rule_of = rule_index_of_table(table)
         ranked = table.ranked_tuples()
-        sampler = WorldSampler(ranked, rule_of, k=k)
+        sampler = WorldSampler(TableColumns.from_ranked(ranked, rule_of), k=k)
         n_units = 2000
         counts, scanned = sampler.sample_batch(
             np.random.default_rng(5), n_units
@@ -204,7 +218,10 @@ class TestBatchedSampler:
     def test_average_sample_length_matches_per_unit_reference(self):
         table = panda_table()
         sampler = WorldSampler(
-            table.ranked_tuples(), rule_index_of_table(table), k=2
+            TableColumns.from_ranked(
+                table.ranked_tuples(), rule_index_of_table(table)
+            ),
+            k=2
         )
         _, ref_scanned = self._reference_counts(sampler, seed=13, n_units=4000)
         result = sampled_topk_probabilities(
@@ -277,12 +294,14 @@ class TestBatchedSampler:
 
     def test_sample_batch_rejects_nonpositive(self):
         table = build_table([0.5], rule_groups=[])
-        sampler = WorldSampler(table.ranked_tuples(), {}, k=1)
+        sampler = WorldSampler(
+            TableColumns.from_ranked(table.ranked_tuples(), {}), k=1
+        )
         with pytest.raises(SamplingError):
             sampler.sample_batch(np.random.default_rng(0), 0)
 
     def test_empty_ranking(self):
-        sampler = WorldSampler([], {}, k=1)
+        sampler = WorldSampler(TableColumns.from_ranked([], {}), k=1)
         counts, scanned = sampler.sample_batch(np.random.default_rng(0), 8)
         assert counts.size == 0
         assert scanned.tolist() == [0] * 8
