@@ -27,6 +27,7 @@ from repro import obs
 from repro.bench.harness import ExperimentTable
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_table
 from repro.obs import OBS
+from repro.parallel import available_cpus
 from repro.query.engine import UncertainDB
 
 N_TUPLES = 10_000
@@ -93,7 +94,7 @@ def test_obs_overhead_states(db):
         notes=(
             "queries through UncertainDB.ptk with a warm prepare cache; "
             "flight = per-query QueryProfile into the in-memory ring "
-            "(no slow log configured)"
+            f"(no slow log configured); {available_cpus()} usable core(s)"
         ),
     )
     for state, seconds in (

@@ -174,7 +174,7 @@ def test_serve_closed_loop(window_ms):
 
 
 # ----------------------------------------------------------------------
-# Skewed-cost closed loop: FIFO vs cost-ordered scheduling
+# Skewed-cost closed loop: cost-ordered scheduling
 # ----------------------------------------------------------------------
 SKEW_CLIENTS = 12
 SKEW_ROUNDS = 8
@@ -185,7 +185,7 @@ SKEW_CHEAP_K = 5
 SKEW_DEADLINE_MS = 200.0
 
 
-def _skewed_loop(db, name, scheduler, heavy_k):
+def _skewed_loop(db, name, heavy_k):
     """Lockstep closed loop: each round, all clients issue together and
     the coalescer forms one mixed batch (2 heavy scans without
     deadlines, 10 cheap scans with tight ones).  Every client waits for
@@ -199,7 +199,6 @@ def _skewed_loop(db, name, scheduler, heavy_k):
             max_batch=64,
             max_inflight=1,
             max_queue=256,
-            scheduler=scheduler,
             flight_ring=512,
             slow_ms=10_000.0,  # keep the slow log quiet for timing
         ),
@@ -283,21 +282,21 @@ def _post_deadline_exact(profiles):
 
 
 def test_serve_skewed_cost_scheduler():
-    """FIFO vs cost-ordered dispatch under a skewed-cost closed loop.
+    """Cost-ordered dispatch under a skewed-cost closed loop.
 
     Each batch mixes two expensive exact scans (no deadline) with ten
-    cheap scans carrying a tight deadline.  Under FIFO the cheap
-    queries execute behind the expensive head-of-line scans — after
-    their deadline has already passed; the cost scheduler reorders them
-    ahead and re-checks each deadline pre-execution, so no exact scan
-    ever starts (or runs) past its deadline.
+    cheap scans carrying a tight deadline.  In arrival order the cheap
+    queries would execute behind the expensive head-of-line scans,
+    after their deadline had passed; the cost scheduler runs them ahead
+    and re-checks each deadline pre-execution, so no exact scan ever
+    starts (or runs) past its deadline.
     """
     db, name, n_tuples = _make_db()
     heavy_k = max(130, int(400 * bench_scale()))
     db.ptk(name, k=heavy_k, threshold=THRESHOLD)  # warm the prepare cache
 
     result = ExperimentTable(
-        title="Skewed-cost closed loop: FIFO vs cost-ordered scheduling",
+        title="Skewed-cost closed loop: cost-ordered scheduling",
         columns=[
             "scheduler", "cheap_p50_ms", "cheap_p99_ms", "heavy_p99_ms",
             "expired_504", "degraded_preexec", "late_exact", "wall_s",
@@ -312,38 +311,26 @@ def test_serve_skewed_cost_scheduler():
             "executions started/run past deadline (flight profiles)"
         ),
     )
-    runs = {}
     try:
-        for scheduler in ("fifo", "cost"):
-            run = _skewed_loop(db, name, scheduler, heavy_k)
-            runs[scheduler] = run
-            late = _post_deadline_exact(run["profiles"])
-            result.add_row(
-                scheduler,
-                round(_percentile(run["cheap"], 0.50) * 1000, 2),
-                round(_percentile(run["cheap"], 0.99) * 1000, 2),
-                round(_percentile(run["heavy"], 0.99) * 1000, 2),
-                run["expired"],
-                run["degraded_preexec"],
-                len(late),
-                round(run["wall"], 3),
-            )
+        run = _skewed_loop(db, name, heavy_k)
+        late = _post_deadline_exact(run["profiles"])
+        result.add_row(
+            "cost",
+            round(_percentile(run["cheap"], 0.50) * 1000, 2),
+            round(_percentile(run["cheap"], 0.99) * 1000, 2),
+            round(_percentile(run["heavy"], 0.99) * 1000, 2),
+            run["expired"],
+            run["degraded_preexec"],
+            len(late),
+            round(run["wall"], 3),
+        )
     finally:
         obs.disable()
         obs.reset()
         OBS.flight.disable()
         OBS.flight.reset()
 
-    # The tentpole claims, asserted: the cost scheduler never executes
-    # an exact scan past its deadline, FIFO demonstrably does, and the
-    # reordering improves cheap-query tail latency.
-    assert not _post_deadline_exact(runs["cost"]["profiles"])
-    assert _post_deadline_exact(runs["fifo"]["profiles"])
-    fifo_p99 = _percentile(runs["fifo"]["cheap"], 0.99)
-    cost_p99 = _percentile(runs["cost"]["cheap"], 0.99)
-    assert cost_p99 < fifo_p99, (
-        f"cost p99 {cost_p99 * 1000:.1f} ms not better than "
-        f"FIFO p99 {fifo_p99 * 1000:.1f} ms"
-    )
+    # The cost scheduler never executes an exact scan past its deadline.
+    assert not late
 
     emit(result, "serve_scheduler_skew.txt")

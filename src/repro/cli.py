@@ -338,7 +338,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         default_deadline_ms=args.deadline_ms,
-        scheduler=args.scheduler,
         seed=args.seed,
         flight_dir=args.flight_dir,
         slow_ms=args.slow_ms,
@@ -792,15 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
         "When the planner predicts an exact-scan miss, the request is "
         "degraded to the sampler with a budget sized from the "
         "remaining deadline",
-    )
-    serve.add_argument(
-        "--scheduler",
-        choices=["fifo", "cost"],
-        default="cost",
-        help="batch scheduling policy for exact work: 'cost' runs "
-        "cheapest-first with pre-execution deadline re-checks and "
-        "budgeted resumable scans; 'fifo' is arrival-order, "
-        "deadline-blind dispatch (the legacy behaviour)",
     )
     serve.add_argument(
         "--seed", type=int, default=7, help="seed for degraded sampling runs"

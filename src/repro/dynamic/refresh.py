@@ -28,8 +28,8 @@ on its columns:
 A refresh that cannot guarantee the exact cold order returns ``None``
 and the entry dies by ordinary version purge — never a wrong order.
 That happens on a version gap, on a ``remove`` or ``score`` delta
-without the old score, on a written score the float64 column cannot
-hold exactly, and on a score move onto a sort key another tuple holds:
+without the old score, and on a score move onto a sort key another
+tuple holds:
 this needs two tids whose ``str()`` is equal (``1`` and ``"1"``), and
 the true order among them is table insertion order, which surgery
 cannot see.
@@ -144,8 +144,6 @@ def refresh_prepared(
         rule_of, rule_probability = index_rules(table)
     if op in ("add", "score"):
         tup = table.get(delta.tid)
-        if float(tup.score) != tup.score:
-            return None
         key = _sort_key(tup.score, tup.tid)
         # bisect right: a fresh tuple is newest in insertion order, so
         # the stable ranking sort places it after any equal key.

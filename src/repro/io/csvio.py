@@ -32,6 +32,15 @@ def _paths(stem: Union[str, Path]) -> tuple:
     )
 
 
+def _score(text: str):
+    """A score cell: an integer literal stays exact, so the model can
+    refuse one float64 cannot hold instead of rounding it."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def write_table_csv(table: UncertainTable, stem: Union[str, Path]) -> None:
     """Write ``table`` to ``<stem>.tuples.csv`` and ``<stem>.rules.csv``.
 
@@ -96,7 +105,7 @@ def read_table_csv(
             }
             table.add(
                 row["tid"],
-                score=float(row["score"]),
+                score=_score(row["score"]),
                 probability=float(row["probability"]),
                 **attributes,
             )

@@ -53,16 +53,28 @@ def validate_score(value: float, *, what: str = "score") -> float:
     NaN would poison the ranking order (every comparison false) and
     ``±inf`` breaks the ``-score`` sort key and the latency model's
     depth pricing, so both are rejected at the mutation boundary rather
-    than left for the DP to misbehave on downstream.
+    than left for the DP to misbehave on downstream.  So is an integer
+    float64 cannot hold exactly (``2**53 + 1``): the tuple ranking sorts
+    the exact value while the columns (snapshots, the kernel) sort its
+    float64, and the two orders would disagree.
 
-    :raises InvalidScoreError: if the value is NaN, infinite, or not a
-        number.
+    :raises InvalidScoreError: if the value is NaN, infinite, not a
+        number, or not exactly representable as a float64.
     """
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidScoreError(f"{what} must be a real number, got {value!r}")
-    if math.isnan(value) or math.isinf(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float64's range
+        number = math.inf
+    if math.isnan(number) or math.isinf(number):
         raise InvalidScoreError(f"{what} must be finite, got {value!r}")
-    return float(value)
+    if number != value:
+        raise InvalidScoreError(
+            f"{what} must be exactly representable as a float64, "
+            f"got {value!r}"
+        )
+    return number
 
 
 @dataclass(frozen=True)

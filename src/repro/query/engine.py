@@ -535,6 +535,9 @@ class UncertainDB:
         :returns: a dict with the predicted scan depth / fraction (see
             :mod:`repro.query.planner`) and the heuristic exact-vs-
             sampling recommendation.
+
+        Every estimate reads the statistics cached on the table's
+        default-shape preparation, computed at most once per version.
         """
         from repro.query.planner import (
             choose_method,
@@ -542,18 +545,27 @@ class UncertainDB:
             estimate_scan_depth,
         )
 
-        table = self.table(name)
-        estimate = estimate_scan_depth(table, k, threshold)
+        with self.table_lock(name):
+            table = self.table(name)
+            statistics = self._prepare_cache.get(
+                table, TopKQuery(k=k)
+            ).statistics
+        estimate = estimate_scan_depth(
+            table, k, threshold, statistics=statistics
+        )
         report = {
             "table": name,
             "n_tuples": len(table),
             "estimated_scan_depth": estimate.depth,
             "estimated_fraction": estimate.fraction,
-            "recommended_method": choose_method(table, k, threshold),
+            "recommended_method": choose_method(
+                table, k, threshold, statistics=statistics
+            ),
         }
         if latency_model is not None:
             latency = estimate_latency(
-                table, k, threshold, model=latency_model
+                table, k, threshold, model=latency_model,
+                statistics=statistics,
             )
             report["predicted_exact_seconds"] = latency.exact_seconds
             report["predicted_seconds_per_sample_unit"] = (

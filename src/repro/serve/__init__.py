@@ -11,7 +11,7 @@ An asyncio HTTP/1.1 service (stdlib only) hosting an
   concurrent requests.
 * :mod:`~repro.serve.scheduler` — cost-based batch scheduling: exact
   work cheapest-first, pre-execution deadline re-checks, budgeted
-  resumable scans (``--scheduler fifo|cost``).
+  resumable scans.
 * :mod:`~repro.serve.admission` — bounded queue, ``max_inflight``, 429
   rejection with ``Retry-After``.
 * :mod:`~repro.serve.protocol` — JSON request/response schema and the
@@ -36,12 +36,7 @@ from repro.serve.client import (
     ServeClientError,
 )
 from repro.serve.coalescer import RequestCoalescer
-from repro.serve.scheduler import (
-    CostScheduler,
-    ExactTask,
-    FifoScheduler,
-    make_scheduler,
-)
+from repro.serve.scheduler import CostScheduler, ExactTask
 from repro.serve.protocol import (
     DeadlineExceededError,
     MutationRequest,
@@ -58,7 +53,6 @@ __all__ = [
     "CostScheduler",
     "DeadlineExceededError",
     "ExactTask",
-    "FifoScheduler",
     "HTTPTransport",
     "LoopbackTransport",
     "MutationRequest",
@@ -72,7 +66,6 @@ __all__ = [
     "ServeClientError",
     "ServeConfig",
     "StaleReadError",
-    "make_scheduler",
     "run",
     "serve",
 ]

@@ -382,10 +382,12 @@ class MutationRequest:
 
 
 def _number(payload: Mapping[str, Any], key: str) -> float:
+    """A JSON number, as parsed: an integer stays exact so the model
+    can refuse a score float64 cannot hold instead of rounding it."""
     value = _require(payload, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return value
 
 
 def error_body(error: str, message: str, **extra: Any) -> Dict[str, Any]:

@@ -1,11 +1,12 @@
 """Cost-based batch scheduling: cheapest-first exact dispatch.
 
-The coalescer hands ``_run_batch`` a micro-batch whose exact work used
-to execute in arrival order with deadlines checked once, at batch
-start — a request whose deadline expired *while earlier items ran*
-still burned a full exact scan.  The scheduler closes that hole with
-the litmus discipline (sort by cost, propagate timeouts to costlier
-queries, re-execute interrupted work incrementally):
+The coalescer hands ``_run_batch`` a micro-batch.  Running its exact
+work in arrival order, with deadlines checked once at batch start,
+would let a request whose deadline expired *while earlier items ran*
+still burn a full exact scan.  :class:`CostScheduler`, the serving
+layer's one policy, closes that hole with the litmus discipline (sort
+by cost, propagate timeouts to costlier queries, re-execute
+interrupted work incrementally):
 
 1. **Order.**  After the planner prices every item
    (:class:`~repro.query.planner.LatencyEstimate`), exact work runs
@@ -13,9 +14,9 @@ queries, re-execute interrupted work incrementally):
    no longer queue behind one expensive scan; under a convex cost
    distribution this is the SJF ordering that minimises mean wait.
 2. **Re-decide.**  Immediately before each item executes, its
-   *remaining* deadline is re-read against the scheduler's running
-   clock and the item's own estimate.  An item that can no longer fit
-   degrades to the sampler (with a
+   *remaining* deadline is re-read against the clock and the item's
+   own estimate.  An item that can no longer fit degrades to the
+   sampler (with a
    :meth:`~repro.core.sampling.SamplingConfig.for_deadline` budget)
    *before* the exact scan starts — counted by
    ``repro_serve_degraded_preexec_total`` — and an item whose deadline
@@ -26,11 +27,6 @@ queries, re-execute interrupted work incrementally):
    a mispriced scan is cut off at its deadline instead of blowing it:
    the client gets a partial answer and the server keeps a
    :class:`~repro.core.exact.ScanCheckpoint` to resume on retry.
-
-:class:`FifoScheduler` preserves the historical deadline-blind
-behaviour — arrival order, no re-check, no budget — both as an escape
-hatch (``repro serve --scheduler fifo``) and as the baseline the
-``bench_serve`` skewed-cost closed loop measures against.
 
 Decisions are plain strings so the serving layer can stamp them
 verbatim into flight-recorder profiles and response ``scheduler``
@@ -44,10 +40,6 @@ from typing import List, Optional, Sequence
 
 from repro.query.planner import LatencyEstimate
 
-#: Scheduler policies selectable via ``ServeConfig.scheduler`` / the
-#: ``repro serve --scheduler`` flag.
-SCHEDULERS = ("fifo", "cost")
-
 
 @dataclass(frozen=True)
 class ExactTask:
@@ -60,35 +52,6 @@ class ExactTask:
 
     position: int
     estimate: LatencyEstimate
-
-
-class FifoScheduler:
-    """Arrival-order dispatch, deadlines checked only at batch start.
-
-    This is the pre-scheduler behaviour, kept bit-for-bit: no
-    reordering, every planned item runs unbudgeted even if its deadline
-    has since expired.  It exists as the benchmark baseline and as an
-    operational escape hatch.
-    """
-
-    name = "fifo"
-
-    def order(self, tasks: Sequence[ExactTask]) -> List[ExactTask]:
-        """Arrival order, unchanged."""
-        return list(tasks)
-
-    def decide(
-        self, remaining: Optional[float], estimated_seconds: float,
-        safety: float, can_degrade: bool = True,
-    ) -> str:
-        """Always ``"run"`` — FIFO never re-checks deadlines."""
-        return "run"
-
-    def budget(
-        self, remaining: Optional[float], safety: float
-    ) -> Optional[float]:
-        """No budget: FIFO scans run to their natural stop."""
-        return None
 
 
 class CostScheduler:
@@ -149,13 +112,3 @@ class CostScheduler:
             return None
         return max(remaining, 0.0) * safety
 
-
-def make_scheduler(name: str):
-    """Resolve a scheduler policy by name (``fifo`` or ``cost``)."""
-    if name == "fifo":
-        return FifoScheduler()
-    if name == "cost":
-        return CostScheduler()
-    raise ValueError(
-        f"unknown scheduler {name!r}; expected one of {list(SCHEDULERS)}"
-    )

@@ -9,11 +9,12 @@ Architecture (one process, one event loop, a small thread pool)::
                       RequestCoalescer  -- per-table micro-batches
                             |
                             v  (thread pool, max_inflight wide)
-                      _run_batch: one PrepareCache.get for the batch,
-                      exact work ordered cheapest-first by the batch
-                      scheduler (re-checking deadlines before each
-                      item), degraded requests through the sampler
-                      with a deadline-sized budget
+                      _run_batch: one PrepareCache.get for the batch;
+                      decide (expire / dynamic index / plan) per item,
+                      then serve each item through one record: dynamic
+                      answers, exact work cheapest-first (re-checking
+                      deadlines before each item), sampled items with
+                      a deadline-sized budget
 
 The interesting decision is **deadline-aware degradation**: before
 running the exact algorithm for a request carrying a deadline, the
@@ -34,7 +35,10 @@ executes (degrading or failing it *before* any scan starts), and the
 scan itself runs under a wall-clock budget — a cut-off scan returns a
 partial answer and parks a :class:`~repro.core.exact.ScanCheckpoint`
 keyed by (table, version, k, threshold, variant) so an identical retry
-resumes from the scanned prefix instead of restarting.
+resumes from the scanned prefix instead of restarting.  Whichever way
+an item is answered (dynamic index, exact, sampled, or expired), it
+lands exactly one ``served`` flight profile, and its serve counter is
+bumped from that same record.
 
 Endpoints: ``POST /query``, ``GET /healthz``, ``GET /tables``,
 ``GET /metrics`` (Prometheus text from :mod:`repro.obs`).
@@ -75,12 +79,12 @@ from repro.obs import OBS, catalogued
 from repro.obs import export as obs_export
 from repro.obs import flight
 from repro.query.engine import UncertainDB
-from repro.query.planner import LatencyModel, estimate_latency
+from repro.query.planner import LatencyEstimate, LatencyModel, estimate_latency
 from repro.query.prepare import PreparedRanking
 from repro.query.topk import TopKQuery
 from repro.serve.admission import AdmissionController
 from repro.serve.coalescer import RequestCoalescer
-from repro.serve.scheduler import ExactTask, make_scheduler
+from repro.serve.scheduler import CostScheduler, ExactTask
 from repro.serve.protocol import (
     DeadlineExceededError,
     MutationRequest,
@@ -120,10 +124,6 @@ class ServeConfig:
     :param deadline_safety: fraction of the remaining deadline the
         planner's exact-latency prediction must fit within; the rest
         absorbs estimation error and response serialisation.
-    :param scheduler: batch-scheduling policy for exact work: ``cost``
-        (cheapest-first, pre-execution deadline re-checks, budgeted
-        resumable scans) or ``fifo`` (arrival order, deadline-blind —
-        the historical behaviour, kept as baseline/escape hatch).
     :param max_checkpoints: bound on parked deadline checkpoints held
         for resumption (oldest evicted first).
     :param min_sample_budget: floor on degraded sampling budgets.
@@ -158,7 +158,6 @@ class ServeConfig:
     max_queue: int = 64
     default_deadline_ms: Optional[float] = None
     deadline_safety: float = 0.5
-    scheduler: str = "cost"
     max_checkpoints: int = 64
     min_sample_budget: int = 100
     seed: Optional[int] = 7
@@ -179,6 +178,52 @@ class _Work:
     request: QueryRequest
     deadline: Optional[float]  # absolute time.monotonic() timestamp
     arrived: float
+
+
+@dataclass
+class _Batch:
+    """What every item of one micro-batch shares."""
+
+    name: str
+    table: Any
+    prepared: PreparedRanking
+    size: int
+    prepare_hit: Optional[bool]
+
+    def checkpoint_key(self, request: QueryRequest) -> Tuple:
+        """Parked-checkpoint key of one request's query shape.
+
+        Keyed by the scanned preparation's version, not the live
+        table's: a write may have landed since the snapshot.
+        """
+        return (
+            self.name, self.prepared.source_version, request.k,
+            request.threshold,
+        )
+
+
+@dataclass
+class _Item:
+    """One batch item on its way from the decide phase to its record.
+
+    ``route`` is the one path the item takes: ``dynamic`` (answered
+    from the incremental index; ``answer`` and ``elapsed`` set),
+    ``exact`` (planned; re-checked by the scheduler before it runs),
+    ``sampled`` (planned or degraded; ``config`` set) or ``expired``.
+    """
+
+    position: int
+    work: _Work
+    remaining: Optional[float]
+    route: str
+    estimate: Optional[LatencyEstimate] = None
+    config: Optional[SamplingConfig] = None
+    degraded: bool = False
+    answer: Optional[PTKAnswer] = None
+    elapsed: Optional[float] = None
+    queue_position: int = 0
+    scheduler: Optional[Dict[str, Any]] = None
+    checkpoint: Optional[ScanCheckpoint] = None
 
 
 class ServeApp:
@@ -209,7 +254,7 @@ class ServeApp:
         self.replication = replication
         self.config = config or ServeConfig()
         self.latency_model = latency_model or LatencyModel()
-        self.scheduler = make_scheduler(self.config.scheduler)
+        self.scheduler = CostScheduler()
         # Deadline checkpoints parked for resumption, keyed by
         # (table name, table version, k, threshold).  Bounded FIFO:
         # checkpoints are best-effort latency savings, not state.
@@ -799,11 +844,17 @@ class ServeApp:
 
         One :meth:`PrepareCache.get` covers the whole batch — the cache
         key ignores k, so mixed-k requests still share the entry — and
-        both the exact path and the degraded sampling path take the
-        shared preparation via explicit ``prepared=``.  Returns one
-        ``QueryResponse`` or ``Exception`` per item; when ``complete``
-        is given, each item is additionally resolved through it the
-        moment its result is ready (items the scheduler answers early
+        every engine takes that shared preparation via ``prepared=``.
+
+        Two phases.  The *decide* phase opens no profile: each item is
+        expired (its deadline passed before dispatch), answered from the
+        dynamic index, or planned exact or sampled.  The *execute* phase
+        then serves dispatch expiries and dynamic answers in arrival
+        order, exact work cheapest-first (the scheduler's order), and
+        planned-sampled items last, each through :meth:`_serve_item`.
+        Returns one ``QueryResponse`` or ``Exception`` per item; when
+        ``complete`` is given, each item is additionally resolved
+        through it the moment its result is ready (items served early
         do not wait for the rest of the batch).
         """
         try:
@@ -826,32 +877,22 @@ class ServeApp:
         note_served = getattr(self.db, "note_served", None)
         if note_served is not None:
             note_served(name, max_k, defer=True)
-        recorder = OBS.flight if OBS.enabled else None
         # The batch-level PrepareCache.get above ran before any per-item
         # profile opened; its outcome was parked per-thread.
-        prepare_hit = recorder.consume_prepare() if recorder else None
+        batch = _Batch(
+            name, table, prepared, len(items),
+            OBS.flight.consume_prepare() if OBS.enabled else None,
+        )
 
-        results: List[Any] = [None] * len(items)
-
-        def finish(position: int, result: Any) -> None:
-            results[position] = result
-            if complete is not None:
-                complete(position, result)
-
-        exact_tasks: List[ExactTask] = []
-        sampled_plans: List[
-            Tuple[int, SamplingConfig, bool, Any, Optional[float]]
-        ] = []
         registry = self.db.dynamic
         now = time.monotonic()
+        decided: List[_Item] = []
         for position, work in enumerate(items):
             remaining = None if work.deadline is None else work.deadline - now
+            item = _Item(position, work, remaining, "expired")
+            decided.append(item)
             if remaining is not None and remaining <= 0:
-                finish(position, self._expired_item(
-                    name, work, remaining, "dispatch", len(items),
-                    recorder, prepare_hit,
-                ))
-                continue
+                continue  # expired at dispatch
             # Dynamic fast path: serve straight from the maintained
             # incremental index (byte-identical to the cold columnar
             # scan).  Explicitly sampled requests keep their semantics;
@@ -859,143 +900,89 @@ class ServeApp:
             if registry is not None and work.request.mode != "sampled":
                 started = time.perf_counter()
                 with table_lock:
-                    answer = registry.answer(
+                    item.answer = registry.answer(
                         name, table, work.request.k, work.request.threshold
                     )
-                if answer is not None:
-                    elapsed = time.perf_counter() - started
-                    if recorder is not None:
-                        profile = recorder.begin(
-                            "served",
-                            table=name,
-                            k=work.request.k,
-                            threshold=work.request.threshold,
-                        )
-                        if profile is not None:
-                            recorder.finish(
-                                profile,
-                                served=True,
-                                outcome="ok",
-                                mode="dynamic",
-                                degraded=False,
-                                batch_size=len(items),
-                                actual_seconds=elapsed,
-                                deadline_remaining_ms=(
-                                    remaining * 1000.0
-                                    if remaining is not None
-                                    else None
-                                ),
-                                prepare_hit=prepare_hit,
-                                dynamic=self._dynamic_profile(name),
-                            )
-                    finish(position, self._response(
-                        work, answer, "dynamic", False, len(items),
-                    ))
+                if item.answer is not None:
+                    item.route = "dynamic"
+                    item.elapsed = time.perf_counter() - started
                     continue
-            mode, config, degraded, estimate = self._plan(
+            item.route, item.config, item.degraded, item.estimate = self._plan(
                 table, work.request, remaining, prepared
             )
-            if mode == "exact":
-                exact_tasks.append(ExactTask(position, estimate))
-            else:
-                sampled_plans.append(
-                    (position, config, degraded, estimate, remaining)
-                )
-                if OBS.enabled and degraded:
-                    catalogued("repro_serve_degraded_total").inc()
 
         # Exact work: one Theorem-5-pruned columnar read per request
-        # over the *shared* preparation's columns, dispatched in the
-        # scheduler's order (cheapest predicted scan first under the
-        # cost policy) with a pre-execution deadline re-check per
-        # item.  The unpruned batch path (``batch_ptk_queries``)
-        # would price every row of each k's column, while pruned reads
-        # stop at the depth the latency model actually prices.
-        safety = self.config.deadline_safety
-        for queue_position, task in enumerate(self.scheduler.order(exact_tasks)):
-            work = items[task.position]
-            now = time.monotonic()
-            remaining = None if work.deadline is None else work.deadline - now
-            # Keyed by the scanned preparation's version, not the live
-            # table's: a write may have landed since the snapshot.
-            checkpoint_key = (
-                name, prepared.source_version, work.request.k,
-                work.request.threshold,
+        # over the shared preparation's columns, cheapest predicted scan
+        # first.  The unpruned batch path (``batch_ptk_queries``) would
+        # price every row of each k's column, while pruned reads stop at
+        # the depth the latency model actually prices.
+        exact = self.scheduler.order([
+            ExactTask(item.position, item.estimate)
+            for item in decided if item.route == "exact"
+        ])
+        for queue_position, task in enumerate(exact):
+            decided[task.position].queue_position = queue_position
+        results: List[Any] = [None] * len(items)
+        for item in (
+            [item for item in decided if item.route in ("expired", "dynamic")]
+            + [decided[task.position] for task in exact]
+            + [item for item in decided if item.route == "sampled"]
+        ):
+            results[item.position] = result = self._serve_item(batch, item)
+            if complete is not None:
+                complete(item.position, result)
+        return results
+
+    def _serve_item(self, batch: _Batch, item: _Item) -> Any:
+        """Run one decided item and finish its one ``served`` record.
+
+        A planned exact item is first re-checked against the time it has
+        left (:meth:`_recheck`), which may re-route it.  The profile then
+        opens just before the work, so it is the thread's active one
+        while the engine runs (the exact engine and the sampler fill it
+        through ``OBS.flight.current()``), and one record both finishes
+        the profile and bumps the outcome's serve counter.  Returns the
+        item's ``QueryResponse`` or ``DeadlineExceededError``.
+        """
+        if item.route == "exact":
+            self._recheck(batch, item)
+        request = item.work.request
+        query = TopKQuery(k=request.k)
+        recorder = OBS.flight if OBS.enabled else None
+        profile = (
+            recorder.begin(
+                "served", table=batch.name, k=request.k,
+                threshold=request.threshold,
             )
-            checkpoint = self._take_checkpoint(checkpoint_key)
-            estimated = (
-                self.latency_model.predict_resume_seconds(
-                    checkpoint.depth, task.estimate.depth
-                )
-                if checkpoint is not None
-                else task.estimate.exact_seconds
-            )
-            decision = self.scheduler.decide(
-                remaining, estimated, safety,
-                can_degrade=work.request.mode != "exact",
-            )
-            sched_info: Dict[str, Any] = {
-                "policy": self.scheduler.name,
-                "queue_position": queue_position,
-                "estimated_seconds": estimated,
-                "decision": decision,
-            }
-            if checkpoint is not None:
-                sched_info["resumed_from_depth"] = checkpoint.depth
-            if decision == "expired":
-                if checkpoint is not None:
-                    self._store_checkpoint(checkpoint_key, checkpoint)
-                finish(task.position, self._expired_item(
-                    name, work, remaining, "pre-exec", len(items),
-                    recorder, prepare_hit, sched_info,
-                ))
-                continue
-            if decision == "degrade":
-                if checkpoint is not None:
-                    self._store_checkpoint(checkpoint_key, checkpoint)
-                    sched_info.pop("resumed_from_depth", None)
-                if OBS.enabled:
-                    catalogued("repro_serve_degraded_preexec_total").inc()
-                    catalogued("repro_serve_degraded_total").inc()
-                config = self._sampling_config(
-                    work.request, remaining, task.estimate
-                )
-                finish(task.position, self._run_sampled_item(
-                    table, name, work, config, True, task.estimate,
-                    remaining, prepared, recorder, prepare_hit,
-                    len(items), sched_info,
-                ))
-                continue
-            profile = (
-                recorder.begin(
-                    "served",
-                    table=name,
-                    k=work.request.k,
-                    threshold=work.request.threshold,
-                )
-                if recorder
-                else None
-            )
-            budget = self.scheduler.budget(remaining, safety)
-            started = time.perf_counter()
+            if recorder
+            else None
+        )
+        record: Dict[str, Any] = {
+            "outcome": "ok", "mode": item.route, "degraded": item.degraded,
+        }
+        answer: Optional[PTKAnswer] = None
+        elapsed: Optional[float] = None
+        started = time.perf_counter()
+        if item.route == "exact":
             answer = exact_ptk_query(
-                table,
-                TopKQuery(k=work.request.k),
-                work.request.threshold,
-                prepared=prepared,
+                batch.table,
+                query,
+                request.threshold,
+                prepared=batch.prepared,
                 columnar=True,
-                deadline_seconds=budget,
-                resume=checkpoint,
+                deadline_seconds=self.scheduler.budget(
+                    item.remaining, self.config.deadline_safety
+                ),
+                resume=item.checkpoint,
             )
             elapsed = time.perf_counter() - started
-            partial = answer.checkpoint is not None
-            if partial:
-                self._store_checkpoint(checkpoint_key, answer.checkpoint)
-                sched_info["checkpoint_depth"] = answer.stats.scan_depth
-            if checkpoint is not None:
-                if OBS.enabled:
-                    catalogued("repro_serve_resumed_scans_total").inc()
-            else:
+            if answer.checkpoint is not None:
+                self._store_checkpoint(
+                    batch.checkpoint_key(request), answer.checkpoint
+                )
+                item.scheduler["checkpoint_depth"] = answer.stats.scan_depth
+                record["outcome"] = "deadline-partial"
+            if item.checkpoint is None:
                 # Per-item calibration: the rows this item priced with
                 # this item's clock.  (Batch-aggregated observations
                 # paired one item's depth with another item's time and
@@ -1005,139 +992,105 @@ class ServeApp:
                 self.latency_model.observe_exact(
                     answer.stats.tuples_evaluated, elapsed
                 )
-            if profile is not None:
-                recorder.finish(
-                    profile,
-                    served=True,
-                    outcome="deadline-partial" if partial else "ok",
-                    mode="exact",
-                    degraded=False,
-                    batch_size=len(items),
-                    estimated_seconds=estimated,
-                    actual_seconds=elapsed,
-                    deadline_remaining_ms=(
-                        remaining * 1000.0 if remaining is not None else None
-                    ),
-                    prepare_hit=prepare_hit,
-                    scheduler=dict(sched_info),
-                )
-            finish(task.position, self._response(
-                work, answer, "exact", False, len(items),
-                partial=partial, scheduler=sched_info,
-            ))
-
-        for position, config, degraded, estimate, remaining in sampled_plans:
-            finish(position, self._run_sampled_item(
-                table, name, items[position], config, degraded, estimate,
-                remaining, prepared, recorder, prepare_hit, len(items),
-            ))
-        return results
-
-    def _expired_item(
-        self,
-        name: str,
-        work: _Work,
-        remaining: Optional[float],
-        stage: str,
-        batch_size: int,
-        recorder,
-        prepare_hit: Optional[bool],
-        sched_info: Optional[Dict[str, Any]] = None,
-    ) -> DeadlineExceededError:
-        """Account one batch item whose deadline has already passed.
-
-        ``stage`` says where the expiry was caught: ``dispatch`` (the
-        batch-start sweep) or ``pre-exec`` (the scheduler's re-check
-        immediately before the item would have run).
-        """
-        if OBS.enabled:
-            catalogued("repro_serve_deadline_expired_total").inc(stage=stage)
-        if recorder is not None:
-            expired = recorder.begin(
-                "served",
-                table=name,
-                k=work.request.k,
-                threshold=work.request.threshold,
+            record["estimated_seconds"] = item.scheduler["estimated_seconds"]
+        elif item.route == "sampled":
+            answer = sampled_ptk_query(
+                batch.table,
+                query,
+                request.threshold,
+                config=item.config,
+                prepared=batch.prepared,
             )
-            if expired is not None:
-                recorder.finish(
-                    expired,
-                    served=True,
-                    outcome="deadline-expired",
-                    batch_size=batch_size,
-                    deadline_remaining_ms=(
-                        remaining * 1000.0 if remaining is not None else None
-                    ),
-                    prepare_hit=prepare_hit,
-                    scheduler=dict(sched_info) if sched_info else None,
-                )
-        return DeadlineExceededError(
-            f"deadline expired before {stage} "
-            f"(table {name!r}, k={work.request.k})"
-        )
-
-    def _run_sampled_item(
-        self,
-        table,
-        name: str,
-        work: _Work,
-        config: SamplingConfig,
-        degraded: bool,
-        estimate,
-        remaining: Optional[float],
-        prepared: PreparedRanking,
-        recorder,
-        prepare_hit: Optional[bool],
-        batch_size: int,
-        sched_info: Optional[Dict[str, Any]] = None,
-    ) -> QueryResponse:
-        """Answer one item through the sampler (planned or degraded)."""
-        profile = (
-            recorder.begin(
-                "served",
-                table=name,
-                k=work.request.k,
-                threshold=work.request.threshold,
+            elapsed = time.perf_counter() - started
+            self.latency_model.observe_sampled(
+                answer.stats.sample_units,
+                answer.stats.avg_sample_length,
+                elapsed,
             )
-            if recorder
-            else None
-        )
-        started = time.perf_counter()
-        answer = sampled_ptk_query(
-            table,
-            TopKQuery(k=work.request.k),
-            work.request.threshold,
-            config=config,
-            prepared=prepared,
-        )
-        elapsed = time.perf_counter() - started
-        self.latency_model.observe_sampled(
-            answer.stats.sample_units,
-            answer.stats.avg_sample_length,
-            elapsed,
+            record["estimated_seconds"] = (
+                self.latency_model.predict_sampled_seconds(
+                    item.config.resolved_sample_size(),
+                    item.estimate.expected_unit_length,
+                )
+            )
+        elif item.route == "dynamic":
+            answer, elapsed = item.answer, item.elapsed
+            record["dynamic"] = self._dynamic_profile(batch.name)
+        else:
+            record.update(outcome="deadline-expired", mode=None, degraded=None)
+        record.update(
+            served=True,
+            batch_size=batch.size,
+            actual_seconds=elapsed,
+            deadline_remaining_ms=(
+                item.remaining * 1000.0 if item.remaining is not None else None
+            ),
+            prepare_hit=batch.prepare_hit,
+            scheduler=dict(item.scheduler) if item.scheduler else None,
         )
         if profile is not None:
-            recorder.finish(
-                profile,
-                served=True,
-                outcome="ok",
-                mode="sampled",
-                degraded=degraded,
-                batch_size=batch_size,
-                estimated_seconds=self.latency_model.predict_sampled_seconds(
-                    config.resolved_sample_size(),
-                    estimate.expected_unit_length,
-                ),
-                actual_seconds=elapsed,
-                deadline_remaining_ms=(
-                    remaining * 1000.0 if remaining is not None else None
-                ),
-                prepare_hit=prepare_hit,
-                scheduler=dict(sched_info) if sched_info else None,
+            recorder.finish(profile, **record)
+        # Only a pre-execution re-check gives an item a scheduler block.
+        stage = "pre-exec" if item.scheduler else "dispatch"
+        if OBS.enabled:
+            _count_served(record, stage)
+        if answer is None:
+            return DeadlineExceededError(
+                f"deadline expired before {stage} "
+                f"(table {batch.name!r}, k={request.k})"
             )
         return self._response(
-            work, answer, "sampled", degraded, batch_size,
-            scheduler=sched_info,
+            item.work, answer, item.route, item.degraded, batch.size,
+            partial=record["outcome"] == "deadline-partial",
+            scheduler=item.scheduler,
+        )
+
+    def _recheck(self, batch: _Batch, item: _Item) -> None:
+        """Re-decide a planned exact item just before it would run.
+
+        Reads the item's remaining deadline off the clock, claims any
+        parked checkpoint for its query shape (so only the unscanned
+        suffix is priced), and asks the scheduler.  ``expired`` fails
+        the item fast and ``degrade`` sends it to the sampler with a
+        deadline-sized budget, both before any scan starts and both
+        parking the checkpoint again for a later retry.
+        """
+        request = item.work.request
+        deadline = item.work.deadline
+        item.remaining = None if deadline is None else deadline - time.monotonic()
+        key = batch.checkpoint_key(request)
+        checkpoint = self._take_checkpoint(key)
+        estimated = (
+            self.latency_model.predict_resume_seconds(
+                checkpoint.depth, item.estimate.depth
+            )
+            if checkpoint is not None
+            else item.estimate.exact_seconds
+        )
+        decision = self.scheduler.decide(
+            item.remaining, estimated, self.config.deadline_safety,
+            can_degrade=request.mode != "exact",
+        )
+        item.scheduler = {
+            "policy": self.scheduler.name,
+            "queue_position": item.queue_position,
+            "estimated_seconds": estimated,
+            "decision": decision,
+        }
+        if checkpoint is not None:
+            item.scheduler["resumed_from_depth"] = checkpoint.depth
+        if decision == "run":
+            item.checkpoint = checkpoint
+            return
+        if checkpoint is not None:
+            self._store_checkpoint(key, checkpoint)
+        if decision == "expired":
+            item.route = "expired"
+            return
+        item.scheduler.pop("resumed_from_depth", None)
+        item.route, item.degraded = "sampled", True
+        item.config = self._sampling_config(
+            request, item.remaining, item.estimate
         )
 
     # ------------------------------------------------------------------
@@ -1296,6 +1249,19 @@ class ServeApp:
     def _count_request(endpoint: str) -> None:
         if OBS.enabled:
             catalogued("repro_serve_requests_total").inc(endpoint=endpoint)
+
+
+def _count_served(record: Dict[str, Any], stage: str) -> None:
+    """Bump the serve counter of one finished item's outcome."""
+    scheduler = record["scheduler"] or {}
+    if record["outcome"] == "deadline-expired":
+        catalogued("repro_serve_deadline_expired_total").inc(stage=stage)
+    elif record["degraded"]:
+        catalogued("repro_serve_degraded_total").inc()
+        if scheduler.get("decision") == "degrade":
+            catalogued("repro_serve_degraded_preexec_total").inc()
+    elif record["mode"] == "exact" and "resumed_from_depth" in scheduler:
+        catalogued("repro_serve_resumed_scans_total").inc()
 
 
 def _consume_flush_outcome(future: "asyncio.Future[int]") -> None:

@@ -97,6 +97,99 @@ class TestScoreValidation:
         assert ranked == ["b", "a"]
 
 
+#: The smallest positive integer float64 cannot hold exactly.
+UNREPRESENTABLE = 2**53 + 1
+
+
+class TestFloat64Scores:
+    """Scores must survive float64 exactly: the tuple ranking sorts the
+    exact value while the columns (snapshots, the kernel) sort its
+    float64, so 2**53 and 2**53 + 1 would rank differently in each."""
+
+    def test_table_build_rejects(self):
+        table = UncertainTable(name="t")
+        with pytest.raises(InvalidScoreError, match="float64"):
+            table.add("x", UNREPRESENTABLE, 0.5)
+        assert len(table) == 0
+
+    def test_engine_writes_reject(self):
+        db = make_db()
+        version = db.table("t").version
+        with pytest.raises(InvalidScoreError):
+            db.add("t", "c", UNREPRESENTABLE, 0.5)
+        with pytest.raises(InvalidScoreError):
+            db.update_score("t", "a", UNREPRESENTABLE)
+        assert db.table("t").version == version
+        assert db.table("t").get("a").score == 10.0
+
+    def test_json_load_rejects(self, tmp_path):
+        from repro.io.jsonio import read_table_json
+
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"name": "t", "tuples": [{"tid": "x", "score": '
+            f"{UNREPRESENTABLE}" ', "probability": 0.5}]}'
+        )
+        with pytest.raises(InvalidScoreError):
+            read_table_json(path)
+
+    def test_csv_load_rejects(self, tmp_path):
+        from repro.io.csvio import read_table_csv
+
+        (tmp_path / "t.tuples.csv").write_text(
+            f"tid,score,probability\nx,{UNREPRESENTABLE},0.5\n"
+        )
+        with pytest.raises(InvalidScoreError):
+            read_table_csv(tmp_path / "t", name="t")
+
+    def test_mutate_endpoint_answers_400(self):
+        from repro.serve.client import (
+            LoopbackTransport, ServeClient, ServeClientError,
+        )
+        from repro.serve.server import ServeApp, ServeConfig
+
+        db = make_db()
+        version = db.table("t").version
+        app = ServeApp(db, ServeConfig(window_ms=0.0, enable_obs=False))
+        with LoopbackTransport(app) as transport:
+            client = ServeClient(transport)
+            for payload in [
+                {"op": "add", "table": "t", "tid": "c",
+                 "score": UNREPRESENTABLE, "probability": 0.5},
+                {"op": "score", "table": "t", "tid": "a",
+                 "score": UNREPRESENTABLE},
+            ]:
+                with pytest.raises(ServeClientError) as err:
+                    client.mutate(payload)
+                assert err.value.status == 400
+        assert db.table("t").version == version
+
+    def test_live_refreshed_and_snapshot_rankings_agree(self, tmp_path):
+        from repro.durable.snapshot import open_snapshot_columns, write_snapshot
+        from repro.dynamic import TableDelta, refresh_prepared
+        from repro.query.prepare import prepare_ranking
+        from repro.query.topk import TopKQuery
+
+        table = UncertainTable(name="t")
+        table.add("a", 2**53, 0.5)
+        table.add("c", 1, 0.5)
+        prepared = prepare_ranking(table, TopKQuery(k=1))
+        previous = table.version
+        table.add("b", 2**53 + 2, 0.5)
+        refreshed = refresh_prepared(prepared, table, TableDelta(
+            "t", "add", previous, table.version, tid="b",
+            score=2**53 + 2, probability=0.5,
+        ))
+        assert refreshed is not None
+        live = prepare_ranking(table, TopKQuery(k=1)).columns.tids
+        snapshot = open_snapshot_columns(
+            write_snapshot(table, tmp_path)
+        ).ranked_columns.tids
+        assert tuple(live) == ("b", "a", "c")
+        assert tuple(refreshed.columns.tids) == tuple(live)
+        assert tuple(snapshot) == tuple(live)
+
+
 class TestDuplicateAndUnknown:
     def test_duplicate_tid_rejected(self):
         db = make_db()

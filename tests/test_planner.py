@@ -219,3 +219,52 @@ class TestLatencyModel:
         assert rich["predicted_exact_seconds"] > 0
         assert rich["predicted_seconds_per_sample_unit"] > 0
         assert rich["expected_sample_unit_length"] > 0
+
+    def test_explain_plan_computes_statistics_once(self, monkeypatch):
+        from repro.model.statistics import TableStatistics
+        from repro.query.engine import UncertainDB
+        from repro.query.planner import LatencyModel, estimate_latency
+
+        db = UncertainDB()
+        db.register(self.workload(), name="w")
+        table = db.table("w")
+        real = TableStatistics.from_columns.__func__
+        calls = []
+
+        def counting(cls, *args):
+            calls.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(
+            TableStatistics, "from_columns", classmethod(counting)
+        )
+        report = db.explain_plan(
+            "w", k=50, threshold=0.3, latency_model=LatencyModel()
+        )
+        assert len(calls) == 1
+        monkeypatch.undo()
+        # The report the planner gives from the table's own statistics:
+        # counts exact, float summaries equal to the last bits.
+        statistics = collect_statistics(table)
+        estimate = estimate_scan_depth(table, 50, 0.3, statistics=statistics)
+        latency = estimate_latency(
+            table, 50, 0.3, model=LatencyModel(), statistics=statistics
+        )
+        assert report == {
+            "table": "w",
+            "n_tuples": len(table),
+            "estimated_scan_depth": estimate.depth,
+            "estimated_fraction": estimate.fraction,
+            "recommended_method": choose_method(
+                table, 50, 0.3, statistics=statistics
+            ),
+            "predicted_exact_seconds": pytest.approx(
+                latency.exact_seconds, rel=1e-12
+            ),
+            "predicted_seconds_per_sample_unit": pytest.approx(
+                latency.sampled_seconds_per_unit, rel=1e-12
+            ),
+            "expected_sample_unit_length": pytest.approx(
+                latency.expected_unit_length, rel=1e-12
+            ),
+        }

@@ -7,9 +7,9 @@ Three layers:
 * the core resumable-scan machinery (``deadline_seconds`` budgets,
   :class:`~repro.core.exact.ScanCheckpoint`, bit-exact resume parity,
   delta-safe metric publishing);
-* the serving layer end to end (mixed-deadline batches under FIFO vs
-  cost, pre-execution degradation, deadline-expired accounting,
-  per-item latency-model calibration, checkpoint store hygiene).
+* the serving layer end to end (mixed-deadline batches, pre-execution
+  degradation, deadline-expired accounting, one served record per
+  item, per-item latency-model calibration, checkpoint store hygiene).
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ from repro.serve import (
     AdmissionController,
     CostScheduler,
     ExactTask,
-    FifoScheduler,
     LoopbackTransport,
     ServeApp,
     ServeClient,
     ServeConfig,
-    make_scheduler,
 )
 from repro.serve.protocol import DeadlineExceededError, QueryRequest, QueryResponse
 from repro.serve.server import _Work
@@ -135,14 +133,6 @@ class TestSchedulerPolicies:
         ordered = CostScheduler().order(tasks)
         assert [t.position for t in ordered] == [0, 1, 2, 3]
 
-    def test_fifo_preserves_arrival_order(self):
-        tasks = [
-            ExactTask(0, _estimate(0.5)),
-            ExactTask(1, _estimate(0.01)),
-        ]
-        ordered = FifoScheduler().order(tasks)
-        assert [t.position for t in ordered] == [0, 1]
-
     def test_cost_decisions(self):
         scheduler = CostScheduler()
         assert scheduler.decide(None, 99.0, 0.5) == "run"
@@ -160,21 +150,10 @@ class TestSchedulerPolicies:
             scheduler.decide(-1.0, 0.030, 0.5, can_degrade=False) == "expired"
         )
 
-    def test_fifo_is_deadline_blind(self):
-        scheduler = FifoScheduler()
-        assert scheduler.decide(-5.0, 99.0, 0.5) == "run"
-        assert scheduler.budget(0.040, 0.5) is None
-
     def test_cost_budget_is_safety_fraction(self):
         scheduler = CostScheduler()
         assert scheduler.budget(None, 0.5) is None
         assert scheduler.budget(0.2, 0.5) == pytest.approx(0.1)
-
-    def test_make_scheduler(self):
-        assert make_scheduler("fifo").name == "fifo"
-        assert make_scheduler("cost").name == "cost"
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            make_scheduler("priority")
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +439,7 @@ class TestMixedDeadlineBatches:
 
     def test_cost_scheduler_runs_no_exact_scan_past_deadline(self):
         db = make_db(n=1000)
-        app = serve_app(db, scheduler="cost")
+        app = serve_app(db)
         try:
             results = app._run_batch("served", self._items())
         finally:
@@ -491,34 +470,6 @@ class TestMixedDeadlineBatches:
             p["scheduler"]["queue_position"] for p in deadline_profiles
         ]
         assert max(positions) <= 2
-
-    def test_fifo_scheduler_executes_exact_scans_past_deadline(self, monkeypatch):
-        """The pre-scheduler failure mode, pinned as the FIFO baseline."""
-        # The head-of-line k=300 scan outlasts the cheap items' 60 ms
-        # deadlines by construction, not by the kernel's speed.
-        slow_exact(monkeypatch, 0.1, k=300)
-        db = make_db(n=1000)
-        app = serve_app(db, scheduler="fifo")
-        try:
-            results = app._run_batch("served", self._items())
-        finally:
-            app.shutdown()
-        for response in results:
-            assert isinstance(response, QueryResponse)
-        post_deadline = [
-            p for p in exact_profiles()
-            if p.get("deadline_remaining_ms") is not None
-            and p["deadline_remaining_ms"] < 0
-        ]
-        # The expensive head-of-line scan burned the cheap items'
-        # deadlines, yet FIFO executed their exact scans anyway.
-        assert post_deadline, (
-            "expected FIFO to execute exact scans past their deadline"
-        )
-        assert all(
-            p["scheduler"]["policy"] == "fifo" for p in post_deadline
-        )
-
 
 class TestPreExecutionDecisions:
     def test_preexec_expiry_fails_fast(self, monkeypatch):
@@ -598,6 +549,155 @@ class TestPreExecutionDecisions:
         )
         profiles = OBS.flight.recent(limit=10)
         assert profiles[0]["outcome"] == "deadline-expired"
+
+
+#: The serve counters an item's outcome bumps, keyed for delta checks.
+SERVE_COUNTERS = {
+    "degraded": ("repro_serve_degraded_total", {}),
+    "preexec": ("repro_serve_degraded_preexec_total", {}),
+    "expired-dispatch": (
+        "repro_serve_deadline_expired_total", {"stage": "dispatch"},
+    ),
+    "expired-pre-exec": (
+        "repro_serve_deadline_expired_total", {"stage": "pre-exec"},
+    ),
+    "resumed": ("repro_serve_resumed_scans_total", {}),
+}
+
+
+def serve_counts():
+    return {
+        key: catalogued(name).value(**labels)
+        for key, (name, labels) in SERVE_COUNTERS.items()
+    }
+
+
+class TestPerItemRecord:
+    """Whichever way a batch item is answered, it lands exactly one
+    ``served`` profile and bumps its outcome's serve counter once."""
+
+    TARGET_K = 7
+
+    def _target(self, deadline=None, **request):
+        request.setdefault("k", self.TARGET_K)
+        return _work(
+            QueryRequest(table="served", threshold=0.3, **request),
+            deadline=deadline,
+        )
+
+    def _filler(self):
+        return _work(QueryRequest(table="served", k=5, threshold=0.3))
+
+    def _check(self, app, items, expected, deadline, bumped):
+        before = serve_counts()
+        recorded = OBS.flight.stats()["recorded"]
+        try:
+            app._run_batch("served", items)
+        finally:
+            app.shutdown()
+        landed = OBS.flight.stats()["recorded"] - recorded
+        assert landed == len(items)
+        profiles = OBS.flight.recent(limit=landed)
+        assert all(p["served"] for p in profiles)
+        mine = [p for p in profiles if p["k"] == items[-1].request.k]
+        assert len(mine) == 1
+        profile = mine[0]
+        assert {
+            field: profile.get(field)
+            for field in ("outcome", "mode", "batch_size", "prepare_hit")
+        } == dict(expected, batch_size=len(items))
+        remaining = profile.get("deadline_remaining_ms")
+        if deadline is None:
+            assert remaining is None
+        elif deadline == "left":
+            assert remaining > 0
+        else:
+            assert remaining <= 0
+        after = serve_counts()
+        assert {
+            key: after[key] - before[key] for key in SERVE_COUNTERS
+        } == {key: float(key in bumped) for key in SERVE_COUNTERS}
+
+    def test_dynamic(self):
+        app = serve_app(make_db(n=60), dynamic=True, dynamic_cap=8)
+        self._check(
+            app, [self._target()],
+            {"outcome": "ok", "mode": "dynamic", "prepare_hit": False},
+            None, (),
+        )
+
+    def test_exact(self):
+        app = serve_app(make_db(n=60))
+        self._check(
+            app, [self._target(deadline=time.monotonic() + 10.0)],
+            {"outcome": "ok", "mode": "exact", "prepare_hit": False},
+            "left", (),
+        )
+
+    def _partial(self, monkeypatch):
+        slow_scan_chunks(monkeypatch, 0.02)
+        return self._target(
+            k=300, mode="exact", deadline=time.monotonic() + 0.06
+        )
+
+    def test_deadline_partial_exact(self, monkeypatch):
+        app = serve_app(make_db(n=1000))
+        self._check(
+            app, [self._partial(monkeypatch)],
+            {"outcome": "deadline-partial", "mode": "exact",
+             "prepare_hit": False},
+            "left", (),
+        )
+
+    def test_resumed_exact(self, monkeypatch):
+        app = serve_app(make_db(n=1000))
+        first = app._run_batch("served", [self._partial(monkeypatch)])
+        assert first[0].partial
+        self._check(
+            app,
+            [self._target(k=300, mode="exact",
+                          deadline=time.monotonic() + 10.0)],
+            {"outcome": "ok", "mode": "exact", "prepare_hit": True},
+            "left", ("resumed",),
+        )
+
+    def test_planned_sampled(self):
+        app = serve_app(make_db(n=60), latency_model=PinnedModel(5.0))
+        self._check(
+            app, [self._target(deadline=time.monotonic() + 0.2)],
+            {"outcome": "ok", "mode": "sampled", "prepare_hit": False},
+            "left", ("degraded",),
+        )
+
+    def test_preexec_degrade(self, monkeypatch):
+        slow_exact(monkeypatch, 0.09)
+        app = serve_app(make_db(n=60), latency_model=PinnedModel(0.02))
+        self._check(
+            app,
+            [self._filler(), self._target(deadline=time.monotonic() + 0.12)],
+            {"outcome": "ok", "mode": "sampled", "prepare_hit": False},
+            "left", ("degraded", "preexec"),
+        )
+
+    def test_dispatch_expiry(self):
+        app = serve_app(make_db(n=60))
+        self._check(
+            app, [self._target(deadline=time.monotonic() - 0.01)],
+            {"outcome": "deadline-expired", "mode": None,
+             "prepare_hit": False},
+            "passed", ("expired-dispatch",),
+        )
+
+    def test_preexec_expiry(self, monkeypatch):
+        slow_exact(monkeypatch, 0.08)
+        app = serve_app(make_db(n=60), latency_model=PinnedModel(0.02))
+        self._check(
+            app,
+            [self._filler(), self._target(deadline=time.monotonic() + 0.05)],
+            {"outcome": "deadline-expired", "mode": None,
+             "prepare_hit": False},
+            "passed", ("expired-pre-exec",),
+        )
 
 
 class TestPerItemCalibration:
