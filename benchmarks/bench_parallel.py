@@ -3,7 +3,7 @@
 Two experiments beyond the paper's figures:
 
 1. **Sharded sampling speedup** — wall-clock of
-   :func:`parallel_sampled_topk_probabilities` at 1 vs 4 workers on the
+   :func:`sampled_topk_probabilities` at 1 vs 4 workers on the
    acceptance workload (n = 10,000 tuples, 50,000-unit budget).  Shard
    streams come from independent ``SeedSequence`` children, so the
    merged estimates are a fresh (equally valid) draw of the same
@@ -27,9 +27,9 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.bench.harness import ExperimentTable
-from repro.core.sampling import SamplingConfig
+from repro.core.sampling import SamplingConfig, sampled_topk_probabilities
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_table
-from repro.parallel import available_cpus, parallel_sampled_topk_probabilities
+from repro.parallel import available_cpus
 from repro.query.engine import UncertainDB
 from repro.query.topk import TopKQuery
 from repro.stats.intervals import wilson_interval
@@ -56,9 +56,7 @@ def _run(table, n_workers):
         n_workers=n_workers,
     )
     start = time.perf_counter()
-    result = parallel_sampled_topk_probabilities(
-        table, TopKQuery(k=K), config=config
-    )
+    result = sampled_topk_probabilities(table, TopKQuery(k=K), config=config)
     return result, time.perf_counter() - start
 
 
@@ -76,7 +74,7 @@ def test_sharded_sampling_speedup(benchmark, table):
             "n", "k", "budget", "workers", "serial_s", "parallel_s", "speedup",
         ],
         notes=(
-            f"seed={SEED}; host has {cores} usable core(s); "
+            f"seed={SEED}; nproc={cores}; "
             "speedup assertion gated on >= 4 cores"
         ),
     )
@@ -139,7 +137,7 @@ def test_fanout_many_queries(benchmark, table):
         columns=[
             "n", "requests", "workers", "serial_s", "parallel_s", "speedup",
         ],
-        notes=f"host has {cores} usable core(s); one shared preparation",
+        notes=f"nproc={cores}; one shared preparation",
     )
     result.add_row(
         N_TUPLES, len(requests), WORKERS,

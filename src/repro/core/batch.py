@@ -5,14 +5,14 @@ queries over the same table and ranking (different k for different
 panels, several thresholds for sensitivity).  A ``Pr^k`` column priced
 once answers every threshold at that k, so the requests share one
 columnar scan per distinct k (:func:`repro.core.exact.shared_scan_reads`)
-over one preparation of the table.
+over one preparation of the table, dealt to workers by the same fan-out
+as :func:`repro.parallel.fanout.parallel_ptk_queries`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.exact import shared_scan_reads
 from repro.core.results import PTKAnswer
 from repro.exceptions import QueryError
 from repro.model.table import UncertainTable
@@ -37,8 +37,7 @@ def batch_ptk_queries(
     requests: Sequence[Tuple[int, float]],
     ranking: RankingFunction | None = None,
     cache: Optional[PrepareCache] = None,
-    n_workers: int = 1,
-    use_processes: bool = True,
+    n_workers: Optional[int] = 1,
 ) -> List[PTKAnswer]:
     """Answer several ``(k, threshold)`` PT-k queries in one scan.
 
@@ -47,13 +46,10 @@ def batch_ptk_queries(
     :param cache: an optional :class:`PrepareCache`; selection, ranking,
         and rule indexing run at most once either way — the cache lets
         *successive* batch calls on an unchanged table skip them too.
-    :param n_workers: ``1`` (the default) answers all requests serially,
-        one full columnar scan per distinct k; ``> 1`` (or ``0`` for one
-        per CPU) deals the distinct k's across a process pool that
-        receives the prepared columns — see
-        :func:`repro.parallel.fanout.parallel_batch_ptk_queries`.
-    :param use_processes: parallel mode only — set False to run the
-        partitions inline (identical answers, no pool).
+    :param n_workers: how many workers the distinct k's are dealt to
+        (:func:`repro.parallel.fanout.fan_out`, which receives the
+        prepared columns); ``1`` (the default) answers inline, ``0`` or
+        ``None`` means one per CPU.
     :returns: one :class:`PTKAnswer` per request, in request order.
         Each answer carries the full ``Pr^k`` map for its k and is
         bitwise :func:`repro.core.exact.exact_ptk_query` with
@@ -61,25 +57,22 @@ def batch_ptk_queries(
         bills that k's scan (``tuples_evaluated``); later ones at the
         same k bill 0, their marginal cost.
     """
+    from repro.parallel.fanout import fan_out
+
     if not requests:
         return []
     validate_requests(requests)
-    if n_workers != 1 and len(requests) > 1:
-        from repro.parallel.fanout import parallel_batch_ptk_queries
-
-        return parallel_batch_ptk_queries(
-            table,
-            requests,
-            ranking=ranking,
-            cache=cache,
-            n_workers=n_workers,
-            use_processes=use_processes,
-        )
     ranking = ranking or by_score()
     max_k = max(k for k, _ in requests)
     query = TopKQuery(k=max_k, ranking=ranking)
     prepared = resolve_prepared(table, query, cache=cache)
-    return shared_scan_reads(prepared.columns, requests, pruning=False)
+    return fan_out(
+        {table.name: prepared},
+        [(table.name, k, threshold) for k, threshold in requests],
+        n_workers,
+        pruning=False,
+        mode="batch",
+    )
 
 
 def threshold_sweep(

@@ -40,12 +40,23 @@ identical with — the per-unit reference path
 (:meth:`WorldSampler.sample_unit`), which must draw every coin of every
 unit.  Skipping those never-inspected coins is where the batch path's
 wall-clock advantage comes from.
+
+**One draw loop, any number of workers.**  :func:`_draw` is the only
+loop over :meth:`WorldSampler.sample_batch`.  One worker runs it inline
+and applies the ``(d, phi)`` rule at each checkpoint; ``n`` workers run
+it once per shard — budgets split by :func:`shard_budgets`, streams
+from ``SeedSequence(seed).spawn(n)`` — keeping cumulative snapshots,
+and the parent replays the same rule over the merged snapshots and
+truncates to its stopping point.  Shards still draw their full budget
+(one round trip, no mid-flight coordination).
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +65,7 @@ from repro.core.results import AlgorithmStats, PTKAnswer
 from repro.exceptions import QueryError, SamplingError
 from repro.model.table import UncertainTable
 from repro.obs import OBS, catalogued, span as obs_span
+from repro.parallel.pool import resolve_workers, shard_map
 from repro.query.prepare import PrepareCache, PreparedRanking, resolve_prepared
 from repro.query.topk import TopKQuery
 from repro.stats.bounds import chernoff_hoeffding_sample_size
@@ -92,12 +104,11 @@ class SamplingConfig:
         across batch sizes; the knob trades peak memory (the per-chunk
         coin matrix) against Python-loop overhead.
     :param n_workers: worker processes the unit budget is sharded
-        across.  ``1`` (the default) keeps today's single-process path;
-        ``> 1`` delegates to
-        :func:`repro.parallel.sharded.parallel_sampled_topk_probabilities`
-        (deterministic for a fixed ``(seed, batch_size, n_workers)``
-        triple, but a different unit stream than ``n_workers=1``);
-        ``0`` or ``None`` means one worker per available CPU.
+        across.  ``1`` (the default) runs the draw loop inline; ``> 1``
+        deals one shard per worker and merges them (deterministic for a
+        fixed ``(seed, batch_size, n_workers)`` triple, but a different
+        unit stream than ``n_workers=1``); ``0`` or ``None`` means one
+        worker per available CPU.
     """
 
     sample_size: Optional[int] = None
@@ -433,6 +444,216 @@ class WorldSampler:
         return counts, scanned
 
 
+#: Upper bound on snapshots recorded per shard: bounds the count matrix
+#: shipped back to the parent (``snapshots * n_ranked * 8`` bytes).  Huge
+#: budgets coarsen the merged checkpoint cadence instead of growing it.
+MAX_SNAPSHOTS_PER_SHARD = 256
+
+
+def shard_budgets(budget: int, n_workers: int) -> List[int]:
+    """Split a unit budget into per-shard budgets, largest first.
+
+    Every shard receives ``budget // n_workers`` units and the remainder
+    is spread one unit each over the first shards; shards that would
+    receive zero units are dropped (``budget < n_workers``).
+    """
+    if budget <= 0:
+        raise SamplingError(f"budget must be positive, got {budget}")
+    if n_workers <= 0:
+        raise SamplingError(f"n_workers must be positive, got {n_workers}")
+    base, remainder = divmod(budget, n_workers)
+    budgets = [base + (1 if i < remainder else 0) for i in range(n_workers)]
+    return [b for b in budgets if b > 0]
+
+
+@dataclass
+class _Rule:
+    """The progressive ``(d, phi)`` rule, fed cumulative checkpoints in
+    order: a one-worker run's online ones or a sharded run's merged
+    snapshots."""
+
+    min_samples: int
+    tolerance: float
+    previous: Optional[np.ndarray] = None
+
+    def stops(self, units: int, counts: np.ndarray) -> bool:
+        """True when no estimate moved by more than ``tolerance`` since
+        the previous checkpoint at or past ``min_samples`` units."""
+        if units < self.min_samples:
+            return False
+        estimates = counts / units
+        if (
+            self.previous is not None
+            and self.previous.any()
+            and np.all(np.abs(estimates - self.previous) <= self.tolerance)
+        ):
+            return True
+        self.previous = estimates
+        return False
+
+
+@dataclass
+class _Draw:
+    """Cumulative state of one draw loop: a whole run or one shard.
+
+    ``snapshots`` holds ``(units, counts, total_scanned)`` at every
+    checkpoint short of the budget when no rule is applied online;
+    ``lengths`` holds each batch's unit scan lengths when obs is on.
+    """
+
+    counts: np.ndarray
+    units: int = 0
+    total_scanned: int = 0
+    batches: int = 0
+    converged: bool = False
+    seconds: float = 0.0
+    snapshots: List[Tuple[int, np.ndarray, int]] = field(default_factory=list)
+    lengths: List[np.ndarray] = field(default_factory=list)
+
+
+def _draw(
+    sampler: WorldSampler,
+    rng: np.random.Generator,
+    budget: int,
+    batch_size: int,
+    stride: int,
+    rule: Optional[_Rule],
+) -> _Draw:
+    """Draw up to ``budget`` units in batches that never cross a multiple
+    of ``stride`` (``0``: no checkpoints).  At each checkpoint ``rule``
+    may stop the loop; without a rule the loop keeps a snapshot."""
+    draw = _Draw(counts=np.zeros(len(sampler.tuple_ids), dtype=np.int64))
+    keep_lengths = OBS.enabled
+    while draw.units < budget:
+        step = min(batch_size, budget - draw.units)
+        if stride:
+            step = min(step, stride - draw.units % stride)
+        batch_counts, scanned = sampler.sample_batch(rng, step)
+        draw.counts += batch_counts
+        draw.units += step
+        draw.batches += 1
+        draw.total_scanned += int(scanned.sum())
+        if keep_lengths:
+            draw.lengths.append(scanned)
+        if not stride or draw.units % stride:
+            continue
+        if rule is not None:
+            if rule.stops(draw.units, draw.counts):
+                draw.converged = True
+                break
+        elif draw.units < budget:
+            draw.snapshots.append(
+                (draw.units, draw.counts.copy(), draw.total_scanned)
+            )
+    return draw
+
+
+@dataclass(frozen=True)
+class _ShardTask:
+    """Everything one worker needs, picklable and self-contained."""
+
+    columns: TableColumns
+    k: int
+    lazy: bool
+    budget: int
+    batch_size: int
+    stride: int
+    seed: np.random.SeedSequence
+
+
+def _run_shard(task: _ShardTask) -> _Draw:
+    """One shard's draw loop (module-level: must pickle for the pool)."""
+    started = time.perf_counter()
+    draw = _draw(
+        WorldSampler(task.columns, k=task.k, lazy=task.lazy),
+        np.random.default_rng(task.seed),
+        task.budget,
+        task.batch_size,
+        task.stride,
+        None,
+    )
+    draw.seconds = time.perf_counter() - started
+    return draw
+
+
+def _merge(draws: Sequence[_Draw], rule: Optional[_Rule]) -> _Draw:
+    """Sum the shards' draws, truncated to the first merged snapshot
+    where ``rule`` stops (snapshots exist only when there is a rule)."""
+    merged = _Draw(
+        counts=sum(draw.counts for draw in draws),
+        units=sum(draw.units for draw in draws),
+        total_scanned=sum(draw.total_scanned for draw in draws),
+        batches=sum(draw.batches for draw in draws),
+        lengths=[lengths for draw in draws for lengths in draw.lengths],
+    )
+    for checkpoint in zip(*(draw.snapshots for draw in draws)):
+        units = sum(snapshot[0] for snapshot in checkpoint)
+        counts = sum(snapshot[1] for snapshot in checkpoint)
+        if rule.stops(units, counts):
+            merged.counts, merged.units, merged.converged = counts, units, True
+            merged.total_scanned = sum(snapshot[2] for snapshot in checkpoint)
+            if merged.lengths:
+                merged.lengths = [
+                    np.concatenate(draw.lengths)[: snapshot[0]]
+                    for draw, snapshot in zip(draws, checkpoint)
+                ]
+            break
+    return merged
+
+
+def _sharded_draw(
+    columns: TableColumns,
+    k: int,
+    config: SamplingConfig,
+    budget: int,
+    batch_size: int,
+    workers: int,
+    rule: Optional[_Rule],
+) -> _Draw:
+    """Deal the budget to one shard per worker and merge their draws.
+
+    Shard ``i`` draws from child ``i`` of ``SeedSequence(seed).spawn``
+    and snapshots every ``ceil(d / shards)`` units (coarsened to at most
+    :data:`MAX_SNAPSHOTS_PER_SHARD`), so merged checkpoints keep the
+    one-worker cadence of ``~d`` units.
+    """
+    budgets = shard_budgets(budget, workers)
+    stride = 0
+    if config.progressive:
+        stride = max(
+            math.ceil(max(1, config.check_interval) / len(budgets)),
+            math.ceil(max(budgets) / MAX_SNAPSHOTS_PER_SHARD),
+        )
+    seeds = np.random.SeedSequence(config.seed).spawn(len(budgets))
+    tasks = [
+        _ShardTask(columns, k, config.lazy, shard_budget, batch_size, stride, seed)
+        for shard_budget, seed in zip(budgets, seeds)
+    ]
+    with obs_span(
+        "sampling.parallel_draw",
+        k=k,
+        budget=budget,
+        workers=workers,
+        shards=len(tasks),
+    ) as draw_span:
+        draws = shard_map(_run_shard, tasks, workers)
+        merge_started = time.perf_counter()
+        with obs_span("sampling.merge", shards=len(draws)):
+            merged = _merge(draws, rule)
+        merge_seconds = time.perf_counter() - merge_started
+        draw_span.set(units_drawn=merged.units, converged_early=merged.converged)
+    if OBS.enabled:
+        catalogued("repro_parallel_shards_total").inc(len(draws))
+        catalogued("repro_parallel_workers").set(workers)
+        shard_units = catalogued("repro_parallel_shard_units")
+        shard_seconds = catalogued("repro_parallel_shard_seconds")
+        for draw in draws:
+            shard_units.observe(draw.units)
+            shard_seconds.observe(draw.seconds)
+        catalogued("repro_parallel_merge_seconds").observe(merge_seconds)
+    return merged
+
+
 def sampled_topk_probabilities(
     table: UncertainTable,
     query: TopKQuery,
@@ -445,108 +666,78 @@ def sampled_topk_probabilities(
 
     Units are drawn in vectorised batches aligned to the progressive
     checkpoint interval; estimates are deterministic for a fixed
-    ``(seed, batch_size)`` pair and statistically equivalent across
-    batch sizes (see the module docstring).
+    ``(seed, batch_size, n_workers)`` triple and statistically
+    equivalent across them (see the module docstring).  One worker runs
+    the draw loop inline and applies the ``(d, phi)`` rule online; more
+    deal one shard each through :func:`repro.parallel.pool.shard_map`
+    and replay the rule over the merged snapshots.
 
     :param table: the uncertain table.
     :param query: the top-k query.
     :param config: sampler configuration; defaults to Theorem-6 budget
         with progressive stopping.
-    :param rng: explicit PRNG; defaults to one seeded from the config.
+    :param rng: explicit PRNG for a one-worker run; defaults to one
+        seeded from the config.
     :param prepared: a ready :class:`PreparedRanking` for ``(table,
         query)``; skips selection/ranking/rule indexing entirely.
     :param cache: a :class:`PrepareCache` to consult (and fill) when
         ``prepared`` is not given.
     """
     config = config or SamplingConfig()
-    if config.n_workers != 1:
-        if rng is not None:
-            raise SamplingError(
-                "an explicit rng cannot be combined with n_workers != 1: "
-                "shard streams are derived from config.seed via "
-                "SeedSequence.spawn"
-            )
-        from repro.parallel.sharded import parallel_sampled_topk_probabilities
-
-        return parallel_sampled_topk_probabilities(
-            table, query, config=config, prepared=prepared, cache=cache
+    if config.n_workers != 1 and rng is not None:
+        raise SamplingError(
+            "an explicit rng cannot be combined with n_workers != 1: "
+            "shard streams are derived from config.seed via "
+            "SeedSequence.spawn"
         )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    workers = resolve_workers(config.n_workers)
     with obs_span("sampling.prepare"):
         prepared = resolve_prepared(table, query, prepared=prepared, cache=cache)
-        sampler = WorldSampler(prepared.columns, k=query.k, lazy=config.lazy)
-
     budget = config.resolved_sample_size()
     batch_size = config.resolved_batch_size()
-    check_interval = max(1, config.check_interval)
-    result = SamplingResult(budget=budget)
-    n_ranked = len(prepared)
-    counts = np.zeros(n_ranked, dtype=np.int64)
-    previous: Optional[np.ndarray] = None
-
-    # Observability: resolve handles once; the per-batch path pays a
-    # single boolean check when obs is off.
-    obs_on = OBS.enabled
-    if obs_on:
-        obs_unit_length = catalogued("repro_sampler_unit_scan_length")
-    lazy_early_stops = 0
-    batches_drawn = 0
-
-    with obs_span("sampling.draw", k=query.k, budget=budget) as draw_span:
-        drawn = 0
-        while drawn < budget:
-            step = min(batch_size, budget - drawn)
-            if config.progressive:
-                # Never draw across a (d, phi) checkpoint: convergence
-                # may only fire at checkpoint boundaries, exactly as in
-                # the sequential formulation.
-                next_checkpoint = (drawn // check_interval + 1) * check_interval
-                step = min(step, next_checkpoint - drawn)
-            batch_counts, scanned = sampler.sample_batch(rng, step)
-            counts += batch_counts
-            drawn += step
-            batches_drawn += 1
-            result.total_scanned += int(scanned.sum())
-            if obs_on:
-                obs_unit_length.observe_many(scanned.tolist())
-                lazy_early_stops += int(np.count_nonzero(scanned < n_ranked))
-            if (
-                config.progressive
-                and drawn >= config.min_samples
-                and drawn % check_interval == 0
-            ):
-                estimates = counts / drawn
-                if (
-                    previous is not None
-                    and previous.any()
-                    and np.all(np.abs(estimates - previous) <= config.tolerance)
-                ):
-                    result.converged_early = True
-                    break
-                previous = estimates
-        result.units_drawn = drawn
-        draw_span.set(
-            units_drawn=result.units_drawn,
-            converged_early=result.converged_early,
+    rule = _Rule(config.min_samples, config.tolerance) if config.progressive else None
+    if workers > 1:
+        draw = _sharded_draw(
+            prepared.columns, query.k, config, budget, batch_size, workers, rule
         )
+    else:
+        with obs_span("sampling.draw", k=query.k, budget=budget) as draw_span:
+            draw = _draw(
+                WorldSampler(prepared.columns, k=query.k, lazy=config.lazy),
+                rng if rng is not None else np.random.default_rng(config.seed),
+                budget,
+                batch_size,
+                max(1, config.check_interval) if config.progressive else 0,
+                rule,
+            )
+            draw_span.set(units_drawn=draw.units, converged_early=draw.converged)
 
-    if obs_on:
-        catalogued("repro_sampler_units_total").inc(result.units_drawn)
-        catalogued("repro_sampler_batches_total").inc(batches_drawn)
-        catalogued("repro_sampler_lazy_early_stops_total").inc(lazy_early_stops)
+    if OBS.enabled:
+        if draw.lengths:
+            lengths = np.concatenate(draw.lengths)
+            catalogued("repro_sampler_unit_scan_length").observe_many(
+                lengths.tolist()
+            )
+            catalogued("repro_sampler_lazy_early_stops_total").inc(
+                int(np.count_nonzero(lengths < len(prepared)))
+            )
+        catalogued("repro_sampler_units_total").inc(draw.units)
+        catalogued("repro_sampler_batches_total").inc(draw.batches)
         catalogued("repro_sampler_convergence_stops_total").inc(
-            1.0 if result.converged_early else 0.0
+            1.0 if draw.converged else 0.0
         )
         catalogued("repro_sampler_budget_units").set(budget)
-        catalogued("repro_sampler_achieved_units").set(result.units_drawn)
+        catalogued("repro_sampler_achieved_units").set(draw.units)
 
-    n = max(result.units_drawn, 1)
-    ids = sampler.tuple_ids
-    result.estimates = {
-        ids[i]: int(counts[i]) / n for i in np.flatnonzero(counts)
-    }
-    return result
+    n = max(draw.units, 1)
+    ids = prepared.columns.tids
+    return SamplingResult(
+        estimates={ids[i]: int(draw.counts[i]) / n for i in np.flatnonzero(draw.counts)},
+        units_drawn=draw.units,
+        budget=budget,
+        converged_early=draw.converged,
+        total_scanned=draw.total_scanned,
+    )
 
 
 def sampled_ptk_query(

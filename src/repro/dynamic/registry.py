@@ -46,6 +46,15 @@ from repro.query.topk import TopKQuery
 from repro.dynamic.index import DEFAULT_CAP, DynamicIndex
 
 
+def _priced_read(index: DynamicIndex, k: int, threshold: float):
+    """:meth:`DynamicIndex.scan_answer` plus the rows it priced: what the
+    read added to ``k``'s live scan."""
+    scan = index.scans.get(k)
+    done = 0 if scan is None else scan.done
+    answers, probabilities, depth, stopped_by = index.scan_answer(k, threshold)
+    return answers, probabilities, depth, stopped_by, index.scans[k].done - done
+
+
 class _TableState:
     """Per-table registry slot: the table's index (``None`` until its
     first read) and the lock that serialises access to it."""
@@ -149,6 +158,9 @@ class DynamicIndexRegistry:
         the Theorem-5 stop depth the read actually priced (see
         :meth:`DynamicIndex.scan_answer`).  Inputs are the caller's to
         validate (:meth:`~repro.query.engine.UncertainDB.ptk` does).
+        ``stats.tuples_evaluated`` bills the rows this read added to the
+        live scan, as the columnar engine bills the rows it priced: a
+        cold read its whole chunks, a warm one 0.
         """
         if k > self.cap:
             self._fallback("cap")
@@ -162,24 +174,24 @@ class DynamicIndexRegistry:
             try:
                 index = self._index_for(state, prepared)
                 rebuilt = k not in index.scans
-                answers, probabilities, depth, stopped_by = (
-                    index.scan_answer(k, threshold)
-                )
+                read = _priced_read(index, k, threshold)
             except Exception:
                 # Degrade: rebuild cold from the preparation and re-read
                 # (a second failure is a genuine bug and propagates).
                 self._fallback("error")
                 index = state.index = DynamicIndex.build(prepared)
                 rebuilt = True
-                answers, probabilities, depth, stopped_by = (
-                    index.scan_answer(k, threshold)
-                )
+                read = _priced_read(index, k, threshold)
             answer = PTKAnswer(k=k, threshold=threshold, method="dynamic")
+            (
+                answers,
+                probabilities,
+                answer.stats.scan_depth,
+                answer.stats.stopped_by,
+                answer.stats.tuples_evaluated,
+            ) = read
             answer.probabilities.update(probabilities)
             answer.answers.extend(answers)
-            answer.stats.scan_depth = depth
-            answer.stats.tuples_evaluated = depth
-            answer.stats.stopped_by = stopped_by
         if rebuilt:
             self.reads_rebuild += 1
         else:

@@ -16,18 +16,15 @@ that one worker answers from one shared
 :class:`~repro.core.kernel.TopKScanState`, read once per threshold
 (:func:`repro.core.exact.shared_scan_reads`).
 
-Two entry points:
+:func:`parallel_ptk_queries` answers arbitrary ``(table_key, k,
+threshold)`` requests against each table's shared preparation and backs
+:meth:`repro.query.engine.UncertainDB.ptk_many`;
+:func:`repro.core.batch.batch_ptk_queries` answers one table's requests
+through the same :func:`fan_out`.  One worker runs the one chunk inline.
 
-* :func:`parallel_ptk_queries` — arbitrary ``(table_key, k, threshold)``
-  requests against each table's shared preparation.  Backs
-  :meth:`repro.query.engine.UncertainDB.ptk_many`.
-* :func:`parallel_batch_ptk_queries` — the parallel mode of
-  :func:`repro.core.batch.batch_ptk_queries`: one table, every row of
-  each distinct k's column priced once, by one worker.
-
-Answers are returned in request order and are identical to the serial
-paths (the kernel is deterministic and pausing it is bitwise neutral),
-whichever executor runs them.
+Answers are returned in request order and are identical whichever
+executor runs them (the kernel is deterministic and pausing it is
+bitwise neutral).
 """
 
 from __future__ import annotations
@@ -40,12 +37,9 @@ from repro.core.exact import shared_scan_reads
 from repro.core.kernel import TableColumns
 from repro.core.results import PTKAnswer
 from repro.exceptions import QueryError
-from repro.model.table import UncertainTable
 from repro.obs import OBS, catalogued, span as obs_span
 from repro.parallel.pool import resolve_workers, shard_map
-from repro.query.prepare import PrepareCache, PreparedRanking, resolve_prepared
-from repro.query.ranking import RankingFunction, by_score
-from repro.query.topk import TopKQuery
+from repro.query.prepare import PreparedRanking
 
 
 @dataclass(frozen=True)
@@ -74,12 +68,11 @@ def _run_exact_chunk(chunk: _ExactChunk) -> List[Tuple[int, PTKAnswer]]:
     return out
 
 
-def _fan_out(
+def fan_out(
     prepared_of: Mapping[str, PreparedRanking],
     requests: Sequence[Tuple[str, int, float]],
     n_workers: Optional[int],
     pruning: bool,
-    use_processes: bool,
     mode: str,
 ) -> List[PTKAnswer]:
     """Deal whole ``(table, k)`` groups round-robin (first-appearance
@@ -109,9 +102,7 @@ def _fan_out(
     with obs_span(
         "query.fanout", mode=mode, requests=len(requests), workers=workers
     ):
-        chunk_results = shard_map(
-            _run_exact_chunk, chunks, workers, use_processes=use_processes
-        )
+        chunk_results = shard_map(_run_exact_chunk, chunks, workers)
     answers: List[Optional[PTKAnswer]] = [None] * len(requests)
     for chunk_result in chunk_results:
         for position, answer in chunk_result:
@@ -129,7 +120,6 @@ def parallel_ptk_queries(
     requests: Sequence[Tuple[str, int, float]],
     n_workers: Optional[int] = None,
     pruning: bool = True,
-    use_processes: bool = True,
 ) -> List[PTKAnswer]:
     """Answer independent exact PT-k requests across a worker pool.
 
@@ -153,38 +143,5 @@ def parallel_ptk_queries(
         raise QueryError(
             f"no prepared ranking supplied for table(s) {sorted(missing)!r}"
         )
-    return _fan_out(
-        prepared_of, requests, n_workers, pruning, use_processes, "many"
-    )
+    return fan_out(prepared_of, requests, n_workers, pruning, "many")
 
-
-def parallel_batch_ptk_queries(
-    table: UncertainTable,
-    requests: Sequence[Tuple[int, float]],
-    ranking: RankingFunction | None = None,
-    cache: Optional[PrepareCache] = None,
-    n_workers: Optional[int] = None,
-    use_processes: bool = True,
-) -> List[PTKAnswer]:
-    """The parallel mode of :func:`repro.core.batch.batch_ptk_queries`.
-
-    The table is prepared once in the parent (through ``cache`` when
-    given); requests are grouped by k, the groups dealt round-robin to
-    the workers, and every worker prices each of its k's full column
-    once.  Answers match the serial batch path exactly.
-    """
-    if not requests:
-        return []
-    validate_requests(requests)
-    ranking = ranking or by_score()
-    max_k = max(k for k, _ in requests)
-    query = TopKQuery(k=max_k, ranking=ranking)
-    prepared = resolve_prepared(table, query, cache=cache)
-    return _fan_out(
-        {table.name: prepared},
-        [(table.name, k, threshold) for k, threshold in requests],
-        n_workers,
-        False,
-        use_processes,
-        "batch",
-    )

@@ -18,9 +18,6 @@ task, so inline and pooled runs produce identical results.
 from __future__ import annotations
 
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import QueryError
@@ -83,6 +80,12 @@ def shard_map(
         return []
     if n_workers <= 1 or len(tasks) == 1 or not use_processes:
         return [fn(task) for task in tasks]
+    # Imported on first use: repro.core.sampling imports this module at
+    # start-up, and loading the process-pool machinery takes ~20 ms.
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(
             max_workers=min(n_workers, len(tasks)), mp_context=_mp_context()

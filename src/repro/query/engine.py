@@ -398,8 +398,7 @@ class UncertainDB:
         name: str,
         requests: "List[Tuple[int, float]]",
         ranking=None,
-        n_workers: int = 1,
-        use_processes: bool = True,
+        n_workers: Optional[int] = 1,
     ) -> List[PTKAnswer]:
         """Several ``(k, threshold)`` PT-k queries sharing one scan.
 
@@ -407,9 +406,9 @@ class UncertainDB:
         engine's prepare cache, so back-to-back batches on an unchanged
         table skip selection/ranking/rule indexing entirely.
 
-        :param n_workers: ``1`` answers all requests over one serial
-            scan; ``> 1`` (or ``0`` for one per CPU) partitions them
-            across a process pool sharing one prepared ranking.
+        :param n_workers: ``1`` answers all requests inline; ``> 1``
+            (or ``0`` for one per CPU) deals the distinct k's across a
+            process pool sharing one prepared ranking.
         """
         from repro.core.batch import batch_ptk_queries
 
@@ -422,7 +421,6 @@ class UncertainDB:
                 ranking=ranking,
                 cache=self._prepare_cache,
                 n_workers=n_workers,
-                use_processes=use_processes,
             )
 
     def ptk_many(
@@ -430,7 +428,6 @@ class UncertainDB:
         requests: "List[Tuple[str, int, float]]",
         n_workers: Optional[int] = None,
         pruning: bool = True,
-        use_processes: bool = True,
     ) -> List[PTKAnswer]:
         """Independent exact PT-k queries fanned out across workers.
 
@@ -447,8 +444,6 @@ class UncertainDB:
 
         :param n_workers: pool size; ``None``/``0`` means one worker per
             available CPU, ``1`` answers serially in-process.
-        :param use_processes: set False to run the partitions inline
-            (identical answers, no pool).
         """
         from repro.parallel.fanout import parallel_ptk_queries
 
@@ -469,7 +464,6 @@ class UncertainDB:
                 requests,
                 n_workers=n_workers,
                 pruning=pruning,
-                use_processes=use_processes,
             )
 
     def utopk(

@@ -1015,7 +1015,13 @@ class ServeApp:
             )
         elif item.route == "dynamic":
             answer, elapsed = item.answer, item.elapsed
-            record["dynamic"] = self._dynamic_profile(batch.name)
+            # Read in the decide phase, before this profile opened.
+            record.update(
+                dynamic=self._dynamic_profile(batch.name),
+                scan_depth=answer.stats.scan_depth,
+                tuples_evaluated=answer.stats.tuples_evaluated,
+                stopped_by=answer.stats.stopped_by,
+            )
         else:
             record.update(outcome="deadline-expired", mode=None, degraded=None)
         record.update(
@@ -1170,7 +1176,9 @@ class ServeApp:
     def _sampling_config(
         self, request: QueryRequest, remaining: Optional[float], estimate
     ) -> SamplingConfig:
-        if request.sample_budget is not None:
+        # An explicit budget binds only mode=sampled; a degradation
+        # sizes its budget from the remaining deadline.
+        if request.mode == "sampled" and request.sample_budget is not None:
             return SamplingConfig(
                 sample_size=request.sample_budget,
                 progressive=False,

@@ -279,6 +279,21 @@ class TestRegistry:
                 stops.add(got.stats.stopped_by)
         assert stops == {"total-probability", "exhausted"}
 
+    def test_reads_bill_the_rows_they_priced(self):
+        # A cold dynamic read bills what the columnar engine bills for
+        # the same read (the rows it priced, whole chunks); a warm read
+        # of the same scan prices nothing and bills 0.
+        on = self.build_db(n=2000, cap=64)
+        off = self.build_db(n=2000, dynamic=False)
+        cold = on.ptk("t", k=10, threshold=0.3)
+        want = off.ptk("t", k=10, threshold=0.3)
+        assert cold.method == "dynamic"
+        assert cold.stats.scan_depth == want.stats.scan_depth
+        assert cold.stats.tuples_evaluated == want.stats.tuples_evaluated
+        assert cold.stats.tuples_evaluated > cold.stats.scan_depth
+        warm = on.ptk("t", k=10, threshold=0.3)
+        assert warm.stats.tuples_evaluated == 0
+
     def test_mutations_flow_through_deltas(self):
         db = self.build_db()
         db.ptk("t", k=3, threshold=0.3)
@@ -624,6 +639,28 @@ class TestServeIntegration:
                 assert "reads" in block and "fallbacks" in block
         finally:
             obs.disable()
+
+
+    def test_dynamic_item_records_its_scan_fields(self):
+        from repro import obs
+        from repro.serve.client import LoopbackTransport, ServeClient
+
+        db, app = self.build_app()
+        try:
+            with LoopbackTransport(app) as transport:
+                client = ServeClient(transport)
+                result = client.query(table="demo", k=3, threshold=0.15)
+                debug = client._json("GET", "/debug/queries")
+        finally:
+            obs.disable()
+        assert result["mode"] == "dynamic"
+        profile = [p for p in debug["profiles"] if p.get("mode") == "dynamic"][-1]
+        cold = exact_ptk_query(
+            db.table("demo"), TopKQuery(k=3), 0.15, columnar=True
+        )
+        assert profile["scan_depth"] == cold.stats.scan_depth
+        assert profile["tuples_evaluated"] == cold.stats.tuples_evaluated
+        assert profile["stopped_by"] == cold.stats.stopped_by
 
 
 class TestWriteReadOrdering:

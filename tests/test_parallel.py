@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core import sampling
 from repro.core.batch import batch_ptk_queries
-from repro.core.sampling import SamplingConfig, sampled_topk_probabilities
+from repro.core.sampling import (
+    SamplingConfig,
+    sampled_topk_probabilities,
+    shard_budgets,
+)
 from repro.datagen.sensors import panda_table
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_table
 from repro.exceptions import QueryError, SamplingError
-from repro.parallel import (
-    parallel_sampled_topk_probabilities,
-    resolve_workers,
-    shard_budgets,
-    shard_map,
-    shard_seeds,
-)
+from repro.parallel import resolve_workers, shard_map
 from repro.query.engine import UncertainDB
 from repro.query.topk import TopKQuery
 from repro.stats.intervals import wilson_interval
@@ -30,13 +29,40 @@ def table():
 QUERY = TopKQuery(k=20)
 
 
-def sample(table, n_workers, use_processes=False, **overrides):
+def sample(table, n_workers, **overrides):
     defaults = dict(sample_size=12_000, progressive=False, seed=9)
     defaults.update(overrides)
     config = SamplingConfig(n_workers=n_workers, **defaults)
-    return parallel_sampled_topk_probabilities(
-        table, QUERY, config=config, use_processes=use_processes
-    )
+    return sampled_topk_probabilities(table, QUERY, config=config)
+
+
+def spy_on_shards(monkeypatch, inline=False):
+    """Record the tasks the sampler deals to ``shard_map``; ``inline``
+    forces them to run in this process."""
+    shipped = []
+    real = shard_map
+
+    def spy(fn, tasks, workers):
+        shipped.extend(tasks)
+        return real(fn, tasks, workers, use_processes=not inline)
+
+    monkeypatch.setattr(sampling, "shard_map", spy)
+    return shipped
+
+
+def spy_on_chunks(monkeypatch):
+    """Record the chunks the fan-out deals to ``shard_map`` and run them
+    in this process."""
+    from repro.parallel import fanout
+
+    shipped = []
+
+    def spy(fn, tasks, workers):
+        shipped.extend(tasks)
+        return shard_map(fn, tasks, workers, use_processes=False)
+
+    monkeypatch.setattr(fanout, "shard_map", spy)
+    return shipped
 
 
 class TestShardPlumbing:
@@ -54,19 +80,31 @@ class TestShardPlumbing:
         with pytest.raises(SamplingError):
             shard_budgets(100, 0)
 
-    def test_shard_seeds_reproducible(self):
-        a = shard_seeds(42, 4)
-        b = shard_seeds(42, 4)
+    def test_shard_seeds_reproducible(self, table, monkeypatch):
+        # Shard i of a run with the same (seed, n_shards) always draws
+        # child i of SeedSequence(seed).spawn(n_shards).
+        shipped = spy_on_shards(monkeypatch, inline=True)
+        sample(table, 4, sample_size=400, seed=42)
+        sample(table, 4, sample_size=400, seed=42)
+        a, b = shipped[:4], shipped[4:]
         assert len(a) == 4
         for sa, sb in zip(a, b):
             assert (
-                np.random.default_rng(sa).random(8).tolist()
-                == np.random.default_rng(sb).random(8).tolist()
+                np.random.default_rng(sa.seed).random(8).tolist()
+                == np.random.default_rng(sb.seed).random(8).tolist()
             )
+        spawned = np.random.SeedSequence(42).spawn(4)
+        assert [task.seed.spawn_key for task in a] == [
+            child.spawn_key for child in spawned
+        ]
 
-    def test_shard_seeds_independent_streams(self):
-        seeds = shard_seeds(42, 3)
-        draws = [np.random.default_rng(s).random(4).tolist() for s in seeds]
+    def test_shard_seeds_independent_streams(self, table, monkeypatch):
+        shipped = spy_on_shards(monkeypatch, inline=True)
+        sample(table, 3, sample_size=300, seed=42)
+        draws = [
+            np.random.default_rng(task.seed).random(4).tolist()
+            for task in shipped
+        ]
         assert draws[0] != draws[1] != draws[2]
 
     def test_resolve_workers(self):
@@ -99,14 +137,22 @@ class TestShardedSampling:
         assert a.units_drawn == b.units_drawn == 12_000
         assert a.total_scanned == b.total_scanned
 
-    def test_n_workers_1_byte_identical_to_single_process(self, table):
+    def test_n_workers_1_byte_identical_to_single_process(
+        self, table, monkeypatch
+    ):
+        # One worker runs the draw loop inline on default_rng(seed): no
+        # shard, no spawned child seed.
+        shipped = spy_on_shards(monkeypatch)
         config = SamplingConfig(
             sample_size=12_000, progressive=False, seed=9, n_workers=1
         )
-        direct = sampled_topk_probabilities(table, QUERY, config=config)
+        direct = sampled_topk_probabilities(
+            table, QUERY, config=config, rng=np.random.default_rng(9)
+        )
         via_parallel = sample(table, n_workers=1)
         assert direct.estimates == via_parallel.estimates
         assert direct.total_scanned == via_parallel.total_scanned
+        assert shipped == []
 
     def test_worker_count_changes_the_stream(self, table):
         # Different shard counts draw different (equally valid) units;
@@ -128,15 +174,17 @@ class TestShardedSampling:
             checked += 1
         assert checked > 0
 
-    def test_sampling_config_delegates(self, table):
-        # sampled_topk_probabilities itself routes n_workers>1 runs to
-        # the sharded path (this is what the CLI --workers flag hits).
+    def test_sampling_config_delegates(self, table, monkeypatch):
+        # SamplingConfig(n_workers=3) deals one shard per worker through
+        # shard_map (this is what the CLI --workers flag hits).
+        shipped = spy_on_shards(monkeypatch)
         config = SamplingConfig(
             sample_size=6_000, progressive=False, seed=9, n_workers=3
         )
         via_config = sampled_topk_probabilities(table, QUERY, config=config)
         direct = sample(table, n_workers=3, sample_size=6_000)
         assert via_config.estimates == direct.estimates
+        assert [task.budget for task in shipped] == [2_000] * 6
 
     def test_explicit_rng_rejected_with_workers(self, table):
         config = SamplingConfig(sample_size=1_000, n_workers=2)
@@ -155,35 +203,36 @@ class TestShardedSampling:
             assert a.units_drawn < 40_000
         assert a.units_drawn >= SamplingConfig().min_samples
 
-    def test_pooled_equals_inline(self, table):
-        inline = sample(table, 2, use_processes=False, sample_size=4_000)
-        pooled = sample(table, 2, use_processes=True, sample_size=4_000)
-        assert inline.estimates == pooled.estimates
-        assert inline.total_scanned == pooled.total_scanned
+    def test_pooled_equals_inline(self, table, monkeypatch):
+        pooled = [
+            sample(table, 2, sample_size=4_000, progressive=progressive)
+            for progressive in (False, True)
+        ]
+        spy_on_shards(monkeypatch, inline=True)
+        inline = [
+            sample(table, 2, sample_size=4_000, progressive=progressive)
+            for progressive in (False, True)
+        ]
+        for a, b in zip(inline, pooled):
+            assert a.estimates == b.estimates
+            assert a.total_scanned == b.total_scanned
+            assert a.units_drawn == b.units_drawn
+            assert a.converged_early == b.converged_early
 
     def test_shards_ship_columns(self, table, monkeypatch):
         import pickle
 
-        from repro.parallel import sharded
         from repro.query.prepare import prepare_ranking
 
         prepared = prepare_ranking(table, QUERY)
-        shipped = []
-        real = sharded.shard_map
-
-        def spy(fn, tasks, workers, use_processes=True):
-            shipped.extend(tasks)
-            return real(fn, tasks, workers, use_processes=use_processes)
-
-        monkeypatch.setattr(sharded, "shard_map", spy)
-        parallel_sampled_topk_probabilities(
+        shipped = spy_on_shards(monkeypatch, inline=True)
+        sampled_topk_probabilities(
             table,
             QUERY,
             config=SamplingConfig(
                 n_workers=2, sample_size=2_000, progressive=False, seed=9
             ),
             prepared=prepared,
-            use_processes=False,
         )
         assert len(shipped) == 2
         for task in shipped:
@@ -208,7 +257,7 @@ class TestFanOut:
     ]
 
     def test_ptk_many_matches_sequential(self, db):
-        many = db.ptk_many(self.REQUESTS, n_workers=2, use_processes=False)
+        many = db.ptk_many(self.REQUESTS, n_workers=2)
         for answer, (name, k, threshold) in zip(many, self.REQUESTS):
             reference = db.ptk(name, k=k, threshold=threshold)
             assert answer.answers == reference.answers
@@ -233,12 +282,11 @@ class TestFanOut:
     @pytest.mark.parametrize("use_processes", [False, True])
     @pytest.mark.parametrize("pruning", [True, False])
     def test_grouped_reads_equal_per_request_ptk(
-        self, db, use_processes, pruning
+        self, db, monkeypatch, use_processes, pruning
     ):
-        many = db.ptk_many(
-            self.GROUPED, n_workers=2, pruning=pruning,
-            use_processes=use_processes,
-        )
+        if not use_processes:
+            spy_on_chunks(monkeypatch)
+        many = db.ptk_many(self.GROUPED, n_workers=2, pruning=pruning)
         references = [
             db.ptk(name, k=k, threshold=threshold, pruning=pruning)
             for name, k, threshold in self.GROUPED
@@ -276,17 +324,8 @@ class TestFanOut:
             name: db.prepare_cache.get(db.table(name), TopKQuery(k=1))
             for name in ("panda_sightings", "synth")
         }
-        shipped = []
-        real = fanout.shard_map
-
-        def spy(fn, tasks, workers, use_processes=True):
-            shipped.extend(tasks)
-            return real(fn, tasks, workers, use_processes=use_processes)
-
-        monkeypatch.setattr(fanout, "shard_map", spy)
-        fanout.parallel_ptk_queries(
-            prepared_of, self.GROUPED, n_workers=2, use_processes=False
-        )
+        shipped = spy_on_chunks(monkeypatch)
+        fanout.parallel_ptk_queries(prepared_of, self.GROUPED, n_workers=2)
         assert len(shipped) == 2
         for chunk in shipped:
             for key, columns in chunk.columns_of.items():
@@ -300,10 +339,10 @@ class TestFanOut:
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_ptk_batch_equals_unpruned_ptk(self, db, n_workers):
+        # Through a real pool for n_workers=2: the first request at each
+        # k bills the reference's full scan, later ones at that k bill 0.
         requests = [(10, 0.3), (5, 0.5), (10, 0.05), (20, 0.2), (5, 0.9)]
-        batch = db.ptk_batch(
-            "synth", requests, n_workers=n_workers, use_processes=False
-        )
+        batch = db.ptk_batch("synth", requests, n_workers=n_workers)
         billed = {}
         for answer, (k, threshold) in zip(batch, requests):
             reference = db.ptk("synth", k, threshold, pruning=False)
@@ -312,36 +351,38 @@ class TestFanOut:
             assert len(answer.probabilities) == len(db.table("synth"))
             assert answer.stats.scan_depth == reference.stats.scan_depth
             assert answer.stats.stopped_by == reference.stats.stopped_by
+            assert answer.stats.tuples_evaluated == (
+                0 if k in billed else reference.stats.tuples_evaluated
+            )
             billed[k] = billed.get(k, 0) + answer.stats.tuples_evaluated
         assert billed == {k: len(db.table("synth")) for k in billed}
 
-    def test_ptk_many_with_real_pool(self, db):
-        many = db.ptk_many(self.REQUESTS, n_workers=2, use_processes=True)
-        inline = db.ptk_many(self.REQUESTS, n_workers=2, use_processes=False)
+    def test_ptk_many_with_real_pool(self, db, monkeypatch):
+        many = db.ptk_many(self.REQUESTS, n_workers=2)
+        spy_on_chunks(monkeypatch)
+        inline = db.ptk_many(self.REQUESTS, n_workers=2)
         for a, b in zip(many, inline):
             assert a.answers == b.answers and a.probabilities == b.probabilities
 
     def test_ptk_many_prepares_each_table_once(self, db):
         misses_before = db.prepare_cache.stats().misses
-        db.ptk_many(self.REQUESTS, n_workers=2, use_processes=False)
+        db.ptk_many(self.REQUESTS, n_workers=2)
         assert db.prepare_cache.stats().misses == misses_before + 2
 
     def test_ptk_many_unknown_table(self, db):
         from repro.exceptions import UnknownTupleError
 
         with pytest.raises(UnknownTupleError):
-            db.ptk_many([("nope", 2, 0.5)], use_processes=False)
+            db.ptk_many([("nope", 2, 0.5)])
 
     def test_ptk_many_empty(self, db):
-        assert db.ptk_many([], use_processes=False) == []
+        assert db.ptk_many([]) == []
 
     def test_parallel_batch_matches_serial(self, table):
         requests = [(10, 0.3), (5, 0.5), (20, 0.2), (1, 0.9), (15, 0.4)]
         serial = batch_ptk_queries(table, requests)
         for workers in (2, 3):
-            parallel = batch_ptk_queries(
-                table, requests, n_workers=workers, use_processes=False
-            )
+            parallel = batch_ptk_queries(table, requests, n_workers=workers)
             for a, b in zip(parallel, serial):
                 assert a.answers == b.answers
                 assert a.probabilities == b.probabilities
@@ -349,9 +390,7 @@ class TestFanOut:
     def test_engine_ptk_batch_parallel(self, db):
         requests = [(10, 0.3), (5, 0.5), (20, 0.2)]
         serial = db.ptk_batch("synth", requests)
-        parallel = db.ptk_batch(
-            "synth", requests, n_workers=2, use_processes=False
-        )
+        parallel = db.ptk_batch("synth", requests, n_workers=2)
         for a, b in zip(parallel, serial):
             assert a.answers == b.answers
 
@@ -386,18 +425,36 @@ class TestParallelObservability:
         finally:
             obs.disable()
 
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_sampler_metrics_for_any_worker_count(self, table, n_workers):
+        # One publishing block serves both executors: a sharded run
+        # reports lazy early stops and unit scan lengths too.
+        import repro.obs as obs
+        from repro.obs.export import snapshot
+
+        obs.enable(fresh=True)
+        try:
+            result = sample(table, n_workers=n_workers, sample_size=3_000)
+            metrics = snapshot()["metrics"]
+        finally:
+            obs.disable()
+
+        def value(name):
+            return metrics[name]["samples"][0]["value"]
+
+        assert value("repro_sampler_units_total") == 3_000
+        assert 0 < value("repro_sampler_lazy_early_stops_total") <= 3_000
+        lengths = metrics["repro_sampler_unit_scan_length"]["samples"][0]
+        assert lengths["count"] == 3_000
+        assert lengths["sum"] == result.total_scanned
+
     def test_fanout_metrics_emitted(self, table):
         import repro.obs as obs
         from repro.obs.export import snapshot
 
         obs.enable(fresh=True)
         try:
-            batch_ptk_queries(
-                table,
-                [(5, 0.5), (10, 0.3)],
-                n_workers=2,
-                use_processes=False,
-            )
+            batch_ptk_queries(table, [(5, 0.5), (10, 0.3)], n_workers=2)
             metrics = snapshot()["metrics"]
             samples = metrics["repro_parallel_fanout_queries_total"]["samples"]
             by_mode = {

@@ -486,6 +486,33 @@ class TestDeadlineDegradation:
         # magnitude instead of timing out.
         assert elapsed < 10.0
 
+    def test_degradation_ignores_sample_budget(self):
+        # sample_budget binds mode=sampled only: a degraded auto request
+        # sizes its budget from the remaining deadline, floored at
+        # min_sample_budget.
+        db = make_db()
+        with loopback(db, latency_model=self.slow_model()) as transport:
+            client = ServeClient(transport)
+            result = client.query(
+                "served", k=5, threshold=0.3, deadline_ms=400,
+                sample_budget=37,
+            )
+        assert result["mode"] == "sampled"
+        assert result["degraded"] is True
+        assert result["units_drawn"] >= ServeConfig().min_sample_budget
+
+    def test_sampled_mode_keeps_sample_budget_under_deadline(self):
+        db = make_db()
+        with loopback(db, latency_model=self.slow_model()) as transport:
+            client = ServeClient(transport)
+            result = client.query(
+                "served", k=5, threshold=0.3, deadline_ms=400,
+                mode="sampled", sample_budget=37,
+            )
+        assert result["mode"] == "sampled"
+        assert result["degraded"] is False
+        assert result["units_drawn"] == 37
+
     def test_degraded_total_metric_increments(self):
         db = make_db()
         with loopback(db, latency_model=self.slow_model()) as transport:
