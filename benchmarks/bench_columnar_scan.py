@@ -14,23 +14,40 @@ Usage::
 
 writes ``benchmarks/results/columnar_scan.json`` (appending one record
 per size) and prints a table.  Default sizes: 10_000 and 100_000.
+
+The readers of whole DP vectors — the top-k profile and U-KRanks'
+position probabilities — are timed at n=10k by::
+
+    PYTHONPATH=SRC python benchmarks/bench_columnar_scan.py readers LABEL [k ...]
+
+which appends one record per k (default 10 and 50), tagged ``LABEL``
+and the host's ``nproc``, to ``benchmarks/results/columnar_readers.json``.
+``SRC`` may be the ``src`` of another checkout, so two trees can be
+timed in alternating pairs.  Both readers are public functions of
+every tree: ``topk_probability_profile`` over a ready preparation, and
+``ukranks_query`` including its own preparation.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from repro.core.exact import exact_topk_probabilities
+from repro.core.profile import topk_probability_profile
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_table
 from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
+from repro.semantics.ukranks import ukranks_query
 
 RESULTS = Path(__file__).parent / "results" / "columnar_scan.json"
+READERS = Path(__file__).parent / "results" / "columnar_readers.json"
 K = 100
 SEED = 7
+READERS_N = 10_000
 
 
 def measure(n: int) -> dict:
@@ -66,7 +83,51 @@ def measure(n: int) -> dict:
     }
 
 
+def measure_readers(label: str, k: int) -> dict:
+    table = generate_synthetic_table(
+        SyntheticConfig(n_tuples=READERS_N, n_rules=READERS_N // 10, seed=SEED)
+    )
+    query = TopKQuery(k=k)
+    prepared = prepare_ranking(table, query)
+    prepared.columns  # materialise outside the timed region
+
+    started = time.perf_counter()
+    topk_probability_profile(table, query, prepared=prepared)
+    profile_seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    ukranks_query(table, query)
+    ukranks_seconds = time.perf_counter() - started
+    return {
+        "label": label,
+        "n_tuples": READERS_N,
+        "n_rules": READERS_N // 10,
+        "k": k,
+        "seed": SEED,
+        "nproc": os.cpu_count(),
+        "profile_seconds": round(profile_seconds, 4),
+        "ukranks_seconds": round(ukranks_seconds, 4),
+    }
+
+
+def readers(label: str, ks: list[int]) -> None:
+    records = json.loads(READERS.read_text()) if READERS.exists() else []
+    for k in ks:
+        record = measure_readers(label, k)
+        print(
+            f"{label} n={READERS_N} k={k}: profile "
+            f"{record['profile_seconds']}s ukranks "
+            f"{record['ukranks_seconds']}s (nproc {record['nproc']})",
+            flush=True,
+        )
+        records.append(record)
+        READERS.write_text(json.dumps(records, indent=2) + "\n")
+
+
 def main(argv: list[str]) -> None:
+    if argv[:1] == ["readers"]:
+        readers(argv[1], [int(a) for a in argv[2:]] or [10, 50])
+        return
     sizes = [int(a.replace("_", "")) for a in argv] or [10_000, 100_000]
     records = []
     if RESULTS.exists():

@@ -29,10 +29,7 @@ from repro.core.sampling import (
     sampled_ptk_query,
     sampled_topk_probabilities,
 )
-from repro.core.subset_probability import (
-    SubsetProbabilityVector,
-    subset_probabilities,
-)
+from repro.core.subset_probability import subset_probabilities
 
 __all__ = [
     "AlgorithmStats",
@@ -40,7 +37,6 @@ __all__ = [
     "PTKAnswer",
     "SamplingConfig",
     "SamplingResult",
-    "SubsetProbabilityVector",
     "TupleProbability",
     "exact_ptk_query",
     "exact_topk_probabilities",

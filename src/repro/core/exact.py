@@ -39,11 +39,7 @@ from repro.core.reordering import (
     ReorderingStrategy,
 )
 from repro.core.results import PTKAnswer
-from repro.core.rule_compression import (
-    CompressionUnit,
-    DominantSetScan,
-    rule_index_of_table,
-)
+from repro.core.rule_compression import CompressionUnit, DominantSetScan
 from repro.exceptions import QueryError
 from repro.model.rules import GenerationRule
 from repro.obs import OBS, catalogued, span as obs_span
@@ -704,34 +700,3 @@ def exact_topk_probabilities(
     )
     return answer.probabilities
 
-
-def exact_position_probabilities(
-    table: UncertainTable,
-    query: TopKQuery,
-) -> Dict[Any, List[float]]:
-    """Position probabilities ``Pr(t, j)`` for ``j = 1..k``, with rules.
-
-    ``Pr(t, j) = Pr(t) * Pr(exactly j-1 of T(t) appear)`` — the rule-aware
-    generalisation of Equation 3 used by the U-KRanks baseline.
-
-    :returns: mapping tuple id -> list of k probabilities (index 0 is
-        rank 1).
-    """
-    selected = query.selected(table)
-    ranked = query.ranking.rank_table(selected)
-    rule_of = rule_index_of_table(selected)
-    scan = DominantSetScan(ranked, rule_of)
-    strategy = LazyReordering()
-    dp = PrefixSharedDP(query.k + 1)
-    previous: List[CompressionUnit] = []
-    result: Dict[Any, List[float]] = {}
-    for tup in ranked:
-        units = scan.units_for(tup)
-        order = strategy.order_units(units, previous)
-        vector = dp.vector_for(order)
-        previous = order
-        result[tup.tid] = [
-            tup.probability * float(vector[j]) for j in range(query.k)
-        ]
-        scan.advance(tup)
-    return result

@@ -11,9 +11,7 @@ PT-k machinery:
 * the position distribution ``Pr(t, j)`` (Equation 3) shows *where* in
   the top-k ``t`` tends to land;
 * a unit's *influence* — how much ``Pr^k(t)`` would change if that
-  competing unit were removed — has a closed form: deconvolving unit
-  ``u`` out of the subset-probability vector gives the count
-  distribution of the remaining units, and
+  competing unit were removed — has a closed form:
 
   .. math::
 
@@ -24,11 +22,13 @@ PT-k machinery:
   exactly ``k-1`` of the others do — the worlds where ``u`` personally
   pushes ``t`` out of the top-k).
 
-Deconvolution inverts the Theorem-2 recurrence:
-``v_old[j] = v_new[j] (1-p) + v_new[j-1] p`` solves forward as
-``v_new[j] = (v_old[j] - v_new[j-1] p) / (1-p)``.  It is numerically
-safe for ``p`` away from 1; for ``p = 1`` the unit is certain and the
-count distribution of the rest is just the vector shifted down by one.
+The count distribution of ``T(t) \\ u_i`` is the convolution of the
+DP vector of the units before ``u_i`` with that of the units after it,
+so one forward and one backward Theorem-2 chain
+(:func:`~repro.core.kernel.dp_extend_chain`) give every influence:
+``Pr(|T(t) \\ u_i| = k-1) = sum_j pre_i[j] · suf_{m-1-i}[k-1-j]``.
+Every term is a product of non-negative numbers, so no influence
+cancels or divides, even for units at ``Pr(u) -> 1``.
 """
 
 from __future__ import annotations
@@ -38,46 +38,15 @@ from typing import Any, List, Tuple
 
 import numpy as np
 
+from repro.core import kernel
 from repro.core.rule_compression import (
     CompressionUnit,
     DominantSetScan,
     rule_index_of_table,
 )
-from repro.core.subset_probability import SubsetProbabilityVector
 from repro.exceptions import UnknownTupleError
 from repro.model.table import UncertainTable
 from repro.query.topk import TopKQuery
-
-#: Probabilities this close to 1 use the shift-down deconvolution path.
-_CERTAIN = 1.0 - 1e-12
-
-
-def deconvolve_unit(vector: np.ndarray, probability: float) -> np.ndarray:
-    """Remove one independent unit from a truncated count distribution.
-
-    :param vector: ``Pr(S, j)`` for ``j = 0..cap-1`` (must include the
-        unit being removed).
-    :param probability: the unit's membership probability.
-    :returns: ``Pr(S \\ {u}, j)`` for the same ``j`` range.
-    """
-    cap = vector.shape[0]
-    out = np.empty(cap, dtype=np.float64)
-    if probability >= _CERTAIN:
-        # a certain unit contributes exactly one to every count
-        out[: cap - 1] = vector[1:]
-        # the last entry is unrecoverable from a truncated vector; the
-        # closed-form influence below never reads it
-        out[cap - 1] = 0.0
-        return out
-    q = 1.0 - probability
-    previous = 0.0
-    for j in range(cap):
-        value = (vector[j] - previous * probability) / q
-        # clamp tiny negative drift from the subtraction
-        value = value if value > 0.0 else 0.0
-        out[j] = value
-        previous = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -164,22 +133,23 @@ def explain_tuple(
         and _rank_of(ranked, member) < _rank_of(ranked, tid)
     )
 
-    vector = SubsetProbabilityVector(k + 1)
-    for unit in units:
-        vector.extend(unit.probability)
-    counts = vector.snapshot()
-    fewer_than_k = float(counts[:k].sum())
-    topk_probability = target.probability * min(fewer_than_k, 1.0)
-    positions = tuple(
-        float(target.probability * counts[j]) for j in range(k)
-    )
+    probabilities = np.array([unit.probability for unit in units])
+    empty = np.zeros(k)
+    empty[0] = 1.0
+    # prefix[i]: the first i units; suffix[i]: the last i units
+    prefix = kernel.dp_extend_chain(empty, probabilities)
+    suffix = kernel.dp_extend_chain(empty, probabilities[::-1])
+    counts = prefix[-1]
+    topk_probability = target.probability * kernel.fewer_than_k(counts, k)
+    positions = tuple((target.probability * counts).tolist())
 
-    influences = []
-    for unit in units:
-        without = deconvolve_unit(counts, unit.probability)
-        # gain = Pr(t) * Pr(u) * Pr(rest == k-1)
-        gain = target.probability * unit.probability * float(without[k - 1])
-        influences.append(UnitInfluence(unit=unit, influence=max(gain, 0.0)))
+    # Pr(|T(t) \ u_i| = k-1): pair prefix i with suffix m-1-i, reversed
+    rest = (prefix[:-1] * suffix[-2::-1, ::-1]).sum(axis=1)
+    gains = target.probability * probabilities * rest
+    influences = [
+        UnitInfluence(unit=unit, influence=gain)
+        for unit, gain in zip(units, gains.tolist())
+    ]
     influences.sort(key=lambda ui: (-ui.influence, ui.unit.first_rank))
 
     return Explanation(

@@ -27,7 +27,9 @@ pruning tracker, and the scalar oracle:
   that pass run to the end of the table; a thresholded read stops it
   at Theorem 5's bound, and a read cut by its deadline resumes it.
   The incremental index (:mod:`repro.dynamic`) keeps one such state
-  alive across writes.
+  alive across writes.  :func:`columnar_dp_rows` is the same pass
+  handing out each row's whole DP vector, for the profile and
+  position-probability readers.
 
 Layering: this module imports only :mod:`numpy` and
 :mod:`repro.exceptions` so every other layer (model, core, query,
@@ -418,6 +420,27 @@ def columnar_topk_scan(
     return state.out, state.extensions
 
 
+def columnar_dp_rows(
+    probability: np.ndarray,
+    rule_index: Optional[np.ndarray],
+    k: int,
+) -> np.ndarray:
+    """Every row's §4 DP vector ``Pr(T(t), j)``, ``j = 0..k-1``.
+
+    The vectors :func:`columnar_topk_scan` sums into ``Pr^k``, kept as
+    an ``(n, k)`` matrix: row ``i`` is the count distribution of row
+    ``i``'s compressed dominant set.  ``Pr(t) · cumsum(row)`` is the
+    top-``j`` profile for every ``j <= k`` and ``Pr(t) · row`` the
+    position probabilities ``Pr(t, j+1)``, all from one pass (the
+    all-k view of Chang, Yu & Qin).  Arguments as for
+    :func:`columnar_topk_scan`.
+    """
+    state = TopKScanState(probability, rule_index, k)
+    state._rows = np.empty((state.n, state.k), dtype=np.float64)
+    state.advance(state.n)
+    return state._rows
+
+
 #: The attributes of a :class:`TopKScanState` a snapshot holds: its
 #: DP state and Theorem-5 read at row ``done``, without the columns.
 _DP_STATE = (
@@ -528,6 +551,9 @@ class TopKScanState:
         self._set_columns(probability, rule_index)
         #: the ``Pr^k`` column; rows ``[0, done)`` are priced
         self.out = np.zeros(self.n, dtype=np.float64)
+        # Where :func:`columnar_dp_rows` collects each priced row's DP
+        # vector; ``None`` (no capture) for every other scan.
+        self._rows: Optional[np.ndarray] = None
 
     def _set_columns(
         self, probability: np.ndarray, rule_index: Optional[np.ndarray]
@@ -639,6 +665,8 @@ class TopKScanState:
             j = min(i + _RUN_BLOCK, stop)
             chain = dp_extend_chain(vector, p[i:j])
             out[i:j] = fewer_than_k_batch(chain[: j - i], k)
+            if self._rows is not None:
+                self._rows[i:j] = chain[: j - i]
             vector[:] = chain[j - i]
             i = j
         ones_end = min(stop, self._run_start + max(k - self._run_base, 0))
@@ -657,11 +685,16 @@ class TopKScanState:
         own_probability = float(self._p[i])
         seen = self._member_probs.get(slot, ())
         seen_sum = compensated_sum(seen)
-        if self._units - (1 if seen_sum > 0.0 else 0) < k:
+        short = self._units - (1 if seen_sum > 0.0 else 0) < k
+        if short and self._rows is None:
             self.out[i] = own_probability
         else:
             excluded = _combined(self._v, self._tree.product_excluding(slot), k)
-            self.out[i] = own_probability * fewer_than_k(excluded, k)
+            if self._rows is not None:
+                self._rows[i] = excluded
+            self.out[i] = own_probability * (
+                1.0 if short else fewer_than_k(excluded, k)
+            )
         members = self._member_probs[slot] = seen + (own_probability,)
         self._tree.update(slot, compensated_sum(members))
         self.extensions += 1  # the rule-tuple factor refresh

@@ -478,7 +478,11 @@ class UncertainDB:
     ) -> UKRanksAnswer:
         """U-KRanks query (most probable tuple per rank)."""
         with query_scope("ukranks", table=name, k=k):
-            return ukranks_query(self.table(name), query or TopKQuery(k=k))
+            return ukranks_query(
+                self.table(name),
+                query or TopKQuery(k=k),
+                cache=self._prepare_cache,
+            )
 
     def global_topk(
         self, name: str, k: int, query: Optional[TopKQuery] = None
@@ -585,7 +589,7 @@ class UncertainDB:
                 table, query, threshold, cache=self._prepare_cache
             )
             utopk = utopk_query(table, query)
-            ukranks = ukranks_query(table, query)
+            ukranks = ukranks_query(table, query, cache=self._prepare_cache)
             probabilities = exact_topk_probabilities(
                 table, query, cache=self._prepare_cache
             )

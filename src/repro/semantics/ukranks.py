@@ -8,17 +8,18 @@ win none — the behaviour the Section 6.1 comparison highlights.
 
 Position probabilities come from the rule-aware generalisation of
 Equation 3: ``Pr(t, j) = Pr(t) * Pr(exactly j-1 of T(t) appear)`` with
-``T(t)`` the compressed dominant set, so this module reuses the exact
-engine's machinery and runs in a single scan.
+``T(t)`` the compressed dominant set, read from the columnar kernel's
+DP rows in a single scan (:mod:`repro.core.profile`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.exact import exact_position_probabilities
+from repro.core.profile import exact_position_probabilities
 from repro.model.table import UncertainTable
+from repro.query.prepare import PrepareCache
 from repro.query.topk import TopKQuery
 
 
@@ -77,7 +78,17 @@ def ukranks_from_position_probabilities(
     return UKRanksAnswer(winners=tuple(winners))
 
 
-def ukranks_query(table: UncertainTable, query: TopKQuery) -> UKRanksAnswer:
-    """Answer a U-KRanks query on an uncertain table."""
-    position_probabilities = exact_position_probabilities(table, query)
+def ukranks_query(
+    table: UncertainTable,
+    query: TopKQuery,
+    cache: Optional[PrepareCache] = None,
+) -> UKRanksAnswer:
+    """Answer a U-KRanks query on an uncertain table.
+
+    :param cache: a :class:`PrepareCache` to consult (and fill) for the
+        table's ranking, as in :func:`exact_position_probabilities`.
+    """
+    position_probabilities = exact_position_probabilities(
+        table, query, cache=cache
+    )
     return ukranks_from_position_probabilities(position_probabilities, query.k)

@@ -90,6 +90,14 @@ class TestQueries:
         answer = db.ukranks("panda_sightings", k=2)
         assert answer.tuple_ids == ["R5", "R5"]
 
+    def test_ukranks_reuses_the_preparation(self, db):
+        first = db.ukranks("panda_sightings", k=2)
+        stats = db.prepare_cache.stats()
+        assert db.ukranks("panda_sightings", k=2) == first
+        after = db.prepare_cache.stats()
+        assert after.hits == stats.hits + 1
+        assert after.misses == stats.misses
+
     def test_global_topk(self, db):
         result = db.global_topk("panda_sightings", k=2)
         assert [tid for tid, _ in result] == ["R5", "R2"]
@@ -137,6 +145,12 @@ class TestComparison:
         assert comparison.ptk.answer_set == {"R2", "R3", "R5"}
         assert comparison.utopk.vector == ("R5", "R3")
         assert comparison.ukranks.tuple_ids == ["R5", "R5"]
+
+    def test_compare_semantics_ranks_once(self, db):
+        db.compare_semantics("panda_sightings", k=2, threshold=0.35)
+        # ptk, U-KRanks and the Pr^k map share one preparation
+        stats = db.prepare_cache.stats()
+        assert (stats.misses, stats.hits) == (1, 2)
 
     def test_mentioned_tuples_deduplicated(self, db):
         comparison = db.compare_semantics("panda_sightings", k=2, threshold=0.35)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from repro.core.exact import (
     ExactVariant,
-    exact_position_probabilities,
     exact_ptk_query,
     exact_topk_probabilities,
 )
+from repro.core.profile import exact_position_probabilities
 from repro.datagen.sensors import (
     PANDA_PT2_ANSWER_AT_035,
     PANDA_TOP2_PROBABILITIES,

@@ -1,56 +1,50 @@
 """Tests for explanations and sensitivity analysis."""
 
-import numpy as np
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exact import exact_topk_probabilities
-from repro.core.explain import (
-    deconvolve_unit,
-    explain_tuple,
-    format_explanation,
-)
-from repro.core.subset_probability import subset_probabilities
+from repro.core.explain import explain_tuple, format_explanation
 from repro.datagen.sensors import panda_table
 from repro.exceptions import UnknownTupleError
-from repro.model.table import UncertainTable
 from repro.query.predicates import ScoreAbove
 from repro.query.topk import TopKQuery
 from tests.conftest import build_table, uncertain_tables
 
-probs = st.lists(st.floats(0.05, 0.95), min_size=1, max_size=8)
+#: Units this close to certain made the old divide-by-``1 - p``
+#: deconvolution amplify rounding error by up to ``1 / (1 - p)``.
+NEAR_CERTAIN = (0.9999, 0.999999, 0.99999999)
 
 
-class TestDeconvolution:
-    @given(probs, st.integers(1, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_inverts_extension(self, probabilities, cap):
-        full = subset_probabilities(probabilities, cap)
-        without_last = subset_probabilities(probabilities[:-1], cap)
-        recovered = deconvolve_unit(np.asarray(full), probabilities[-1])
-        np.testing.assert_allclose(recovered, without_last, atol=1e-9)
+def fewer_than(probabilities, k):
+    """``Pr(count < k)`` of independent units, exactly, in Fractions."""
+    counts = [Fraction(1)]
+    for p in map(Fraction, probabilities):
+        counts = [
+            (counts[j] if j < len(counts) else 0) * (1 - p)
+            + (counts[j - 1] * p if j else 0)
+            for j in range(len(counts) + 1)
+        ]
+    return sum(counts[:k])
 
-    @given(probs)
-    @settings(max_examples=30, deadline=None)
-    def test_removal_order_irrelevant(self, probabilities):
-        if len(probabilities) < 2:
-            return
-        cap = 4
-        full = np.asarray(subset_probabilities(probabilities, cap))
-        a_then_b = deconvolve_unit(
-            deconvolve_unit(full, probabilities[0]), probabilities[1]
-        )
-        b_then_a = deconvolve_unit(
-            deconvolve_unit(full, probabilities[1]), probabilities[0]
-        )
-        np.testing.assert_allclose(a_then_b, b_then_a, atol=1e-8)
 
-    def test_certain_unit_shifts(self):
-        full = np.asarray(subset_probabilities([1.0, 0.5], cap=3))
-        recovered = deconvolve_unit(full, 1.0)
-        expected = subset_probabilities([0.5], cap=3)
-        np.testing.assert_allclose(recovered[:2], expected[:2], atol=1e-12)
+@st.composite
+def near_certain_tables(draw):
+    """n <= 9 tables mixing near-certain and ordinary tuples, at most
+    one of them in a two-member rule."""
+    n = draw(st.integers(2, 9))
+    probabilities = [
+        draw(st.sampled_from(NEAR_CERTAIN) | st.floats(0.05, 0.95))
+        for _ in range(n)
+    ]
+    rule_groups = []
+    if n >= 3 and draw(st.booleans()):
+        probabilities[0], probabilities[2] = 0.5, 0.49999999
+        rule_groups.append([0, 2])
+    return build_table(probabilities, rule_groups)
 
 
 class TestExplanationValues:
@@ -139,6 +133,28 @@ class TestInfluence:
         assert after - before == pytest.approx(
             rule_influence.influence, abs=1e-9
         )
+
+
+class TestNearCertainUnits:
+    @given(near_certain_tables(), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_influences_match_fraction_removal(self, table, k):
+        query = TopKQuery(k=k)
+        for tup in table:
+            explanation = explain_tuple(table, query, tup.tid)
+            units = [u.probability for u in explanation.dominant_units]
+            before = fewer_than(units, k)
+            for i, unit in enumerate(explanation.dominant_units):
+                without = units[:i] + units[i + 1 :]
+                exact = Fraction(tup.probability) * (
+                    fewer_than(without, k) - before
+                )
+                influence = next(
+                    ui.influence
+                    for ui in explanation.influences
+                    if ui.unit is unit
+                )
+                assert abs(influence - float(exact)) <= 1e-12
 
 
 class TestFormatting:

@@ -27,6 +27,7 @@ from repro.core.kernel import (
     RunningSum,
     TableColumns,
     TopKScanState,
+    columnar_dp_rows,
     columnar_topk_scan,
     compensated_sum,
     dp_extend,
@@ -35,6 +36,8 @@ from repro.core.kernel import (
     fewer_than_k_batch,
     ranked_order,
 )
+from repro.core.reordering import LazyReordering, PrefixSharedDP
+from repro.core.rule_compression import DominantSetScan
 from repro.core.subset_probability import SubsetProbabilityVector
 from repro.durable.snapshot import (
     open_latest_snapshot_columns,
@@ -612,3 +615,71 @@ class TestResumableScan:
     def test_rejects_non_positive_k(self):
         with pytest.raises(QueryError):
             TopKScanState(np.ones(3), None, 0)
+
+
+def scalar_dp_rows(table: UncertainTable, k: int) -> np.ndarray:
+    """Each ranked tuple's DP vector from the scalar reference: the
+    compressed dominant set, lazily reordered, through PrefixSharedDP."""
+    prepared = prepare_ranking(table, TopKQuery(k=k))
+    scan = DominantSetScan(prepared.ranked, prepared.rule_of)
+    strategy = LazyReordering()
+    dp = PrefixSharedDP(cap=k)
+    previous = []
+    rows = []
+    for tup in prepared.ranked:
+        order = strategy.order_units(scan.units_for(tup), previous)
+        rows.append(dp.vector_for(order))
+        previous = order
+        scan.advance(tup)
+    return np.array(rows).reshape(len(rows), k)
+
+
+class TestDPRows:
+    """:func:`columnar_dp_rows`: the scan's per-row DP vectors."""
+
+    def assert_rows_match_scalar(self, table: UncertainTable, k: int) -> None:
+        columns = prepare_ranking(table, TopKQuery(k=k)).columns
+        rows = columnar_dp_rows(columns.probability, columns.rule_index, k)
+        expected = scalar_dp_rows(table, k)
+        assert rows.shape == expected.shape == (len(columns), k)
+        assert np.max(np.abs(rows - expected), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 5, 50])
+    @pytest.mark.parametrize("seed,rule_fraction,hot", [
+        (101, 0.0, False),   # independent-only
+        (202, 0.35, False),  # mixed
+        (303, 0.8, False),   # rule-heavy
+        (404, 0.6, True),    # certain rules (q = 1)
+    ])
+    def test_rows_match_scalar_on_random_tables(
+        self, k, seed, rule_fraction, hot
+    ):
+        table = random_table(seed, 120, rule_fraction=rule_fraction, hot_rules=hot)
+        self.assert_rows_match_scalar(table, k)
+
+    @given(scan_tables(max_tuples=20), st.integers(1, 25))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_scalar_property(self, table, k):
+        # scan_tables draws certain rules, and k often exceeds n
+        self.assert_rows_match_scalar(table, k)
+
+    def test_k_above_n(self):
+        self.assert_rows_match_scalar(random_table(9, 12, rule_fraction=0.5), 30)
+
+    def test_empty_table(self):
+        rows = columnar_dp_rows(np.empty(0), np.empty(0, dtype=np.int64), 4)
+        assert rows.shape == (0, 4)
+        assert scalar_dp_rows(UncertainTable(name="empty"), 4).shape == (0, 4)
+
+    @given(scan_tables(), st.integers(1, 45))
+    @settings(max_examples=80, deadline=None)
+    def test_capturing_rows_leaves_the_scan_bitwise_unchanged(self, table, k):
+        columns = prepare_ranking(table, TopKQuery(k=k)).columns
+        out, extensions = columnar_topk_scan(
+            columns.probability, columns.rule_index, k
+        )
+        state = TopKScanState(columns.probability, columns.rule_index, k)
+        state._rows = np.empty((state.n, k))
+        state.advance(state.n)
+        assert state.out.tobytes() == out.tobytes()
+        assert state.extensions == extensions
