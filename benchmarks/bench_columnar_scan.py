@@ -26,17 +26,30 @@ and the host's ``nproc``, to ``benchmarks/results/columnar_readers.json``.
 timed in alternating pairs.  Both readers are public functions of
 every tree: ``topk_probability_profile`` over a ready preparation, and
 ``ukranks_query`` including its own preparation.
+
+The served exact read — ``exact_ptk_query(..., columnar=True)`` over a
+ready preparation — is timed at n=10k, for each of the 15 ``(k, p)``
+shapes the ``serve-read`` workload asks, by::
+
+    PYTHONPATH=SRC python benchmarks/bench_columnar_scan.py served LABEL
+
+Per shape it times the *cold* read (a fresh preparation, built
+untimed) and the *warm* read (the same call again on that
+preparation), each the median of 5, and records the rows the warm read
+priced.  It appends one record, tagged ``LABEL`` and ``nproc``, to
+``benchmarks/results/columnar_served.json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
 
-from repro.core.exact import exact_topk_probabilities
+from repro.core.exact import exact_ptk_query, exact_topk_probabilities
 from repro.core.profile import topk_probability_profile
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_table
 from repro.query.prepare import prepare_ranking
@@ -48,6 +61,11 @@ READERS = Path(__file__).parent / "results" / "columnar_readers.json"
 K = 100
 SEED = 7
 READERS_N = 10_000
+SERVED = Path(__file__).parent / "results" / "columnar_served.json"
+#: the ``serve-read`` workload's shapes
+SERVED_KS = (5, 10, 20, 50, 100)
+SERVED_PS = (0.2, 0.3, 0.5)
+SERVED_REPEATS = 5
 
 
 def measure(n: int) -> dict:
@@ -124,9 +142,74 @@ def readers(label: str, ks: list[int]) -> None:
         READERS.write_text(json.dumps(records, indent=2) + "\n")
 
 
+def _timed_read(table, k: int, threshold: float, prepared):
+    started = time.perf_counter()
+    answer = exact_ptk_query(
+        table, TopKQuery(k=k), threshold, prepared=prepared, columnar=True
+    )
+    return time.perf_counter() - started, answer
+
+
+def measure_served(label: str) -> dict:
+    table = generate_synthetic_table(
+        SyntheticConfig(n_tuples=READERS_N, n_rules=READERS_N // 10, seed=SEED)
+    )
+    shapes = []
+    for k in SERVED_KS:
+        for threshold in SERVED_PS:
+            cold = []
+            for _ in range(SERVED_REPEATS):
+                prepared = prepare_ranking(table, TopKQuery(k=k))
+                seconds, answer = _timed_read(table, k, threshold, prepared)
+                cold.append(seconds)
+            warm = []
+            for _ in range(SERVED_REPEATS):
+                seconds, again = _timed_read(table, k, threshold, prepared)
+                warm.append(seconds)
+                assert again.answers == answer.answers
+            shapes.append({
+                "k": k,
+                "threshold": threshold,
+                "scan_depth": answer.stats.scan_depth,
+                "cold_ms": round(statistics.median(cold) * 1000.0, 3),
+                "warm_ms": round(statistics.median(warm) * 1000.0, 3),
+                "warm_rows": again.stats.tuples_evaluated,
+            })
+    return {
+        "label": label,
+        "n_tuples": READERS_N,
+        "n_rules": READERS_N // 10,
+        "seed": SEED,
+        "nproc": os.cpu_count(),
+        "cold_ms_mean": round(
+            statistics.mean(s["cold_ms"] for s in shapes), 3
+        ),
+        "warm_ms_mean": round(
+            statistics.mean(s["warm_ms"] for s in shapes), 3
+        ),
+        "shapes": shapes,
+    }
+
+
+def served(label: str) -> None:
+    records = json.loads(SERVED.read_text()) if SERVED.exists() else []
+    record = measure_served(label)
+    print(
+        f"{label} n={READERS_N}: cold {record['cold_ms_mean']} ms, warm "
+        f"{record['warm_ms_mean']} ms (mean of {len(record['shapes'])} "
+        f"shapes; nproc {record['nproc']})",
+        flush=True,
+    )
+    records.append(record)
+    SERVED.write_text(json.dumps(records, indent=2) + "\n")
+
+
 def main(argv: list[str]) -> None:
     if argv[:1] == ["readers"]:
         readers(argv[1], [int(a) for a in argv[2:]] or [10, 50])
+        return
+    if argv[:1] == ["served"]:
+        served(argv[1])
         return
     sizes = [int(a.replace("_", "")) for a in argv] or [10_000, 100_000]
     records = []

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -205,6 +206,11 @@ class ExactPTKEngine:
         priced again, and each engine's ``tuples_evaluated`` and
         ``subset_extensions`` bill only the state's growth during its
         own ``run()`` segments.
+    :param lock: the lock that serialises reads of a ``state`` shared
+        across threads (a preparation's warm scan,
+        :meth:`~repro.query.prepare.PreparedRanking.scan_state`).  Each
+        ``run()`` holds it only while it reads the state, and a
+        budgeted ``run()`` waits for it no later than its deadline.
     """
 
     def __init__(
@@ -221,6 +227,7 @@ class ExactPTKEngine:
         columnar: Optional[bool] = None,
         columns: Optional[TableColumns] = None,
         state: Optional[kernel.TopKScanState] = None,
+        lock: Optional[threading.Lock] = None,
     ) -> None:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
@@ -258,6 +265,7 @@ class ExactPTKEngine:
                         f"k={k} from it"
                     )
                 self._topk = state
+                self._lock = lock
                 self._limit = k - threshold if self.pruning else math.inf
                 # Rows and extensions this engine priced, summed over
                 # its run() segments.
@@ -428,7 +436,9 @@ class ExactPTKEngine:
         (on a fresh state, the stop depth rounded up to a whole chunk;
         on a shared one, only the rows earlier readers had not) and the
         pruning counters stay 0.  A deadline cut returns a partial
-        answer whose checkpoint continues the same state.
+        answer whose checkpoint continues the same state; so does a
+        deadline that passes while another reader holds the state's
+        lock, with nothing revealed.
         """
         stop_at = (
             None
@@ -438,20 +448,28 @@ class ExactPTKEngine:
         answer = PTKAnswer(k=self.k, threshold=self.threshold, method=COLUMNAR)
         stats = answer.stats
         state = self._topk
-        done, extensions = state.done, state.extensions
         with obs_span(
             "ptk.scan", variant=COLUMNAR, k=self.k, columnar=True
         ) as scan_span:
-            (
-                answer.answers,
-                answer.probabilities,
-                depth,
-                stats.stopped_by,
-            ) = state.read(
-                self._columns.tids, self.threshold, self._limit, stop_at
-            )
-            self._rows += state.done - done
-            self._extensions += state.extensions - extensions
+            if self._acquire(stop_at):
+                try:
+                    done, extensions = state.done, state.extensions
+                    (
+                        answer.answers,
+                        answer.probabilities,
+                        depth,
+                        stats.stopped_by,
+                    ) = state.read(
+                        self._columns.tids, self.threshold, self._limit,
+                        stop_at,
+                    )
+                    self._rows += state.done - done
+                    self._extensions += state.extensions - extensions
+                finally:
+                    if self._lock is not None:
+                        self._lock.release()
+            else:
+                depth, stats.stopped_by = 0, "deadline"
             stats.scan_depth = depth
             stats.tuples_evaluated = self._rows
             stats.subset_extensions = self._extensions
@@ -468,6 +486,16 @@ class ExactPTKEngine:
         if OBS.enabled:
             self._publish(stats, None)
         return answer
+
+    def _acquire(self, stop_at: Optional[float]) -> bool:
+        """Take the shared state's lock, if any, waiting no later than
+        ``stop_at``; False when the deadline passed first."""
+        lock = self._lock
+        if lock is None or lock.acquire(blocking=False):
+            return True
+        if stop_at is None:
+            return lock.acquire()
+        return lock.acquire(timeout=max(stop_at - time.perf_counter(), 0.0))
 
     def _delta(self, key: str, value: int) -> int:
         """Unpublished growth of a stat since the last ``_publish``.
@@ -589,8 +617,13 @@ def exact_ptk_query(
     :param columnar: in full-scan mode, run the vectorized columnar
         kernel (the default there); ``False`` keeps the scalar
         per-tuple loop as the cross-check oracle.  With a threshold
-        above 0, ``True`` reads the preparation's columns to Theorem 5's
-        stop depth (see :class:`ExactPTKEngine`); the default ``None``
+        above 0, ``True`` reads the preparation's warm scan at ``k``
+        (:meth:`~repro.query.prepare.PreparedRanking.scan_state`) to
+        Theorem 5's stop depth (see :class:`ExactPTKEngine`): answers,
+        probabilities, ``scan_depth`` and ``stopped_by`` are bitwise a
+        fresh scan's, and ``tuples_evaluated`` and
+        ``subset_extensions`` bill only the rows earlier reads at ``k``
+        had not priced (0 when a read repeats).  The default ``None``
         keeps the scalar engine, the reference oracle.
     :param deadline_seconds: wall-clock budget for the scan; on
         expiry the answer is partial (``stats.stopped_by ==
@@ -612,10 +645,14 @@ def exact_ptk_query(
         return resume.resume(deadline_seconds=deadline_seconds)
     with obs_span("ptk.prepare"):
         prepared = resolve_prepared(table, query, prepared=prepared, cache=cache)
-    columns = None
+    columns = state = lock = None
     if columnar or (columnar is None and threshold == 0.0):
         # A columnar read prices the preparation's columns alone.
         columns = prepared.columns
+    if columnar and threshold != 0.0:
+        # ... and resumes the preparation's warm scan at this k.
+        _validate_threshold(threshold)
+        state, lock = prepared.scan_state(query.k)
     engine = ExactPTKEngine(
         () if columns is not None else prepared.ranked,
         prepared.rule_of,
@@ -628,6 +665,8 @@ def exact_ptk_query(
         pruning_flags=pruning_flags,
         columnar=columnar,
         columns=columns,
+        state=state,
+        lock=lock,
     )
     return engine.run(deadline_seconds=deadline_seconds)
 

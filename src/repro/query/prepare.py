@@ -27,6 +27,12 @@ Correctness relies on two identities:
 
 Tables are held weakly: dropping the last reference to a table frees its
 cached preparations.
+
+A preparation also keeps its warm columnar scans, one per ``k``
+(:meth:`PreparedRanking.scan_state`): a thresholded columnar read
+prices only the rows no earlier read at its ``k`` priced.  A
+preparation never changes and a write makes a new one, so no write
+reaches a warm scan; its scans die with it.
 """
 
 from __future__ import annotations
@@ -46,11 +52,15 @@ from repro.obs import OBS, catalogued, span as obs_span
 from repro.query.topk import TopKQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.kernel import TableColumns
+    from repro.core.kernel import TableColumns, TopKScanState
 
 #: Cached preparations kept per table; oldest evicted first.  Dashboards
 #: alternating a handful of predicates/rankings stay fully cached.
 DEFAULT_MAX_ENTRIES_PER_TABLE = 8
+
+#: Warm columnar scans kept per preparation, one per ``k``; the least
+#: recently read ``k`` is evicted first.
+MAX_SCAN_STATES = 8
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,9 @@ class PreparedRanking:
     :param predicate: the predicate object this preparation is keyed by
         (held so identity-based cache keys stay unambiguous).
     :param ranking: the ranking function, held for the same reason.
+
+    Besides these fields a preparation holds its warm columnar scans
+    (:meth:`scan_state`).  Pickling drops them; the copy starts cold.
     """
 
     table: UncertainTable
@@ -101,6 +114,53 @@ class PreparedRanking:
             columns.rule_index,
             [self.rule_probability[rule_id] for rule_id in columns.rule_ids],
         )
+
+    def __post_init__(self) -> None:
+        self._clear_scans()
+
+    def _clear_scans(self) -> None:
+        object.__setattr__(self, "_scans", OrderedDict())
+        object.__setattr__(self, "_scans_lock", threading.Lock())
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_scans"], state["_scans_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._clear_scans()
+
+    def scan_state(self, k: int) -> Tuple["TopKScanState", threading.Lock]:
+        """The warm columnar scan of these columns at ``k`` and its lock.
+
+        Built on first use; at most :data:`MAX_SCAN_STATES` are kept,
+        the least recently read ``k`` evicted first.  Readers take the
+        lock around each read of the state (the state is not
+        thread-safe) and take no other lock while they hold it.
+        """
+        from repro.core.kernel import TopKScanState
+
+        with self._scans_lock:
+            entry = self._scans.get(k)
+            if entry is None:
+                columns = self.columns
+                entry = self._scans[k] = (
+                    TopKScanState(columns.probability, columns.rule_index, k),
+                    threading.Lock(),
+                )
+                while len(self._scans) > MAX_SCAN_STATES:
+                    self._scans.popitem(last=False)
+            else:
+                self._scans.move_to_end(k)
+            return entry
+
+    def scanned_rows(self, k: int) -> int:
+        """Rows the warm scan at ``k`` has priced (0 when there is none);
+        creates no scan and does not count as a read."""
+        with self._scans_lock:
+            entry = self._scans.get(k)
+        return 0 if entry is None else entry[0].done
 
     def __len__(self) -> int:
         return len(self.columns)

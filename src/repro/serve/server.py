@@ -56,7 +56,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -982,13 +982,15 @@ class ServeApp:
                 )
                 item.scheduler["checkpoint_depth"] = answer.stats.scan_depth
                 record["outcome"] = "deadline-partial"
-            if item.checkpoint is None:
+            if item.checkpoint is None and answer.stats.tuples_evaluated:
                 # Per-item calibration: the rows this item priced with
                 # this item's clock.  (Batch-aggregated observations
                 # paired one item's depth with another item's time and
                 # corrupted the model the scheduler prices with.)
                 # Resumed segments are skipped — their elapsed covers
-                # only the suffix of the reported depth.
+                # only the suffix of the reported depth — and so is a
+                # warm read that priced no row: its elapsed is not a
+                # cost per row.
                 self.latency_model.observe_exact(
                     answer.stats.tuples_evaluated, elapsed
                 )
@@ -1055,8 +1057,9 @@ class ServeApp:
         """Re-decide a planned exact item just before it would run.
 
         Reads the item's remaining deadline off the clock, claims any
-        parked checkpoint for its query shape (so only the unscanned
-        suffix is priced), and asks the scheduler.  ``expired`` fails
+        parked checkpoint for its query shape, prices only the rows the
+        checkpoint or the preparation's warm scan at its ``k`` has left
+        (:meth:`_exact_seconds`), and asks the scheduler.  ``expired`` fails
         the item fast and ``degrade`` sends it to the sampler with a
         deadline-sized budget, both before any scan starts and both
         parking the checkpoint again for a later retry.
@@ -1066,12 +1069,11 @@ class ServeApp:
         item.remaining = None if deadline is None else deadline - time.monotonic()
         key = batch.checkpoint_key(request)
         checkpoint = self._take_checkpoint(key)
-        estimated = (
-            self.latency_model.predict_resume_seconds(
-                checkpoint.depth, item.estimate.depth
-            )
+        estimated = self._exact_seconds(
+            item.estimate,
+            checkpoint.depth
             if checkpoint is not None
-            else item.estimate.exact_seconds
+            else batch.prepared.scanned_rows(request.k),
         )
         decision = self.scheduler.decide(
             item.remaining, estimated, self.config.deadline_safety,
@@ -1128,6 +1130,14 @@ class ServeApp:
                 "capacity": self.config.max_checkpoints,
             }
 
+    def _exact_seconds(self, estimate: LatencyEstimate, done: int) -> float:
+        """An exact read's predicted cost when ``done`` of its rows are
+        already priced: the rows it has left, or the planner's cold
+        price when there are none."""
+        if not done:
+            return estimate.exact_seconds
+        return self.latency_model.predict_resume_seconds(done, estimate.depth)
+
     def _plan(
         self,
         table,
@@ -1142,7 +1152,8 @@ class ServeApp:
         deadline.  The latency estimate is always computed (it is cheap:
         a closed form over the preparation's cached statistics) so the
         flight recorder can compare it against the measured latency on
-        every path.
+        every path.  Its ``exact_seconds`` prices only the rows the
+        preparation's warm scan at ``k`` has left.
         """
         estimate = estimate_latency(
             table,
@@ -1151,6 +1162,11 @@ class ServeApp:
             model=self.latency_model,
             statistics=prepared.statistics,
         )
+        done = prepared.scanned_rows(request.k)
+        if done:
+            estimate = replace(
+                estimate, exact_seconds=self._exact_seconds(estimate, done)
+            )
         if request.mode == "exact":
             return "exact", None, False, estimate
         if request.mode == "sampled":

@@ -6,24 +6,35 @@ from a columnar :class:`~repro.core.exact.ExactPTKEngine`: a
 columns, read to Theorem 5's stop depth.  This module pins down
 
 * its answers (the scalar engine's, the incremental index's stop depth),
-* deadline cuts and checkpoint resumes of its state, and
+* deadline cuts and checkpoint resumes of its state,
+* the preparation's warm scans: reads at one ``k`` share one state, in
+  any order and from any thread, bitwise as if each read were cold, and
 * its observability: one flush per query, no per-row metric calls.
 """
 
 from __future__ import annotations
 
+import pickle
+import random
+import sys
+import threading
 import time
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import exact as exact_module
+from repro.core import kernel
 from repro.core.exact import COLUMNAR, ExactPTKEngine, exact_ptk_query
 from repro.core.kernel import ANSWER_CHUNK, TopKScanState
 from repro.exceptions import QueryError
 from repro.obs import OBS, catalogued
 from repro.query.engine import UncertainDB
-from repro.query.prepare import prepare_ranking
+from repro.query.prepare import MAX_SCAN_STATES, prepare_ranking
 from repro.query.topk import TopKQuery
 
 from tests.test_kernel import random_table
@@ -110,9 +121,11 @@ class TestAnswers:
         assert again.probabilities == first.probabilities
         depth = first.stats.scan_depth
         assert depth <= first.stats.tuples_evaluated < depth + ANSWER_CHUNK
-        assert again.stats.tuples_evaluated == first.stats.tuples_evaluated
-        assert again.stats.subset_extensions == first.stats.subset_extensions
         assert first.stats.subset_extensions > 0
+        # The repeat reads the preparation's warm scan: nothing to price.
+        assert again.stats.scan_depth == depth
+        assert again.stats.tuples_evaluated == 0
+        assert again.stats.subset_extensions == 0
 
     def test_after_a_write(self, table):
         db = UncertainDB()
@@ -177,6 +190,193 @@ class TestDeadlines:
         assert resumed.answers == uncut.answers
         assert resumed.probabilities == uncut.probabilities
         assert resumed.stats.tuples_evaluated == uncut.stats.tuples_evaluated
+
+
+def bits(answer):
+    """What a warm read must share bitwise with a cold one."""
+    return (
+        answer.answers,
+        [(tid, value.hex()) for tid, value in answer.probabilities.items()],
+        answer.stats.scan_depth,
+        answer.stats.stopped_by,
+    )
+
+
+def cold(table, k, threshold, pruning=True):
+    """The read on a fresh preparation, whose scan no read has warmed."""
+    return columnar(
+        table, k, threshold, prepare_ranking(table, TopKQuery(k=k)),
+        pruning=pruning,
+    )
+
+
+def ticking(read, budget):
+    """Run ``read(budget)`` on a clock that ticks once per reading, so a
+    budget of ``b`` cuts the read after ``ceil(b) - 1`` chunks whatever
+    the machine's speed; ``None`` runs it unbudgeted on the real clock."""
+    if budget is None:
+        return read(None)
+    clock = iter(range(10**6))
+    fake = SimpleNamespace(perf_counter=lambda: float(next(clock)))
+    with mock.patch.object(exact_module, "time", fake), mock.patch.object(
+        kernel, "time", fake
+    ):
+        return read(budget)
+
+
+#: (k, threshold, pruning, budget in clock ticks, resume a parked cut)
+READ_OPS = st.tuples(
+    st.sampled_from([1, 2, 5, 10, 40]),
+    st.sampled_from([0.05, 0.2, 0.3, 0.5, 0.9]),
+    st.booleans(),
+    st.sampled_from([None, None, 0.5, 1.5, 2.5]),
+    st.booleans(),
+)
+
+
+class TestWarmScans:
+    """Reads on one preparation resume its warm scan at their ``k``."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 300),
+        hot_rules=st.booleans(),
+        ops=st.lists(READ_OPS, min_size=1, max_size=12),
+    )
+    def test_interleaved_reads_equal_cold_reads(self, seed, n, hot_rules, ops):
+        table = random_table(seed, n, rule_fraction=0.4, hot_rules=hot_rules)
+        prepared = prepare_ranking(table, TopKQuery(k=1))
+        expected = {}
+        parked = []
+
+        def check(answer, shape):
+            if answer.partial:
+                parked.append((answer.checkpoint, shape))
+                return
+            if shape not in expected:
+                expected[shape] = bits(cold(table, *shape))
+            assert bits(answer) == expected[shape]
+
+        for k, threshold, pruning, budget, resume in ops:
+            if resume and parked:
+                checkpoint, shape = parked.pop(0)
+                check(ticking(checkpoint.resume, budget), shape)
+                continue
+            check(
+                ticking(
+                    lambda b: columnar(
+                        table, k, threshold, prepared, pruning=pruning,
+                        deadline_seconds=b,
+                    ),
+                    budget,
+                ),
+                (k, threshold, pruning),
+            )
+        while parked:
+            checkpoint, shape = parked.pop(0)
+            check(checkpoint.resume(), shape)
+
+    def test_repeat_bills_nothing_and_equals_the_cold_read(self, table):
+        prepared = prepare_ranking(table, TopKQuery(k=1))
+        first = columnar(table, 10, 0.3, prepared)
+        assert first.stats.tuples_evaluated > 0
+        assert prepared.scanned_rows(10) == first.stats.tuples_evaluated
+        for threshold in (0.3, 0.5, 0.2):
+            again = columnar(table, 10, threshold, prepared)
+            assert bits(again) == bits(cold(table, 10, threshold))
+        assert prepared.scanned_rows(10) >= again.stats.scan_depth
+
+    def test_threads_share_one_preparation(self):
+        table = random_table(7, 3000, rule_fraction=0.3)
+        prepared = prepare_ranking(table, TopKQuery(k=1))
+        shapes = [
+            (k, threshold, True)
+            for k in (5, 10, 40, 100) for threshold in (0.2, 0.3, 0.5)
+        ] + [(5, 0.3, False)]
+        expected = {shape: bits(cold(table, *shape)) for shape in shapes}
+        failures = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(50):
+                    k, threshold, pruning = shape = rng.choice(shapes)
+                    budget = rng.choice([None, None, 0.0, 0.0005])
+                    answer = columnar(
+                        table, k, threshold, prepared, pruning=pruning,
+                        deadline_seconds=budget,
+                    )
+                    # A cut read resumes budgeted a few times, then
+                    # without a budget.
+                    for attempt in range(4):
+                        if not answer.partial:
+                            break
+                        answer = answer.checkpoint.resume(
+                            budget if attempt < 3 else None
+                        )
+                    if bits(answer) != expected[shape]:
+                        failures.append(shape)
+            except Exception as error:  # pragma: no cover - reported below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=reader, args=(seed,)) for seed in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside each read
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_a_write_reads_a_new_preparation(self, table):
+        db = UncertainDB()
+        db.register(table)
+        first = db.ptk(table.name, 10, 0.3)
+        assert db.ptk(table.name, 10, 0.3).stats.tuples_evaluated == 0
+        before = db.prepare_cache.get(table, TopKQuery(k=10))
+        db.update_probability(table.name, before.ranked[0].tid, 0.01)
+        after = db.prepare_cache.get(table, TopKQuery(k=10))
+        assert after is not before
+        assert after.scanned_rows(10) == 0
+        read = db.ptk(table.name, 10, 0.3)
+        assert read.stats.tuples_evaluated > 0
+        assert bits(read) == bits(cold(table, 10, 0.3))
+        assert bits(read) != bits(first)
+
+    def test_least_recently_read_k_is_evicted(self, table):
+        prepared = prepare_ranking(table, TopKQuery(k=1))
+        ks = list(range(1, MAX_SCAN_STATES + 1))
+        for k in ks:
+            columnar(table, k, 0.3, prepared)
+        columnar(table, 1, 0.3, prepared)  # k=1 is now the most recent
+        assert prepared.scanned_rows(2) > 0  # peeking is not a read
+        columnar(table, MAX_SCAN_STATES + 1, 0.3, prepared)
+        assert prepared.scanned_rows(2) == 0
+        for k in [1, *ks[2:], MAX_SCAN_STATES + 1]:
+            assert prepared.scanned_rows(k) > 0
+        again = columnar(table, 2, 0.3, prepared)
+        assert again.stats.tuples_evaluated > 0
+        assert bits(again) == bits(cold(table, 2, 0.3))
+
+    def test_pickled_preparation_starts_cold(self, table):
+        prepared = prepare_ranking(table, TopKQuery(k=1))
+        columnar(table, 10, 0.3, prepared)
+        # The default ranking is a closure: drop it, as the process pool
+        # does, but on this warm preparation itself.
+        object.__setattr__(prepared, "ranking", None)
+        clone = pickle.loads(pickle.dumps(prepared))
+        assert prepared.scanned_rows(10) > 0
+        assert clone.scanned_rows(10) == 0
+        assert bits(columnar(table, 10, 0.3, clone)) == bits(
+            cold(table, 10, 0.3)
+        )
 
 
 class TestObservability:

@@ -90,13 +90,17 @@ def _work(request: QueryRequest, deadline=None) -> _Work:
 
 
 class PinnedModel(LatencyModel):
-    """Constant exact-latency prediction, immune to calibration."""
+    """Constant exact-latency prediction, immune to calibration: a
+    read's warm or checkpointed rows do not lower it."""
 
     def __init__(self, exact_seconds: float) -> None:
         super().__init__()
         self._exact = exact_seconds
 
     def predict_exact_seconds(self, depth: int) -> float:
+        return self._exact
+
+    def predict_resume_seconds(self, done_depth: int, target_depth: int) -> float:
         return self._exact
 
     def observe_exact(self, depth: int, seconds: float) -> None:
@@ -737,12 +741,55 @@ class TestServedColumnarReads:
         assert again.answers == first.answers
         profiles = exact_profiles()
         assert [p["variant"] for p in profiles] == ["columnar", "columnar"]
-        priced = profiles[0]["tuples_evaluated"]
+        warm, cold = profiles  # newest first
+        priced = cold["tuples_evaluated"]
         assert priced > 0 and priced % kernel.ANSWER_CHUNK == 0
-        assert priced >= profiles[0]["scan_depth"]
-        assert [depth for depth, _ in model.exact_observations] == [
-            priced, priced,
-        ]
+        assert priced >= cold["scan_depth"]
+        # The repeat reads the preparation's warm scan: it prices no row
+        # and is not observed.
+        assert warm["tuples_evaluated"] == 0
+        assert warm["scan_depth"] == cold["scan_depth"]
+        assert [depth for depth, _ in model.exact_observations] == [priced]
+
+    def test_warm_read_leaves_calibration_unchanged(self, monkeypatch):
+        # 5 ms on every served read: without the guard the warm read's
+        # elapsed would be folded in as the cost of a single DP cell.
+        slow_exact(monkeypatch, 0.005)
+        db = make_db(n=400)
+        model = LatencyModel()
+        app = serve_app(db, latency_model=model)
+        request = QueryRequest(table="served", k=20, threshold=0.3)
+        try:
+            app._run_batch("served", [_work(request)])
+            calibrated = model.seconds_per_cell
+            app._run_batch("served", [_work(request)])
+        finally:
+            app.shutdown()
+        assert model.seconds_per_cell == calibrated
+
+    def test_warm_item_is_priced_by_the_rows_it_has_left(self):
+        db = make_db(n=400)
+        model = RecordingModel()
+        model.observe_exact = lambda depth, seconds: None  # fixed prices
+        app = serve_app(db, latency_model=model)
+        request = QueryRequest(table="served", k=20, threshold=0.3)
+        try:
+            first = app._run_batch("served", [_work(request)])[0]
+            again = app._run_batch("served", [_work(request)])[0]
+            table = db.table("served")
+            prepared = db.prepare_cache.get(table, TopKQuery(k=20))
+            estimate = app._plan(table, request, None, prepared)[3]
+        finally:
+            app.shutdown()
+        done = prepared.scanned_rows(20)
+        assert done > 0
+        warm = model.predict_resume_seconds(done, estimate.depth)
+        assert estimate.exact_seconds == warm
+        assert again.scheduler["estimated_seconds"] == warm
+        assert warm < first.scheduler["estimated_seconds"]
+        assert first.scheduler["estimated_seconds"] == (
+            model.predict_exact_seconds(estimate.depth)
+        )
 
     def test_served_preparation_pickles(self):
         import dataclasses
@@ -770,7 +817,8 @@ class TestServedColumnarReads:
 class TestServeResume:
     def test_partial_then_resumed_roundtrip(self, monkeypatch):
         db = make_db(n=1000)
-        oracle = db.ptk("served", k=300, threshold=0.3)
+        # On its own database: a read on db would warm the served scan.
+        oracle = make_db(n=1000).ptk("served", k=300, threshold=0.3)
         # 20 ms per priced chunk: the first read's 30 ms budget (half
         # its 60 ms deadline) cuts it after a chunk or two.
         slow_scan_chunks(monkeypatch, 0.02)
