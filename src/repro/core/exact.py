@@ -25,7 +25,6 @@ import enum
 import math
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import kernel
@@ -96,70 +95,6 @@ def _rule_probabilities(
 COLUMNAR = "columnar"
 
 
-@dataclass
-class ScanCheckpoint:
-    """A resumable scan-prefix checkpoint of an interrupted exact scan.
-
-    Produced when :meth:`ExactPTKEngine.run` hits a ``deadline_seconds``
-    budget mid-scan.  The checkpoint owns the *live engine*, so resuming
-    simply continues the very same scan: the resumed result is bit-exact
-    with an uninterrupted run by construction (no state is re-derived).
-    The live state is the scalar scan's — stream cursor, dominant-set
-    scan, shared-prefix DP, pruning-tracker state, and the partially
-    filled answer — or, for a columnar read, the engine's
-    :class:`~repro.core.kernel.TopKScanState` (the DP state, the
-    ``Pr^k`` rows priced so far and the Theorem-5 running mass).
-
-    A checkpoint is single-use: the engine it wraps mutates as the scan
-    continues, so :meth:`resume` refuses a second call.
-
-    :param engine: the interrupted engine (opaque to callers).
-    :param depth: tuples fully processed before the interruption.
-    :param k: the query's k (for cache keying by callers).
-    :param threshold: the query's probability threshold.
-    :param variant: algorithm variant name (``RC`` / ``RC+AR`` /
-        ``RC+LR``, or ``columnar``).
-    """
-
-    engine: "ExactPTKEngine" = field(repr=False)
-    depth: int = 0
-    k: int = 0
-    threshold: float = 0.0
-    variant: str = ""
-    consumed: bool = field(default=False, repr=False)
-
-    def resume(self, deadline_seconds: Optional[float] = None) -> PTKAnswer:
-        """Continue the interrupted scan (optionally budgeted again).
-
-        :raises QueryError: when the checkpoint was already resumed.
-        """
-        if self.consumed:
-            raise QueryError(
-                "scan checkpoint already resumed; checkpoints are "
-                "single-use (request a fresh one from the new answer)"
-            )
-        self.consumed = True
-        return self.engine.run(deadline_seconds=deadline_seconds)
-
-    def describe(self) -> Dict[str, Any]:
-        """Introspection for debug endpoints and the scheduler block.
-
-        ``pruning`` (the Theorem 3–5 tracker state) is present only for
-        the scalar scan; the columnar read has no tracker.
-        """
-        info = {
-            "depth": self.depth,
-            "k": self.k,
-            "threshold": self.threshold,
-            "variant": self.variant,
-            "answers_so_far": len(self.engine.partial_answer.answers),
-        }
-        tracker = self.engine.tracker
-        if tracker is not None:
-            info["pruning"] = tracker.snapshot()
-        return info
-
-
 class ExactPTKEngine:
     """Executor for a PT-k query over a ranked stream.
 
@@ -167,10 +102,10 @@ class ExactPTKEngine:
     :func:`exact_ptk_query` / :func:`exact_topk_probabilities`; the
     engine class exists so benchmarks can inspect intermediate state.
 
-    :meth:`run` accepts an optional wall-clock budget.  A budgeted run
-    that cannot finish in time returns a *partial* answer whose
-    ``checkpoint`` resumes the scan later — repeated ``run()`` calls on
-    one engine continue the same scan, they never restart it.
+    A thresholded columnar :meth:`run` accepts an optional wall-clock
+    budget.  A read that cannot finish in time returns a *partial*
+    answer; the rows it priced stay in its scan state, so a later read
+    of that state continues from them.
 
     :param ranked: full ranked list behind the stream (rank positions of
         rule members must be known up front; tuples are still *retrieved*
@@ -203,14 +138,13 @@ class ExactPTKEngine:
         TopKScanState` at this ``k`` over ``columns``, to read instead of
         a fresh one.  Several engines may read one state in turn (see
         :func:`shared_scan_reads`): rows another engine priced are not
-        priced again, and each engine's ``tuples_evaluated`` and
-        ``subset_extensions`` bill only the state's growth during its
-        own ``run()`` segments.
+        priced again, and each read's ``tuples_evaluated`` and
+        ``subset_extensions`` bill only the state's growth during it.
     :param lock: the lock that serialises reads of a ``state`` shared
         across threads (a preparation's warm scan,
-        :meth:`~repro.query.prepare.PreparedRanking.scan_state`).  Each
-        ``run()`` holds it only while it reads the state, and a
-        budgeted ``run()`` waits for it no later than its deadline.
+        :meth:`~repro.query.prepare.PreparedRanking.scan_state`).  A
+        read holds it only while it reads the state, and a budgeted
+        read waits for it no later than its deadline.
     """
 
     def __init__(
@@ -244,11 +178,6 @@ class ExactPTKEngine:
         self._method = (
             COLUMNAR if self.columnar and not self.full_scan else variant.value
         )
-        # Resumable-scan state: the answer fills across run() segments,
-        # and _publish increments global counters by *deltas* so a
-        # resumed query is not double-counted.
-        self._answer = PTKAnswer(k=k, threshold=threshold, method=self._method)
-        self._published: Dict[str, int] = {}
         self._tracker: Optional[PruningTracker] = None
         if self.columnar:
             # The kernel reads the columns alone; none of the scalar
@@ -267,10 +196,6 @@ class ExactPTKEngine:
                 self._topk = state
                 self._lock = lock
                 self._limit = k - threshold if self.pruning else math.inf
-                # Rows and extensions this engine priced, summed over
-                # its run() segments.
-                self._rows = 0
-                self._extensions = 0
             return
         self._stream = RankedStream(ranked, presorted=True)
         self._scan = DominantSetScan(ranked, rule_of)
@@ -295,14 +220,9 @@ class ExactPTKEngine:
         )
 
     @property
-    def partial_answer(self) -> PTKAnswer:
-        """The (possibly still partial) answer the scan is filling."""
-        return self._answer
-
-    @property
     def tracker(self) -> Optional[PruningTracker]:
-        """The pruning tracker (checkpoint introspection, benchmarks);
-        ``None`` for a columnar engine."""
+        """The scalar scan's pruning tracker; ``None`` for a columnar
+        engine."""
         return self._tracker
 
     def _table_columns(self) -> TableColumns:
@@ -312,39 +232,32 @@ class ExactPTKEngine:
         return self._columns
 
     def run(self, deadline_seconds: Optional[float] = None) -> PTKAnswer:
-        """Execute (or continue) the scan and return the answer object.
+        """Execute the scan and return the answer object.
 
-        :param deadline_seconds: optional wall-clock budget for *this*
-            call.  When the budget expires mid-scan the returned answer
-            is partial: ``stats.stopped_by == "deadline"`` and
-            ``answer.checkpoint`` resumes the scan.  A columnar read
-            checks it between chunks of
-            :data:`~repro.core.kernel.ANSWER_CHUNK` rows; the columnar
-            full-scan kernel ignores it (one vectorized shot, no
-            per-tuple loop to interrupt).
+        :param deadline_seconds: optional wall-clock budget of a
+            thresholded columnar read, checked between chunks of
+            :data:`~repro.core.kernel.ANSWER_CHUNK` rows.  When it
+            expires the answer is partial (``stats.stopped_by ==
+            "deadline"``) and the rows priced so far stay in the scan
+            state.  The columnar full-scan kernel ignores it (one
+            vectorized shot, nothing to interrupt).
+        :raises QueryError: when a budget is given to the scalar engine,
+            the reference oracle, which always runs to its stop.
         """
         if self.columnar:
             if self.full_scan:
                 return self._run_columnar()
             return self._read_columnar(deadline_seconds)
-        answer = self._answer
-        answer.checkpoint = None
+        if deadline_seconds is not None:
+            raise QueryError(
+                "deadline_seconds needs a columnar read (columnar=True "
+                "with a threshold above 0); the scalar engine has no "
+                "deadline cut"
+            )
+        answer = PTKAnswer(k=self.k, threshold=self.threshold, method=self._method)
         stats = answer.stats
-        stop_at = (
-            None
-            if deadline_seconds is None
-            else time.perf_counter() + deadline_seconds
-        )
-        interrupted = False
         with obs_span("ptk.scan", variant=self.variant.value, k=self.k) as scan_span:
             while True:
-                # The budget is checked *before* retrieving, so every
-                # consumed tuple is fully processed: the stream cursor
-                # is exactly the count of processed tuples and a resume
-                # picks up at the next unseen one.
-                if stop_at is not None and time.perf_counter() >= stop_at:
-                    interrupted = True
-                    break
                 tup = self._stream.next_tuple()
                 if tup is None:
                     break
@@ -371,21 +284,6 @@ class ExactPTKEngine:
                         break
             stats.scan_depth = self._stream.scan_depth
             stats.subset_extensions = self._dp.extensions
-            if interrupted:
-                stats.stopped_by = "deadline"
-                answer.checkpoint = ScanCheckpoint(
-                    engine=self,
-                    depth=stats.scan_depth,
-                    k=self.k,
-                    threshold=self.threshold,
-                    variant=self.variant.value,
-                )
-            elif stats.stopped_by == "deadline":
-                # A resumed scan that ran to a real stop: the stale
-                # marker from the interrupted segment must not survive.
-                stats.stopped_by = (
-                    self._tracker.stopped_by or "exhausted"
-                )
             scan_span.set(
                 scan_depth=stats.scan_depth, stopped_by=stats.stopped_by
             )
@@ -436,9 +334,10 @@ class ExactPTKEngine:
         (on a fresh state, the stop depth rounded up to a whole chunk;
         on a shared one, only the rows earlier readers had not) and the
         pruning counters stay 0.  A deadline cut returns a partial
-        answer whose checkpoint continues the same state; so does a
-        deadline that passes while another reader holds the state's
-        lock, with nothing revealed.
+        answer and leaves the rows it priced in the state, for the next
+        read at this ``k`` to continue; a deadline that passes while
+        another reader holds the state's lock returns a partial answer
+        with nothing revealed.
         """
         stop_at = (
             None
@@ -457,32 +356,22 @@ class ExactPTKEngine:
                     (
                         answer.answers,
                         answer.probabilities,
-                        depth,
+                        stats.scan_depth,
                         stats.stopped_by,
                     ) = state.read(
                         self._columns.tids, self.threshold, self._limit,
                         stop_at,
                     )
-                    self._rows += state.done - done
-                    self._extensions += state.extensions - extensions
+                    stats.tuples_evaluated = state.done - done
+                    stats.subset_extensions = state.extensions - extensions
                 finally:
                     if self._lock is not None:
                         self._lock.release()
             else:
-                depth, stats.stopped_by = 0, "deadline"
-            stats.scan_depth = depth
-            stats.tuples_evaluated = self._rows
-            stats.subset_extensions = self._extensions
-            if stats.stopped_by == "deadline":
-                answer.checkpoint = ScanCheckpoint(
-                    engine=self,
-                    depth=depth,
-                    k=self.k,
-                    threshold=self.threshold,
-                    variant=COLUMNAR,
-                )
-            scan_span.set(scan_depth=depth, stopped_by=stats.stopped_by)
-        self._answer = answer
+                stats.stopped_by = "deadline"
+            scan_span.set(
+                scan_depth=stats.scan_depth, stopped_by=stats.stopped_by
+            )
         if OBS.enabled:
             self._publish(stats, None)
         return answer
@@ -497,51 +386,30 @@ class ExactPTKEngine:
             return lock.acquire()
         return lock.acquire(timeout=max(stop_at - time.perf_counter(), 0.0))
 
-    def _delta(self, key: str, value: int) -> int:
-        """Unpublished growth of a stat since the last ``_publish``.
-
-        A budgeted scan publishes once per ``run()`` segment; counting
-        deltas keeps the global counters exact across resumes (absolute
-        values would double-count every resumed prefix).
-        """
-        previous = self._published.get(key, 0)
-        self._published[key] = value
-        return value - previous
-
     def _publish(
         self, stats, unit_counts: Optional[Tuple[int, int, int]]
     ) -> None:
         """Flush the run's counters into the global metrics registry.
 
-        Done once per query segment (not per tuple) so enabled-mode
-        overhead stays off the inner loop.  Work counters advance by
-        deltas; the per-query counters (queries, stops, the scan-depth
-        histogram) fire once — queries on the first segment, stops and
-        the depth sample only when the scan actually completed.
+        Done once per query (not per tuple) so enabled-mode overhead
+        stays off the inner loop.  The stop counter and the scan-depth
+        histogram fire only when the scan reached a real stop, not a
+        deadline cut.
 
         :param unit_counts: ``(independent units, rule units, rule
             merges)`` for the flight profile, or ``None`` to leave them
             unset.
         """
-        if not self._published:
-            catalogued("repro_ptk_queries_total").inc(1.0, method=self._method)
-        catalogued("repro_ptk_tuples_scanned_total").inc(
-            self._delta("scan_depth", stats.scan_depth)
-        )
+        catalogued("repro_ptk_queries_total").inc(1.0, method=self._method)
+        catalogued("repro_ptk_tuples_scanned_total").inc(stats.scan_depth)
         catalogued("repro_ptk_tuples_evaluated_total").inc(
-            self._delta("tuples_evaluated", stats.tuples_evaluated)
+            stats.tuples_evaluated
         )
         pruned = catalogued("repro_ptk_tuples_pruned_total")
-        pruned.inc(
-            self._delta("pruned_membership", stats.tuples_pruned_membership),
-            theorem="membership",
-        )
-        pruned.inc(
-            self._delta("pruned_same_rule", stats.tuples_pruned_same_rule),
-            theorem="same-rule",
-        )
+        pruned.inc(stats.tuples_pruned_membership, theorem="membership")
+        pruned.inc(stats.tuples_pruned_same_rule, theorem="same-rule")
         catalogued("repro_ptk_dp_extensions_total").inc(
-            self._delta("subset_extensions", stats.subset_extensions)
+            stats.subset_extensions
         )
         if stats.stopped_by != "deadline":
             catalogued("repro_ptk_scan_depth").observe(stats.scan_depth)
@@ -597,7 +465,6 @@ def exact_ptk_query(
     cache: Optional[PrepareCache] = None,
     columnar: Optional[bool] = None,
     deadline_seconds: Optional[float] = None,
-    resume: Optional[ScanCheckpoint] = None,
 ) -> PTKAnswer:
     """Answer a PT-k query exactly (the paper's main algorithm).
 
@@ -625,24 +492,15 @@ def exact_ptk_query(
         ``subset_extensions`` bill only the rows earlier reads at ``k``
         had not priced (0 when a read repeats).  The default ``None``
         keeps the scalar engine, the reference oracle.
-    :param deadline_seconds: wall-clock budget for the scan; on
-        expiry the answer is partial (``stats.stopped_by ==
-        "deadline"``) and carries a resumable ``checkpoint``.
-    :param resume: a :class:`ScanCheckpoint` from an earlier budgeted
-        call; the scan continues from its prefix instead of restarting.
-        The checkpoint must come from the same (table version, k,
-        threshold) — callers key their checkpoint stores accordingly —
-        and every other parameter of this call is ignored.
+    :param deadline_seconds: wall-clock budget of a columnar read
+        (``columnar=True``, threshold above 0).  On expiry the answer is
+        partial (``stats.stopped_by == "deadline"``); the rows it priced
+        stay in the preparation's warm scan, so a retry at the same
+        ``k`` continues from them and bills only the rest.
     :returns: a :class:`~repro.core.results.PTKAnswer`.
+    :raises QueryError: when ``deadline_seconds`` is given to the
+        scalar engine, the reference, which is never cut.
     """
-    if resume is not None:
-        if resume.k != query.k or resume.threshold != threshold:
-            raise QueryError(
-                f"checkpoint is for k={resume.k} threshold="
-                f"{resume.threshold}, cannot resume a query with "
-                f"k={query.k} threshold={threshold}"
-            )
-        return resume.resume(deadline_seconds=deadline_seconds)
     with obs_span("ptk.prepare"):
         prepared = resolve_prepared(table, query, prepared=prepared, cache=cache)
     columns = state = lock = None

@@ -108,7 +108,6 @@ class PruningTracker:
         # `k - p` stop boundary; the kernel accumulator cannot.
         self._probability_mass = RunningSum()
         self._since_stop_check = 0
-        self.stopped_by: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Per-tuple decisions
@@ -198,15 +197,13 @@ class PruningTracker:
             self.flags.total_probability
             and self._probability_mass.value > self.k - self.threshold
         ):
-            self.stopped_by = "total-probability"
-            return self.stopped_by
+            return "total-probability"
         if self.flags.tail_bound:
             self._since_stop_check += 1
             if self._since_stop_check >= self._stop_check_interval:
                 self._since_stop_check = 0
                 if self._tail_bound(scan) < self.threshold:
-                    self.stopped_by = "tail-bound"
-                    return self.stopped_by
+                    return "tail-bound"
         return None
 
     def _tail_bound(self, scan: DominantSetScan) -> float:
@@ -222,23 +219,3 @@ class PruningTracker:
     def probability_mass(self) -> float:
         """Sum of all computed ``Pr^k`` values so far (Theorem 5 state)."""
         return self._probability_mass.value
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The tracker's Theorem 3–5 state as a JSON-able dict.
-
-        The scan-prefix checkpoint (:class:`~repro.core.exact.ScanCheckpoint`)
-        exposes this so debug tooling — and the resume-parity tests —
-        can see exactly what pruning knowledge an interrupted scan
-        carries across the deadline boundary.  The live tracker object
-        itself stays with the engine; this is a read-only view.
-        """
-        return {
-            "k": self.k,
-            "threshold": self.threshold,
-            "probability_mass": self._probability_mass.value,
-            "max_failed_independent": self._max_failed_independent,
-            "rules_entered": len(self._rule_entry_max),
-            "rules_with_failed_members": len(self._rule_failed_max),
-            "since_stop_check": self._since_stop_check,
-            "stopped_by": self.stopped_by,
-        }

@@ -32,8 +32,8 @@ class AlgorithmStats:
     :param stopped_by: what ended the scan: ``"exhausted"`` (whole list),
         ``"total-probability"`` (Theorem 5), ``"tail-bound"`` (the
         ``Pr(at most k of the seen units appear) < p`` bound), or
-        ``"deadline"`` (a wall-clock budget interrupted the scan; the
-        answer is partial and carries a resumable checkpoint).
+        ``"deadline"`` (a wall-clock budget cut a columnar read; the
+        answer is partial).
     :param sample_units: sampler only — number of sample units drawn.
     :param avg_sample_length: sampler only — mean tuples scanned per unit
         (the "sample length" series of Figure 4).
@@ -67,10 +67,6 @@ class PTKAnswer:
         it).
     :param stats: instrumentation counters.
     :param method: short name of the algorithm that produced the answer.
-    :param checkpoint: set only when an exact scan was cut off by a
-        deadline budget (``stats.stopped_by == "deadline"``): an opaque
-        :class:`~repro.core.exact.ScanCheckpoint` from which the scan
-        can be resumed.  ``None`` for complete answers.
     """
 
     k: int
@@ -79,13 +75,12 @@ class PTKAnswer:
     probabilities: Dict[Any, float] = field(default_factory=dict)
     stats: AlgorithmStats = field(default_factory=AlgorithmStats)
     method: str = "exact"
-    checkpoint: Optional[Any] = None
 
     @property
     def partial(self) -> bool:
-        """True when the scan was interrupted and the answer covers only
-        the scanned prefix (resumable via ``checkpoint``)."""
-        return self.checkpoint is not None
+        """True when a deadline cut the scan and the answer covers only
+        the scanned prefix."""
+        return self.stats.stopped_by == "deadline"
 
     @property
     def answer_set(self) -> set:

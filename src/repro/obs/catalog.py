@@ -281,7 +281,7 @@ CATALOG: Dict[str, MetricSpec] = {
             "repro_serve_degraded_preexec_total", "counter", (),
             "Queries degraded to the sampler by the batch scheduler's "
             "pre-execution re-check: the remaining deadline could no "
-            "longer fit the (possibly resumed) exact scan.",
+            "longer fit the exact scan's remaining rows.",
             "Theorem 6 vs Theorems 3-5 (exact/sampling trade-off)",
         ),
         _spec(
@@ -289,12 +289,6 @@ CATALOG: Dict[str, MetricSpec] = {
             "Batch items whose deadline had already passed when the "
             "batch dispatched (stage=dispatch) or when the scheduler "
             "was about to execute them (stage=pre-exec).",
-            "Beyond the paper (query serving)",
-        ),
-        _spec(
-            "repro_serve_resumed_scans_total", "counter", (),
-            "Exact scans resumed from a deadline checkpoint instead of "
-            "restarting from depth 0.",
             "Beyond the paper (query serving)",
         ),
         _spec(

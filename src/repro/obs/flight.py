@@ -105,7 +105,7 @@ class QueryProfile:
     deadline_remaining_ms: Optional[float] = None
     outcome: Optional[str] = None
     # batch scheduler trace: policy, queue_position, estimated_seconds,
-    # decision, and (when applicable) checkpoint_depth/resumed_from_depth
+    # decision
     scheduler: Optional[Dict[str, Any]] = None
     # dynamic-index trace: deltas_applied, reads, fallbacks, and the
     # answering table's served k values (mode == "dynamic" only)

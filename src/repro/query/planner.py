@@ -191,14 +191,14 @@ class LatencyModel:
     def predict_resume_seconds(
         self, done_depth: int, target_depth: int
     ) -> float:
-        """Predicted *remaining* latency of a checkpointed exact scan.
+        """Predicted *remaining* latency of an exact read whose warm
+        scan already priced ``done_depth`` rows.
 
-        A scan cut off at ``done_depth`` has already paid for the
-        ``done_depth^2`` DP-cell prefix; finishing to ``target_depth``
-        costs only the difference of squares.  The serving layer's
-        scheduler prices a resume with this instead of the full
-        ``predict_exact_seconds`` so checkpointed work is correctly
-        cheaper than restarting.
+        Those rows have paid for the ``done_depth^2`` DP-cell prefix;
+        reading to ``target_depth`` costs only the difference of
+        squares.  The serving layer's scheduler prices a read on a warm
+        scan with this instead of the full ``predict_exact_seconds``, so
+        rows a cut or earlier read priced are not paid for again.
         """
         done = float(max(done_depth, 0)) ** 2
         target = float(max(target_depth, 1)) ** 2

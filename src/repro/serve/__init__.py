@@ -11,7 +11,7 @@ An asyncio HTTP/1.1 service (stdlib only) hosting an
   concurrent requests.
 * :mod:`~repro.serve.scheduler` — cost-based batch scheduling: exact
   work cheapest-first, pre-execution deadline re-checks, budgeted
-  resumable scans.
+  scans whose priced rows a retry continues.
 * :mod:`~repro.serve.admission` — bounded queue, ``max_inflight``, 429
   rejection with ``Retry-After``.
 * :mod:`~repro.serve.protocol` — JSON request/response schema and the

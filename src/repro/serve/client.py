@@ -102,6 +102,10 @@ class LoopbackTransport:
     async def _startup(self) -> None:
         self.app.startup()
 
+    async def _stop_tasks(self) -> None:
+        await self.app.stop_flusher()
+        await self.app.coalescer.drain()
+
     def _run_loop(self) -> None:
         asyncio.set_event_loop(self._loop)
         self._loop.run_forever()
@@ -117,10 +121,10 @@ class LoopbackTransport:
 
     def close(self) -> None:
         if self._loop.is_running():
-            # Stop the flusher while its loop is still alive, then stop
-            # the loop itself.
+            # Stop the flusher and the coalescer's window tasks while
+            # their loop is still alive, then stop the loop itself.
             asyncio.run_coroutine_threadsafe(
-                self.app.stop_flusher(), self._loop
+                self._stop_tasks(), self._loop
             ).result(timeout=10)
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=10)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-from typing import Any, Awaitable, Callable, Dict, Generic, List, TypeVar
+from typing import Any, Awaitable, Callable, Dict, Generic, List, Set, TypeVar
 
 K = TypeVar("K")
 T = TypeVar("T")
@@ -95,6 +95,9 @@ class RequestCoalescer:
         self.window_seconds = window_seconds
         self.max_batch = max_batch
         self._open: Dict[Any, _Batch] = {}
+        # Pending window tasks, each dropped when it finishes, so
+        # :meth:`drain` can end the ones still running at shutdown.
+        self._windows: Set[asyncio.Task] = set()
         self._batches_dispatched = 0
         self._items_dispatched = 0
 
@@ -110,7 +113,9 @@ class RequestCoalescer:
         if batch is None or batch.closed:
             batch = _Batch()
             self._open[key] = batch
-            loop.create_task(self._close_after_window(key, batch))
+            task = loop.create_task(self._close_after_window(key, batch))
+            self._windows.add(task)
+            task.add_done_callback(self._windows.discard)
         batch.items.append(item)
         batch.futures.append(future)
         if len(batch.items) >= self.max_batch:
@@ -125,6 +130,20 @@ class RequestCoalescer:
             return  # already dispatched by the max_batch overflow path
         self._detach(key, batch)
         await self._run_batch_now(key, batch.items, batch.futures)
+
+    async def drain(self) -> None:
+        """Cancel and await the window tasks still pending (run on
+        their loop).
+
+        An item can be answered early (``complete``) while its window
+        task still awaits the rest of the batch; a transport that stops
+        its loop calls this first, so no such task is destroyed while
+        pending.
+        """
+        tasks = list(self._windows)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     def _detach(self, key: Any, batch: _Batch) -> None:
         batch.closed = True

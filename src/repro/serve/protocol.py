@@ -225,8 +225,9 @@ class QueryResponse:
 
     ``partial`` is True when an exact scan was cut off at its deadline
     budget: ``answers``/``probabilities`` cover only the scanned ranked
-    prefix, and the server holds a checkpoint from which an identical
-    retry resumes instead of restarting.  ``scheduler`` carries the
+    prefix.  The rows it priced stay in the preparation's warm scan, so
+    a retry at the same ``k`` continues from them instead of
+    restarting.  ``scheduler`` carries the
     batch scheduler's per-item trace (policy, queue position, estimate,
     decision) for requests that went through exact-work scheduling.
     """

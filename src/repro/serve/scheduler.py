@@ -25,8 +25,8 @@ interrupted work incrementally):
 3. **Budget.**  Exact scans run under a wall-clock budget
    (:func:`~repro.core.exact.exact_ptk_query` ``deadline_seconds``), so
    a mispriced scan is cut off at its deadline instead of blowing it:
-   the client gets a partial answer and the server keeps a
-   :class:`~repro.core.exact.ScanCheckpoint` to resume on retry.
+   the client gets a partial answer, and the rows priced so far stay in
+   the preparation's warm scan for a retry to continue.
 
 Decisions are plain strings so the serving layer can stamp them
 verbatim into flight-recorder profiles and response ``scheduler``
@@ -81,8 +81,8 @@ class CostScheduler:
         :param remaining: seconds until the item's deadline (``None``
             when it has no deadline).
         :param estimated_seconds: predicted cost of the work left for
-            this item — the full scan, or the remainder after a
-            checkpoint.
+            this item — the full scan, or the rows the preparation's
+            warm scan has left.
         :param safety: fraction of the remaining deadline the estimate
             must fit within (``ServeConfig.deadline_safety``).
         :param can_degrade: False for forced-``exact`` requests, whose

@@ -33,12 +33,11 @@ the same discipline to execution time: exact work runs cheapest-first,
 each item's remaining deadline is re-checked immediately before it
 executes (degrading or failing it *before* any scan starts), and the
 scan itself runs under a wall-clock budget — a cut-off scan returns a
-partial answer and parks a :class:`~repro.core.exact.ScanCheckpoint`
-keyed by (table, version, k, threshold, variant) so an identical retry
-resumes from the scanned prefix instead of restarting.  Whichever way
-an item is answered (dynamic index, exact, sampled, or expired), it
-lands exactly one ``served`` flight profile, and its serve counter is
-bumped from that same record.
+partial answer, and the rows it priced stay in the preparation's warm
+scan at its ``k``, so a retry continues from them instead of
+restarting.  Whichever way an item is answered (dynamic index, exact,
+sampled, or expired), it lands exactly one ``served`` flight profile,
+and its serve counter is bumped from that same record.
 
 Endpoints: ``POST /query``, ``GET /healthz``, ``GET /tables``,
 ``GET /metrics`` (Prometheus text from :mod:`repro.obs`).
@@ -52,9 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,7 +60,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import urllib.parse
 
 from repro import obs
-from repro.core.exact import ScanCheckpoint, exact_ptk_query
+from repro.core.exact import exact_ptk_query
 from repro.core.results import PTKAnswer
 from repro.core.sampling import SamplingConfig, sampled_ptk_query
 from repro.durable.stream import WalCursor
@@ -124,8 +121,6 @@ class ServeConfig:
     :param deadline_safety: fraction of the remaining deadline the
         planner's exact-latency prediction must fit within; the rest
         absorbs estimation error and response serialisation.
-    :param max_checkpoints: bound on parked deadline checkpoints held
-        for resumption (oldest evicted first).
     :param min_sample_budget: floor on degraded sampling budgets.
     :param seed: seed for degraded sampling runs (deterministic tests).
     :param enable_obs: turn the observability layer on at startup so
@@ -158,7 +153,6 @@ class ServeConfig:
     max_queue: int = 64
     default_deadline_ms: Optional[float] = None
     deadline_safety: float = 0.5
-    max_checkpoints: int = 64
     min_sample_budget: int = 100
     seed: Optional[int] = 7
     enable_obs: bool = True
@@ -190,17 +184,6 @@ class _Batch:
     size: int
     prepare_hit: Optional[bool]
 
-    def checkpoint_key(self, request: QueryRequest) -> Tuple:
-        """Parked-checkpoint key of one request's query shape.
-
-        Keyed by the scanned preparation's version, not the live
-        table's: a write may have landed since the snapshot.
-        """
-        return (
-            self.name, self.prepared.source_version, request.k,
-            request.threshold,
-        )
-
 
 @dataclass
 class _Item:
@@ -223,7 +206,6 @@ class _Item:
     elapsed: Optional[float] = None
     queue_position: int = 0
     scheduler: Optional[Dict[str, Any]] = None
-    checkpoint: Optional[ScanCheckpoint] = None
 
 
 class ServeApp:
@@ -255,11 +237,6 @@ class ServeApp:
         self.config = config or ServeConfig()
         self.latency_model = latency_model or LatencyModel()
         self.scheduler = CostScheduler()
-        # Deadline checkpoints parked for resumption, keyed by
-        # (table name, table version, k, threshold).  Bounded FIFO:
-        # checkpoints are best-effort latency savings, not state.
-        self._checkpoints: "OrderedDict[Tuple, ScanCheckpoint]" = OrderedDict()
-        self._checkpoints_lock = threading.Lock()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             max_queue=self.config.max_queue,
@@ -459,7 +436,6 @@ class ServeApp:
             "admission": self.admission.stats(),
             "coalescer": self.coalescer.stats(),
             "scheduler": self.scheduler.name,
-            "checkpoints": self.checkpoint_stats(),
         }
         if self.replication is not None:
             body["replication"] = self.replication.status()
@@ -973,24 +949,17 @@ class ServeApp:
                 deadline_seconds=self.scheduler.budget(
                     item.remaining, self.config.deadline_safety
                 ),
-                resume=item.checkpoint,
             )
             elapsed = time.perf_counter() - started
-            if answer.checkpoint is not None:
-                self._store_checkpoint(
-                    batch.checkpoint_key(request), answer.checkpoint
-                )
-                item.scheduler["checkpoint_depth"] = answer.stats.scan_depth
+            if answer.partial:
                 record["outcome"] = "deadline-partial"
-            if item.checkpoint is None and answer.stats.tuples_evaluated:
+            if answer.stats.tuples_evaluated:
                 # Per-item calibration: the rows this item priced with
                 # this item's clock.  (Batch-aggregated observations
                 # paired one item's depth with another item's time and
-                # corrupted the model the scheduler prices with.)
-                # Resumed segments are skipped — their elapsed covers
-                # only the suffix of the reported depth — and so is a
-                # warm read that priced no row: its elapsed is not a
-                # cost per row.
+                # corrupted the model the scheduler prices with.)  A
+                # warm read that priced no row is skipped: its elapsed
+                # is not a cost per row.
                 self.latency_model.observe_exact(
                     answer.stats.tuples_evaluated, elapsed
                 )
@@ -1056,24 +1025,17 @@ class ServeApp:
     def _recheck(self, batch: _Batch, item: _Item) -> None:
         """Re-decide a planned exact item just before it would run.
 
-        Reads the item's remaining deadline off the clock, claims any
-        parked checkpoint for its query shape, prices only the rows the
-        checkpoint or the preparation's warm scan at its ``k`` has left
-        (:meth:`_exact_seconds`), and asks the scheduler.  ``expired`` fails
-        the item fast and ``degrade`` sends it to the sampler with a
-        deadline-sized budget, both before any scan starts and both
-        parking the checkpoint again for a later retry.
+        Reads the item's remaining deadline off the clock, prices only
+        the rows the preparation's warm scan at its ``k`` has left
+        (:meth:`_exact_seconds`), and asks the scheduler.  ``expired``
+        fails the item fast and ``degrade`` sends it to the sampler with
+        a deadline-sized budget, both before any scan starts.
         """
         request = item.work.request
         deadline = item.work.deadline
         item.remaining = None if deadline is None else deadline - time.monotonic()
-        key = batch.checkpoint_key(request)
-        checkpoint = self._take_checkpoint(key)
         estimated = self._exact_seconds(
-            item.estimate,
-            checkpoint.depth
-            if checkpoint is not None
-            else batch.prepared.scanned_rows(request.k),
+            item.estimate, batch.prepared.scanned_rows(request.k)
         )
         decision = self.scheduler.decide(
             item.remaining, estimated, self.config.deadline_safety,
@@ -1085,50 +1047,15 @@ class ServeApp:
             "estimated_seconds": estimated,
             "decision": decision,
         }
-        if checkpoint is not None:
-            item.scheduler["resumed_from_depth"] = checkpoint.depth
         if decision == "run":
-            item.checkpoint = checkpoint
             return
-        if checkpoint is not None:
-            self._store_checkpoint(key, checkpoint)
         if decision == "expired":
             item.route = "expired"
             return
-        item.scheduler.pop("resumed_from_depth", None)
         item.route, item.degraded = "sampled", True
         item.config = self._sampling_config(
             request, item.remaining, item.estimate
         )
-
-    # ------------------------------------------------------------------
-    # Deadline checkpoints (resumable exact scans)
-    # ------------------------------------------------------------------
-    def _take_checkpoint(self, key: Tuple) -> Optional[ScanCheckpoint]:
-        """Claim (and remove) a parked checkpoint for this query shape.
-
-        Removal under the lock makes the claim exclusive: two batches
-        racing for the same key cannot both resume one single-use
-        checkpoint.
-        """
-        with self._checkpoints_lock:
-            return self._checkpoints.pop(key, None)
-
-    def _store_checkpoint(self, key: Tuple, checkpoint: ScanCheckpoint) -> None:
-        """Park a checkpoint for a future identical query to resume."""
-        with self._checkpoints_lock:
-            self._checkpoints[key] = checkpoint
-            self._checkpoints.move_to_end(key)
-            while len(self._checkpoints) > self.config.max_checkpoints:
-                self._checkpoints.popitem(last=False)
-
-    def checkpoint_stats(self) -> Dict[str, Any]:
-        """Point-in-time view of the parked-checkpoint store (tests)."""
-        with self._checkpoints_lock:
-            return {
-                "parked": len(self._checkpoints),
-                "capacity": self.config.max_checkpoints,
-            }
 
     def _exact_seconds(self, estimate: LatencyEstimate, done: int) -> float:
         """An exact read's predicted cost when ``done`` of its rows are
@@ -1284,8 +1211,6 @@ def _count_served(record: Dict[str, Any], stage: str) -> None:
         catalogued("repro_serve_degraded_total").inc()
         if scheduler.get("decision") == "degrade":
             catalogued("repro_serve_degraded_preexec_total").inc()
-    elif record["mode"] == "exact" and "resumed_from_depth" in scheduler:
-        catalogued("repro_serve_resumed_scans_total").inc()
 
 
 def _consume_flush_outcome(future: "asyncio.Future[int]") -> None:

@@ -6,7 +6,7 @@ from a columnar :class:`~repro.core.exact.ExactPTKEngine`: a
 columns, read to Theorem 5's stop depth.  This module pins down
 
 * its answers (the scalar engine's, the incremental index's stop depth),
-* deadline cuts and checkpoint resumes of its state,
+* deadline cuts, and retries that continue the rows a cut read priced,
 * the preparation's warm scans: reads at one ``k`` share one state, in
   any order and from any thread, bitwise as if each read were cold, and
 * its observability: one flush per query, no per-row metric calls.
@@ -147,13 +147,10 @@ class TestDeadlines:
         assert partial.partial
         assert partial.stats.stopped_by == "deadline"
         assert partial.stats.scan_depth == 0
-        info = partial.checkpoint.describe()
-        assert info["variant"] == COLUMNAR
-        assert info["depth"] == 0
-        assert "pruning" not in info
-        resumed = exact_ptk_query(
-            table, TopKQuery(k=40), 0.3, resume=partial.checkpoint
-        )
+        assert partial.stats.tuples_evaluated == 0
+        assert partial.method == COLUMNAR
+        # The retry re-issues the read on the same preparation.
+        resumed = columnar(table, 40, 0.3, prepared)
         assert not resumed.partial
         uncut = columnar(
             table, 40, 0.3, prepare_ranking(table, TopKQuery(k=40))
@@ -163,8 +160,6 @@ class TestDeadlines:
         assert resumed.stats.scan_depth == uncut.stats.scan_depth
         assert resumed.stats.tuples_evaluated == uncut.stats.tuples_evaluated
         assert resumed.stats.subset_extensions == uncut.stats.subset_extensions
-        with pytest.raises(QueryError, match="already resumed"):
-            partial.checkpoint.resume()
 
     def test_cut_between_chunks_continues_the_read(self, table, monkeypatch):
         prepared = prepare_ranking(table, TopKQuery(k=150))
@@ -181,7 +176,7 @@ class TestDeadlines:
         assert partial.answers == [
             tid for tid, value in partial.probabilities.items() if value >= 0.3
         ]
-        resumed = partial.checkpoint.resume()
+        resumed = columnar(table, 150, 0.3, prepared)
         assert not resumed.partial
         assert resumed.stats.scan_depth > partial.stats.scan_depth
         uncut = columnar(
@@ -189,7 +184,15 @@ class TestDeadlines:
         )
         assert resumed.answers == uncut.answers
         assert resumed.probabilities == uncut.probabilities
-        assert resumed.stats.tuples_evaluated == uncut.stats.tuples_evaluated
+        # The retry bills only the rows the cut read left.
+        assert (
+            partial.stats.tuples_evaluated + resumed.stats.tuples_evaluated
+            == uncut.stats.tuples_evaluated
+        )
+        assert (
+            partial.stats.subset_extensions + resumed.stats.subset_extensions
+            == uncut.stats.subset_extensions
+        )
 
 
 def bits(answer):
@@ -224,7 +227,7 @@ def ticking(read, budget):
         return read(budget)
 
 
-#: (k, threshold, pruning, budget in clock ticks, resume a parked cut)
+#: (k, threshold, pruning, budget in clock ticks, retry a parked cut)
 READ_OPS = st.tuples(
     st.sampled_from([1, 2, 5, 10, 40]),
     st.sampled_from([0.05, 0.2, 0.3, 0.5, 0.9]),
@@ -250,32 +253,30 @@ class TestWarmScans:
         expected = {}
         parked = []
 
-        def check(answer, shape):
+        def issue(shape, budget):
+            """Read ``shape``; a cut read is parked for a retry."""
+            k, threshold, pruning = shape
+            answer = ticking(
+                lambda b: columnar(
+                    table, k, threshold, prepared, pruning=pruning,
+                    deadline_seconds=b,
+                ),
+                budget,
+            )
             if answer.partial:
-                parked.append((answer.checkpoint, shape))
+                parked.append(shape)
                 return
             if shape not in expected:
                 expected[shape] = bits(cold(table, *shape))
             assert bits(answer) == expected[shape]
 
-        for k, threshold, pruning, budget, resume in ops:
-            if resume and parked:
-                checkpoint, shape = parked.pop(0)
-                check(ticking(checkpoint.resume, budget), shape)
-                continue
-            check(
-                ticking(
-                    lambda b: columnar(
-                        table, k, threshold, prepared, pruning=pruning,
-                        deadline_seconds=b,
-                    ),
-                    budget,
-                ),
-                (k, threshold, pruning),
-            )
+        for k, threshold, pruning, budget, retry in ops:
+            if retry and parked:
+                issue(parked.pop(0), budget)
+            else:
+                issue((k, threshold, pruning), budget)
         while parked:
-            checkpoint, shape = parked.pop(0)
-            check(checkpoint.resume(), shape)
+            issue(parked.pop(0), None)
 
     def test_repeat_bills_nothing_and_equals_the_cold_read(self, table):
         prepared = prepare_ranking(table, TopKQuery(k=1))
@@ -307,13 +308,14 @@ class TestWarmScans:
                         table, k, threshold, prepared, pruning=pruning,
                         deadline_seconds=budget,
                     )
-                    # A cut read resumes budgeted a few times, then
-                    # without a budget.
+                    # A cut read is retried budgeted a few times,
+                    # then without a budget.
                     for attempt in range(4):
                         if not answer.partial:
                             break
-                        answer = answer.checkpoint.resume(
-                            budget if attempt < 3 else None
+                        answer = columnar(
+                            table, k, threshold, prepared, pruning=pruning,
+                            deadline_seconds=budget if attempt < 3 else None,
                         )
                     if bits(answer) != expected[shape]:
                         failures.append(shape)

@@ -4,12 +4,12 @@ Three layers:
 
 * the scheduler policies themselves (ordering, pre-execution decisions,
   budgets);
-* the core resumable-scan machinery (``deadline_seconds`` budgets,
-  :class:`~repro.core.exact.ScanCheckpoint`, bit-exact resume parity,
-  delta-safe metric publishing);
+* deadline-cut columnar reads (``deadline_seconds`` budgets, retries
+  that continue the preparation's warm scan bit-exactly, the rows each
+  segment bills and publishes);
 * the serving layer end to end (mixed-deadline batches, pre-execution
   degradation, deadline-expired accounting, one served record per
-  item, per-item latency-model calibration, checkpoint store hygiene).
+  item, per-item latency-model calibration, retries of cut reads).
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ import pytest
 
 from repro import obs
 from repro.core import kernel
-from repro.core.exact import ExactPTKEngine, ScanCheckpoint, exact_ptk_query
+from repro.core.exact import exact_ptk_query
 from repro.exceptions import QueryError
 from repro.obs import OBS, catalogued
 from repro.query.engine import UncertainDB
 from repro.query.planner import LatencyModel
+from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
 from repro.serve import (
     AdmissionController,
@@ -91,7 +92,7 @@ def _work(request: QueryRequest, deadline=None) -> _Work:
 
 class PinnedModel(LatencyModel):
     """Constant exact-latency prediction, immune to calibration: a
-    read's warm or checkpointed rows do not lower it."""
+    read's warm rows do not lower it."""
 
     def __init__(self, exact_seconds: float) -> None:
         super().__init__()
@@ -163,165 +164,130 @@ class TestSchedulerPolicies:
 # ----------------------------------------------------------------------
 # Resumable exact scans (core)
 # ----------------------------------------------------------------------
+def read(table, prepared, **kwargs):
+    """The served exact read: columnar, on ``prepared``'s warm scan."""
+    return exact_ptk_query(
+        table, TopKQuery(k=150), 0.3, prepared=prepared, columnar=True,
+        **kwargs,
+    )
+
+
 class TestResumableScan:
+    """A deadline-cut read leaves the rows it priced in the preparation's
+    warm scan; re-issuing the same read continues from them."""
+
     @pytest.fixture(autouse=True)
-    def _slow_evaluations(self, monkeypatch):
-        """Every evaluated tuple takes at least 0.3 ms, so the 1-2 ms
-        budgets below cut the k=50 scan mid-way whatever the machine's
-        speed."""
-        real = ExactPTKEngine._evaluate
+    def _slow_chunks(self, monkeypatch):
+        """Every priced chunk takes at least 2 ms, so the 1-3 ms budgets
+        below cut the k=150 read mid-way whatever the machine's speed."""
+        slow_scan_chunks(monkeypatch, 0.002)
 
-        def slowed(self, tup):
-            time.sleep(0.0003)
-            return real(self, tup)
+    @pytest.fixture
+    def table(self):
+        return scan_table(n=1000)
 
-        monkeypatch.setattr(ExactPTKEngine, "_evaluate", slowed)
+    def _oracle(self, table):
+        """The uncut read, on a preparation no other read has warmed."""
+        return read(table, prepare_ranking(table, TopKQuery(k=150)))
 
-    def _oracle(self, table, k=50, threshold=0.3):
-        return exact_ptk_query(table, TopKQuery(k=k), threshold)
-
-    def test_zero_budget_checkpoints_immediately(self):
-        table = scan_table()
-        answer = exact_ptk_query(
-            table, TopKQuery(k=50), 0.3, deadline_seconds=0.0
+    def test_zero_budget_cuts_before_the_first_chunk(self, table):
+        answer = read(
+            table, prepare_ranking(table, TopKQuery(k=150)),
+            deadline_seconds=0.0,
         )
         assert answer.partial
         assert answer.stats.stopped_by == "deadline"
         assert answer.stats.scan_depth == 0
+        assert answer.stats.tuples_evaluated == 0
         assert answer.answers == []
-        assert answer.checkpoint is not None
-        assert answer.checkpoint.depth == 0
 
-    def test_resume_completes_bit_exact(self):
-        table = scan_table()
+    def test_resume_completes_bit_exact(self, table):
         oracle = self._oracle(table)
-        partial = exact_ptk_query(
-            table, TopKQuery(k=50), 0.3, deadline_seconds=0.002
-        )
+        assert oracle.stats.scan_depth > kernel.ANSWER_CHUNK
+        prepared = prepare_ranking(table, TopKQuery(k=150))
+        partial = read(table, prepared, deadline_seconds=0.003)
         assert partial.partial
-        resumed = exact_ptk_query(
-            table, TopKQuery(k=50), 0.3, resume=partial.checkpoint
-        )
-        assert resumed.checkpoint is None
+        assert partial.stats.tuples_evaluated < oracle.stats.tuples_evaluated
+        resumed = read(table, prepared)
         assert not resumed.partial
         assert resumed.answers == oracle.answers
         assert resumed.probabilities == oracle.probabilities  # bit-exact
         assert resumed.stats.scan_depth == oracle.stats.scan_depth
         assert resumed.stats.stopped_by == oracle.stats.stopped_by
-        assert resumed.stats.tuples_evaluated == oracle.stats.tuples_evaluated
-        assert resumed.stats.subset_extensions == oracle.stats.subset_extensions
-
-    def test_many_tiny_segments_bit_exact(self):
-        table = scan_table()
-        oracle = self._oracle(table)
-        answer = exact_ptk_query(
-            table, TopKQuery(k=50), 0.3, deadline_seconds=0.001
+        # The retry bills only the rows the cut read left.
+        assert (
+            partial.stats.tuples_evaluated + resumed.stats.tuples_evaluated
+            == oracle.stats.tuples_evaluated
         )
-        segments = 1
+        assert (
+            partial.stats.subset_extensions + resumed.stats.subset_extensions
+            == oracle.stats.subset_extensions
+        )
+
+    def test_many_tiny_segments_bit_exact(self, table):
+        oracle = self._oracle(table)
+        prepared = prepare_ranking(table, TopKQuery(k=150))
+        answer = read(table, prepared, deadline_seconds=0.001)
+        segments, rows = 1, answer.stats.tuples_evaluated
         while answer.partial:
             segments += 1
             assert segments < 10_000  # safety rail
-            answer = answer.checkpoint.resume(deadline_seconds=0.001)
+            answer = read(table, prepared, deadline_seconds=0.001)
+            rows += answer.stats.tuples_evaluated
         assert segments > 1  # the budget really did interrupt the scan
         assert answer.answers == oracle.answers
         assert answer.probabilities == oracle.probabilities
         assert answer.stats.stopped_by == oracle.stats.stopped_by
         assert answer.stats.scan_depth == oracle.stats.scan_depth
+        assert rows == oracle.stats.tuples_evaluated
 
-    def test_checkpoint_is_single_use(self):
-        table = scan_table()
-        partial = exact_ptk_query(
-            table, TopKQuery(k=50), 0.3, deadline_seconds=0.0
-        )
-        checkpoint = partial.checkpoint
-        checkpoint.resume()
-        with pytest.raises(QueryError, match="already resumed"):
-            checkpoint.resume()
-
-    def test_resume_rejects_mismatched_query(self):
-        table = scan_table()
-        partial = exact_ptk_query(
-            table, TopKQuery(k=50), 0.3, deadline_seconds=0.0
-        )
-        with pytest.raises(QueryError, match="cannot resume"):
-            exact_ptk_query(
-                table, TopKQuery(k=5), 0.3, resume=partial.checkpoint
-            )
-
-    def test_checkpoint_describe_exposes_pruning_state(self):
-        table = scan_table()
-        partial = exact_ptk_query(
-            table, TopKQuery(k=50), 0.3, deadline_seconds=0.002
-        )
-        info = partial.checkpoint.describe()
-        assert info["depth"] == partial.stats.scan_depth
-        assert info["k"] == 50
-        assert info["variant"] == "RC+LR"
-        pruning = info["pruning"]
-        assert pruning["k"] == 50
-        assert pruning["threshold"] == 0.3
-        assert pruning["probability_mass"] >= 0.0
-        assert "max_failed_independent" in pruning
-
-    def test_unbudgeted_run_has_no_checkpoint(self):
-        table = scan_table()
+    def test_unbudgeted_read_is_not_partial(self, table):
         answer = self._oracle(table)
-        assert answer.checkpoint is None
         assert not answer.partial
+        assert answer.stats.stopped_by == "total-probability"
 
-    def test_segmented_metrics_match_uninterrupted_run(self):
-        """Resumed segments publish deltas: totals equal one clean run."""
-        table = scan_table()
-        names = (
-            "repro_ptk_tuples_scanned_total",
-            "repro_ptk_tuples_evaluated_total",
-            "repro_ptk_dp_extensions_total",
-            "repro_ptk_queries_total",
-        )
-        with obs.enabled_scope(fresh=True):
-            answer = exact_ptk_query(
-                table, TopKQuery(k=50), 0.3, deadline_seconds=0.001
-            )
-            while answer.partial:
-                answer = answer.checkpoint.resume(deadline_seconds=0.001)
-            segmented = {
-                "repro_ptk_tuples_scanned_total": catalogued(
-                    "repro_ptk_tuples_scanned_total"
-                ).value(),
-                "repro_ptk_tuples_evaluated_total": catalogued(
-                    "repro_ptk_tuples_evaluated_total"
-                ).value(),
-                "repro_ptk_dp_extensions_total": catalogued(
+    def test_scalar_engine_rejects_a_deadline(self, table):
+        for columnar in (None, False):
+            with pytest.raises(QueryError, match="deadline_seconds"):
+                exact_ptk_query(
+                    table, TopKQuery(k=150), 0.3, columnar=columnar,
+                    deadline_seconds=1.0,
+                )
+
+    def test_segmented_metrics_match_uninterrupted_run(self, table):
+        """A cut read and its retries publish the rows each priced: the
+        totals equal one clean read's."""
+        def totals():
+            return {
+                "rows": catalogued("repro_ptk_tuples_evaluated_total").value(),
+                "extensions": catalogued(
                     "repro_ptk_dp_extensions_total"
                 ).value(),
-                "repro_ptk_queries_total": catalogued(
-                    "repro_ptk_queries_total"
-                ).value(method="RC+LR"),
+                "queries": catalogued("repro_ptk_queries_total").value(
+                    method="columnar"
+                ),
                 "stops": catalogued("repro_ptk_scan_stops_total").value(
-                    reason=answer.stats.stopped_by
+                    reason="total-probability"
                 ),
             }
+
         with obs.enabled_scope(fresh=True):
-            clean = exact_ptk_query(table, TopKQuery(k=50), 0.3)
-            baseline = {
-                "repro_ptk_tuples_scanned_total": catalogued(
-                    "repro_ptk_tuples_scanned_total"
-                ).value(),
-                "repro_ptk_tuples_evaluated_total": catalogued(
-                    "repro_ptk_tuples_evaluated_total"
-                ).value(),
-                "repro_ptk_dp_extensions_total": catalogued(
-                    "repro_ptk_dp_extensions_total"
-                ).value(),
-                "repro_ptk_queries_total": catalogued(
-                    "repro_ptk_queries_total"
-                ).value(method="RC+LR"),
-                "stops": catalogued("repro_ptk_scan_stops_total").value(
-                    reason=clean.stats.stopped_by
-                ),
-            }
-        assert segmented == baseline
-        assert segmented["stops"] == 1.0
+            prepared = prepare_ranking(table, TopKQuery(k=150))
+            reads = [read(table, prepared, deadline_seconds=0.001)]
+            while reads[-1].partial:
+                reads.append(read(table, prepared, deadline_seconds=0.001))
+            segmented = totals()
+        with obs.enabled_scope(fresh=True):
+            clean = self._oracle(table)
+            baseline = totals()
+        assert len(reads) > 1
+        rows = sum(answer.stats.tuples_evaluated for answer in reads)
+        assert rows == clean.stats.tuples_evaluated == segmented["rows"]
+        assert segmented["rows"] == baseline["rows"]
+        assert segmented["extensions"] == baseline["extensions"]
+        # Every retry is a query of its own; only the last one stopped.
+        assert segmented["queries"] == float(len(reads))
+        assert segmented["stops"] == baseline["stops"] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -565,7 +531,6 @@ SERVE_COUNTERS = {
     "expired-pre-exec": (
         "repro_serve_deadline_expired_total", {"stage": "pre-exec"},
     ),
-    "resumed": ("repro_serve_resumed_scans_total", {}),
 }
 
 
@@ -662,7 +627,7 @@ class TestPerItemRecord:
             [self._target(k=300, mode="exact",
                           deadline=time.monotonic() + 10.0)],
             {"outcome": "ok", "mode": "exact", "prepare_hit": True},
-            "left", ("resumed",),
+            "left", (),
         )
 
     def test_planned_sampled(self):
@@ -728,6 +693,42 @@ class TestPerItemCalibration:
 
 
 class TestServedColumnarReads:
+    def test_retry_after_a_cut_observes_only_its_own_rows(self, monkeypatch):
+        # 20 ms per priced chunk: the 60 ms deadline's 30 ms budget cuts
+        # the first read after a chunk or two.
+        slow_scan_chunks(monkeypatch, 0.02)
+        db = make_db(n=1000)
+        model = RecordingModel()
+        app = serve_app(db, latency_model=model)
+
+        def exact_read(seconds):
+            request = QueryRequest(
+                table="served", k=300, threshold=0.3, mode="exact"
+            )
+            work = _work(request, deadline=time.monotonic() + seconds)
+            return app._run_batch("served", [work])[0]
+
+        try:
+            cut = exact_read(0.06)
+            retry = exact_read(10.0)
+        finally:
+            app.shutdown()
+        assert cut.partial and not retry.partial
+        retry_profile, cut_profile = exact_profiles()  # newest first
+        assert cut_profile["outcome"] == "deadline-partial"
+        assert model.exact_observations == [
+            (cut_profile["tuples_evaluated"], cut_profile["actual_seconds"]),
+            (retry_profile["tuples_evaluated"], retry_profile["actual_seconds"]),
+        ]
+        # Each observation pairs the rows a read priced with that read's
+        # own elapsed time: the retry's rows are only the remainder.
+        full = make_db(n=1000).ptk("served", k=300, threshold=0.3)
+        assert (
+            cut_profile["tuples_evaluated"] + retry_profile["tuples_evaluated"]
+            == full.stats.tuples_evaluated
+        )
+        assert retry_profile["tuples_evaluated"] < full.stats.tuples_evaluated
+
     def test_each_read_observes_the_rows_it_priced(self):
         db = make_db(n=400)
         model = RecordingModel()
@@ -831,51 +832,34 @@ class TestServeResume:
             assert first["mode"] == "exact"
             assert first.get("partial") is True
             assert first["scheduler"]["decision"] == "run"
-            depth = first["scheduler"]["checkpoint_depth"]
-            assert depth > 0
-            assert app.checkpoint_stats()["parked"] == 1
             second = client.query(
                 "served", k=300, threshold=0.3, mode="exact",
                 deadline_ms=10_000,
             )
             assert second.get("partial") is None
-            assert second["scheduler"]["resumed_from_depth"] == depth
             assert second["answers"] == list(oracle.answers)
             metrics = client.metrics()
-        assert app.checkpoint_stats()["parked"] == 0
-        for line in metrics.splitlines():
-            if line.startswith("repro_serve_resumed_scans_total"):
-                assert float(line.split()[-1]) >= 1.0
-                break
-        else:  # pragma: no cover
-            pytest.fail("repro_serve_resumed_scans_total not exported")
+        retry, cut = exact_profiles()  # newest first
+        assert cut["outcome"] == "deadline-partial"
+        assert 0 < cut["tuples_evaluated"] < oracle.stats.tuples_evaluated
+        # The retry continued the cut read's warm scan: it billed only
+        # the rows the cut read left.
+        assert retry["outcome"] == "ok"
+        assert retry["scan_depth"] == oracle.stats.scan_depth
+        assert (
+            cut["tuples_evaluated"] + retry["tuples_evaluated"]
+            == oracle.stats.tuples_evaluated
+        )
+        assert "repro_serve_resumed_scans_total" not in metrics
 
-    def test_healthz_reports_scheduler_and_checkpoints(self):
+    def test_healthz_reports_scheduler(self):
         db = make_db(n=60)
         app = serve_app(db)
         with LoopbackTransport(app) as transport:
             client = ServeClient(transport)
             health = client.healthz()
         assert health["scheduler"] == "cost"
-        assert health["checkpoints"] == {"parked": 0, "capacity": 64}
-
-    def test_checkpoint_store_is_bounded(self):
-        db = make_db(n=60)
-        app = serve_app(db, max_checkpoints=4)
-        try:
-            for i in range(9):
-                app._store_checkpoint(
-                    ("served", 1, i, 0.3),
-                    ScanCheckpoint(engine=object(), depth=i, k=i, threshold=0.3),
-                )
-            assert app.checkpoint_stats()["parked"] == 4
-            # Oldest evicted first; newest still claimable exactly once.
-            assert app._take_checkpoint(("served", 1, 0, 0.3)) is None
-            taken = app._take_checkpoint(("served", 1, 8, 0.3))
-            assert taken is not None and taken.depth == 8
-            assert app._take_checkpoint(("served", 1, 8, 0.3)) is None
-        finally:
-            app.shutdown()
+        assert "checkpoints" not in health
 
 
 class TestSchedulerProtocolFields:

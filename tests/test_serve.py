@@ -393,6 +393,22 @@ class TestLoopbackService:
             low, high = result["intervals"][str(tid)]
             assert 0.0 <= low <= high <= 1.0
 
+    def test_close_leaves_no_window_task_pending(self, monkeypatch):
+        # The batch answers its item early (``complete``) and then keeps
+        # its executor thread busy, so the client has its response while
+        # the coalescer's window task still awaits the batch.
+        real = ServeApp._run_batch
+
+        def lingering(self, name, items, complete=None):
+            results = real(self, name, items, complete)
+            time.sleep(0.2)
+            return results
+
+        monkeypatch.setattr(ServeApp, "_run_batch", lingering)
+        with loopback(make_db()) as transport:
+            ServeClient(transport).query("served", k=3, threshold=0.4)
+        assert asyncio.all_tasks(transport._loop) == set()
+
     def test_expired_deadline_is_504(self):
         db = make_db()
         with loopback(db, window_ms=30.0) as transport:
@@ -576,10 +592,18 @@ class TestBackpressure:
             thread = threading.Thread(target=occupant)
             thread.start()
             deadline = time.monotonic() + 5.0
+            # Wait until the first request holds the only slot (it does
+            # for the whole 250 ms window), then the next arrival must
+            # bounce with 429.  Probing earlier could take the slot
+            # first and bounce the occupant instead.
+            admission = transport.app.admission
+            while (
+                admission.stats()["pending"] == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
             rejected = None
             while time.monotonic() < deadline:
-                # Wait until the first request holds the only slot,
-                # then the next arrival must bounce with 429.
                 try:
                     client.query("served", k=2, threshold=0.3)
                 except RejectedError as error:
