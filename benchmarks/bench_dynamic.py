@@ -45,7 +45,9 @@ shapes, not absolutes.
 
 from __future__ import annotations
 
+import os
 import random
+import statistics
 import time
 
 from benchmarks.conftest import bench_scale, emit
@@ -224,3 +226,79 @@ def test_dynamic_mixed_loops():
         )
 
     emit(result, "dynamic_mixed.txt")
+
+
+def test_rule_write_refresh():
+    """Median cost of refreshing the warm preparation across one rule
+    write, at n=10k with 1,000 three-member rules: a rule member's
+    removal, a new two-member rule and a join.  Each refresh is checked
+    against a cold ``prepare_ranking`` at the end."""
+    from repro.dynamic import TableDelta, refresh_prepared
+    from repro.model.table import UncertainTable
+    from repro.query.prepare import prepare_ranking
+
+    rng = random.Random(3)
+    table = UncertainTable(name="t")
+    for i in range(10_000):
+        table.add(f"t{i}", rng.uniform(0, 1000), 0.3)
+    for r in range(1_000):
+        table.add_exclusive(f"r{r}", *(f"t{3 * r + j}" for j in range(3)))
+    query = TopKQuery(k=5)
+    prepared = prepare_ranking(table, query)
+    seconds = {"remove (rule member)": [], "rule (new)": [], "rule (join)": []}
+    fresh = iter(range(10_000, 10**6))
+
+    def refreshed(label, delta):
+        started = time.perf_counter()
+        result = refresh_prepared(prepared, table, delta)
+        if label is not None:
+            seconds[label].append(time.perf_counter() - started)
+        return result
+
+    def add():
+        tid = f"t{next(fresh)}"
+        previous = table.version
+        tup = table.add(tid, rng.uniform(0, 1000), 0.3)
+        return tid, TableDelta("t", "add", previous, table.version, tid=tid,
+                               score=tup.score, probability=0.3)
+
+    for step in range(200):
+        rule = rng.choice([r for r in table.multi_rules() if len(r) >= 3])
+        tid = rule.tuple_ids[0]
+        previous = table.version
+        removed = table.remove_tuple(tid)
+        prepared = refreshed("remove (rule member)", TableDelta(
+            "t", "remove", previous, table.version, tid=tid,
+            old_score=removed.score))
+        members = []
+        for _ in range(3):
+            tid, delta = add()
+            prepared = refreshed(None, delta)
+            members.append(tid)
+        previous = table.version
+        table.add_exclusive(f"n{step}", *members[:2])
+        prepared = refreshed("rule (new)", TableDelta(
+            "t", "rule", previous, table.version, rule_id=f"n{step}",
+            members=tuple(members[:2])))
+        previous = table.version
+        table.join_rule(rule.rule_id, members[2])
+        prepared = refreshed("rule (join)", TableDelta(
+            "t", "rule", previous, table.version, rule_id=rule.rule_id,
+            members=(members[2],)))
+    cold = prepare_ranking(table, query)
+    assert prepared.columns.tids == cold.columns.tids
+    assert (prepared.columns.rule_index.tobytes()
+            == cold.columns.rule_index.tobytes())
+    assert prepared.columns.rule_ids == cold.columns.rule_ids
+    assert dict(prepared.rule_of) == dict(cold.rule_of)
+    assert dict(prepared.rule_probability) == dict(cold.rule_probability)
+
+    result = ExperimentTable(
+        title="Prepare refresh across one rule write (n=10k, 1,000 rules)",
+        columns=["write", "refreshes", "p50_ms"],
+        notes=f"nproc={os.cpu_count()}",
+    )
+    for label, samples in seconds.items():
+        result.add_row(label, len(samples),
+                       statistics.median(samples) * 1e3)
+    emit(result, "dynamic_rule_refresh.txt")

@@ -290,6 +290,26 @@ def rule_slots(
     return rule_index, tuple(rule_ids)
 
 
+def first_encounter_slots(
+    rule_index: np.ndarray, rule_ids: Sequence[Any]
+) -> Tuple[np.ndarray, Tuple[Any, ...]]:
+    """Renumber existing rule slots by first encounter in ranking order.
+
+    ``rule_index`` may use any slot labels into ``rule_ids`` (labels no
+    row carries are dropped); the result is what :func:`rule_slots`
+    builds for the same rule membership, from one vectorised pass.
+    """
+    rows = np.flatnonzero(rule_index >= 0)
+    labels = rule_index[rows]
+    slots, first = np.unique(labels, return_index=True)
+    encountered = slots[np.argsort(first)]
+    relabel = np.empty(len(rule_ids), dtype=np.int64)
+    relabel[encountered] = np.arange(len(encountered), dtype=np.int64)
+    renumbered = np.full(len(rule_index), -1, dtype=np.int64)
+    renumbered[rows] = relabel[labels]
+    return renumbered, tuple(rule_ids[slot] for slot in encountered)
+
+
 def ranked_order(scores: np.ndarray, tids: Sequence[Any]) -> np.ndarray:
     """Ranking-order permutation: score descending, ``str(tid)`` ascending.
 

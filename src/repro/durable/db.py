@@ -11,7 +11,8 @@ tables come back with their exact contents, rule tags, and monotone
 keys production traffic was using before the restart.
 
 Mutations **must** go through this class's methods (``add``,
-``add_exclusive``, ``remove_tuple``, ``update_probability``) rather
+``add_exclusive``, ``join_rule``, ``remove_tuple``,
+``update_probability``, ``update_score``) rather
 than directly through the table object — a direct table mutation is
 invisible to the journal and will not survive a restart.
 
@@ -193,6 +194,7 @@ class DurableDB(UncertainDB):
         self,
         name: str,
         tid: Any,
+        /,
         score: float,
         probability: float,
         **attributes: Any,
@@ -226,6 +228,21 @@ class DurableDB(UncertainDB):
                     "members": [encode_tid(tid) for tid in rule.tuple_ids],
                 }
             )
+
+    def join_rule(self, name: str, rule_id: Any, tid: Any) -> GenerationRule:
+        """Move an independent tuple into a multi-tuple rule, journalled."""
+        with self.table_lock(name):
+            grown = super().join_rule(name, rule_id, tid)
+            self.wal.append(
+                {
+                    "op": "join",
+                    "table": name,
+                    "version": self.table(name).version,
+                    "rule_id": rule_id,
+                    "tid": encode_tid(tid),
+                }
+            )
+        return grown
 
     def remove_tuple(self, name: str, tid: Any) -> UncertainTuple:
         """Remove one tuple (shrinking its rule), journalled."""

@@ -208,6 +208,8 @@ def apply_record(
                 tuple_ids=tuple(decode_tid(m) for m in record["members"]),
             )
         )
+    elif op == "join":
+        table.join_rule(record["rule_id"], decode_tid(record["tid"]))
     elif op == "remove":
         table.remove_tuple(decode_tid(record["tid"]))
     elif op == "update":

@@ -1,9 +1,10 @@
 """The write-ahead log: an append-only, checksummed journal of mutations.
 
 Every mutation applied through :class:`repro.durable.db.DurableDB`
-(``register``, ``add``, ``rule``, ``remove``, ``update``, ``drop``) is
-serialised to one binary record *after* the in-memory table accepted it,
-so the journal only ever contains mutations that passed validation.
+(``register``, ``add``, ``rule``, ``join``, ``remove``, ``update``,
+``score``, ``drop``) is serialised to one binary record *after* the
+in-memory table accepted it, so the journal only ever contains
+mutations that passed validation.
 ``serve`` records additionally journal recently served query keys so
 recovery can warm the prepare cache (:mod:`repro.durable.recover`).
 

@@ -25,7 +25,8 @@ from typing import Any, Dict, Optional, Tuple
 
 #: Mutation operations a delta can describe.  The vocabulary matches the
 #: WAL record ops of :mod:`repro.durable.wal` (``update`` is a
-#: probability update), plus ``score`` for the score-update mutation.
+#: probability update), except that a ``join`` record, which grows a
+#: rule, is described as a ``rule`` delta.
 DELTA_OPS = ("add", "remove", "update", "score", "rule")
 
 
@@ -48,7 +49,9 @@ class TableDelta:
         new probability (``update``).
     :param attributes: the tuple's attribute payload (``add`` only).
     :param rule_id: the generation rule id (``rule`` only).
-    :param members: the rule's member tuple ids (``rule`` only).
+    :param members: the tuples the write put into the rule (``rule``
+        only): every member of a new rule, or the one tuple a join
+        moved into an existing rule.
     """
 
     table: str
@@ -83,11 +86,17 @@ def delta_from_record(
         record; the WAL does not journal it (see :func:`old_score_of`).
     :returns: the delta, or ``None`` for record types that do not
         mutate tuple/rule state (``register`` / ``drop`` / ``serve``).
+        A ``join`` record becomes a ``rule`` delta.
     """
     from repro.durable.wal import decode_tid
 
     op = record.get("op")
-    if op not in DELTA_OPS:
+    if op == "join":
+        op = "rule"
+        members: Tuple[Any, ...] = (decode_tid(record["tid"]),)
+    elif op == "rule":
+        members = tuple(decode_tid(m) for m in record["members"])
+    elif op not in DELTA_OPS:
         return None
     version = int(record["version"])
     base: Dict[str, Any] = dict(
@@ -121,11 +130,7 @@ def delta_from_record(
             old_score=old_score,
             **base,
         )
-    return TableDelta(
-        rule_id=record["rule_id"],
-        members=tuple(decode_tid(m) for m in record["members"]),
-        **base,
-    )
+    return TableDelta(rule_id=record["rule_id"], members=members, **base)
 
 
 def old_score_of(table: Any, record: Dict[str, Any]) -> Optional[float]:

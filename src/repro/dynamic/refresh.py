@@ -17,12 +17,14 @@ on its columns:
   search.  Each column then loses or gains one row by concatenation, or
   is copied and assigned — never written where an older preparation or
   a scan still holds it;
-* **rule index** — reused from the previous preparation.  No op but
-  ``rule`` changes which tuples rules cover, and only a probability
-  update of a rule member changes a ``Pr(R)``; that one sum is re-taken.
-  A ``rule`` op and the removal of a rule member, where the table's
-  shrink semantics apply, re-index the rules from the table.  Rule
-  slots are renumbered by first encounter only when rule membership
+* **rule index** — reused from the previous preparation.  Only a
+  ``rule`` write (a new rule, or a join growing one) and the removal of
+  a rule member change which tuples rules cover, and only those and a
+  probability update of a rule member change a ``Pr(R)``.  Each touches
+  one rule: its ``rule_of`` entries and its one ``Pr(R)`` sum are
+  re-read from the table, the rest copied.  Rule slots are renumbered
+  by first encounter (:func:`~repro.core.kernel.first_encounter_slots`,
+  one vectorised pass over the slot column) only when rule membership
   changes or a member moves.
 
 A refresh that cannot guarantee the exact cold order returns ``None``
@@ -43,9 +45,9 @@ from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernel import TableColumns, rule_slots
+from repro.core.kernel import TableColumns, first_encounter_slots
 from repro.model.table import UncertainTable
-from repro.query.prepare import PreparedRanking, index_rules
+from repro.query.prepare import PreparedRanking
 
 from repro.dynamic.delta import DELTA_OPS, TableDelta
 
@@ -88,6 +90,15 @@ def _with(column: np.ndarray, row: int, value: Any) -> np.ndarray:
     return np.concatenate((column[:row], [value], column[row:]))
 
 
+def _index_rule(rule_of, rule_probability, table: UncertainTable, tid: Any) -> None:
+    """Re-read the rule of member ``tid`` into copies of a preparation's
+    ``rule_of`` and ``rule_probability``."""
+    rule = table.rule_of(tid)
+    for member in rule.tuple_ids:
+        rule_of[member] = rule
+    rule_probability[rule.rule_id] = table.rule_probability(rule)
+
+
 def refresh_prepared(
     prepared: PreparedRanking,
     table: UncertainTable,
@@ -112,6 +123,9 @@ def refresh_prepared(
     columns = prepared.columns
     rule_of = prepared.rule_of
     rule_probability = prepared.rule_probability
+    # The rule slot the write touched, if any: that of the row a remove
+    # or score write takes out, or of the rule a rule write grows.
+    slot = -1
     if op in ("remove", "update", "score"):
         old_score = (
             table.get(delta.tid).score if op == "update" else delta.old_score
@@ -130,6 +144,7 @@ def refresh_prepared(
                 rule_probability = dict(rule_probability)
                 rule_probability[rule.rule_id] = table.rule_probability(rule)
         else:
+            slot = int(columns.rule_index[position])
             tids = columns.tids
             columns = replace(
                 columns,
@@ -138,10 +153,34 @@ def refresh_prepared(
                 probability=_without(columns.probability, position),
                 rule_index=_without(columns.rule_index, position),
             )
-            if op == "remove" and delta.tid in rule_of:
-                rule_of, rule_probability = index_rules(table)
+            if op == "remove" and slot >= 0:
+                rule_of, rule_probability = dict(rule_of), dict(rule_probability)
+                rule = rule_of.pop(delta.tid)
+                del rule_probability[rule.rule_id]
+                survivor = next(t for t in rule.tuple_ids if t != delta.tid)
+                if table.multi_rule_id_of(survivor) is None:
+                    # Shrunk to one member: the rule is gone.
+                    del rule_of[survivor]
+                    columns.rule_index[columns.rule_index == slot] = -1
+                else:
+                    _index_rule(rule_of, rule_probability, table, survivor)
     elif op == "rule":
-        rule_of, rule_probability = index_rules(table)
+        rule = table.rule_of(delta.members[0])
+        if rule.is_multi:
+            rule_ids = columns.rule_ids
+            if rule.rule_id in rule_probability:
+                slot = rule_ids.index(rule.rule_id)
+            else:
+                slot, rule_ids = len(rule_ids), rule_ids + (rule.rule_id,)
+            rule_index = columns.rule_index.copy()
+            for tid in delta.members:
+                position = _rank_of(columns, table.get(tid).score, tid)
+                if position is None:
+                    return None
+                rule_index[position] = slot
+            columns = replace(columns, rule_index=rule_index, rule_ids=rule_ids)
+            rule_of, rule_probability = dict(rule_of), dict(rule_probability)
+            _index_rule(rule_of, rule_probability, table, rule.tuple_ids[0])
     if op in ("add", "score"):
         tup = table.get(delta.tid)
         key = _sort_key(tup.score, tup.tid)
@@ -155,21 +194,21 @@ def refresh_prepared(
             # Equal sort key held by another tuple: the cold order among
             # equals is insertion order, which surgery cannot see.
             return None
-        # The row lands independent (rule slot -1); a moved member is
-        # renumbered with its rule below.
+        # A fresh row is independent (slot -1); a moved one keeps its
+        # rule slot.
         columns = replace(
             columns,
             tids=tids[:inserted] + (tup.tid,) + tids[inserted:],
             score=_with(columns.score, inserted, tup.score),
             probability=_with(columns.probability, inserted, tup.probability),
-            rule_index=_with(columns.rule_index, inserted, -1),
+            rule_index=_with(columns.rule_index, inserted, slot),
         )
-    # A new rule_of means the rules were re-indexed (membership may have
-    # changed); a moved member can change its rule's first encounter.
-    if rule_of is not prepared.rule_of or (
-        op == "score" and delta.tid in rule_of
-    ):
-        rule_index, rule_ids = rule_slots(columns.tids, rule_of)
+    # Rule membership changed, or a member moved: its rule's first
+    # encounter may have too.
+    if slot >= 0:
+        rule_index, rule_ids = first_encounter_slots(
+            columns.rule_index, columns.rule_ids
+        )
         columns = replace(columns, rule_index=rule_index, rule_ids=rule_ids)
     return PreparedRanking(
         table=prepared.table,

@@ -88,6 +88,7 @@ class UncertainTable:
     def add(
         self,
         tid: Any,
+        /,
         score: float,
         probability: float,
         **attributes: Any,
@@ -147,6 +148,44 @@ class UncertainTable:
         rule = GenerationRule(rule_id=rule_id, tuple_ids=tuple(tuple_ids))
         self.add_rule(rule)
         return rule
+
+    def join_rule(self, rule_id: Any, tid: Any) -> GenerationRule:
+        """Move an independent tuple into an existing multi-tuple rule.
+
+        The tuple becomes the rule's last member; everything is checked
+        before any state changes.
+
+        :returns: the grown rule.
+        :raises ValidationError: if there is no multi-tuple rule
+            ``rule_id``, or the grown rule's probabilities would sum
+            above 1.
+        :raises UnknownTupleError: if ``tid`` is not in the table.
+        :raises RuleConflictError: if ``tid`` is already involved in a
+            multi-tuple rule.
+        """
+        rule = self._rules.get(rule_id)
+        if rule is None or not rule.is_multi:
+            raise ValidationError(
+                f"table {self.name!r} has no multi-tuple rule {rule_id!r}"
+            )
+        self.get(tid)  # raise if unknown
+        if tid in self._rule_of_tuple:
+            raise RuleConflictError(
+                f"tuple {tid!r} is already involved in rule "
+                f"{self._rule_of_tuple[tid]!r}; a tuple may be involved in "
+                f"at most one generation rule"
+            )
+        grown = GenerationRule(rule_id=rule_id, tuple_ids=rule.tuple_ids + (tid,))
+        total = sum(self._tuples[member].probability for member in grown.tuple_ids)
+        if total > 1.0 + PROBABILITY_ATOL:
+            raise ValidationError(
+                f"adding {tid!r} would give rule {rule_id!r} total "
+                f"probability {total:.6f} > 1"
+            )
+        self._rules[rule_id] = grown
+        self._rule_of_tuple[tid] = rule_id
+        self._version += 1
+        return grown
 
     def remove_tuple(self, tid: Any) -> UncertainTuple:
         """Remove a tuple, shrinking any rule that involves it.

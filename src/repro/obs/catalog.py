@@ -322,7 +322,8 @@ CATALOG: Dict[str, MetricSpec] = {
         _spec(
             "repro_durable_wal_appends_total", "counter", ("kind",),
             "Write-ahead-log records appended, by record kind "
-            "(register, add, rule, remove, update, drop, serve).",
+            "(register, add, rule, join, remove, update, score, drop, "
+            "serve).",
             "Beyond the paper (durable storage)",
         ),
         _spec(

@@ -232,6 +232,7 @@ class UncertainDB:
         self,
         name: str,
         tid: Any,
+        /,
         score: float,
         probability: float,
         **attributes: Any,
@@ -282,6 +283,21 @@ class UncertainDB:
         rule = GenerationRule(rule_id=rule_id, tuple_ids=tuple(tuple_ids))
         self.add_rule(name, rule)
         return rule
+
+    def join_rule(self, name: str, rule_id: Any, tid: Any) -> GenerationRule:
+        """Move an independent tuple into an existing multi-tuple rule
+        (see :meth:`UncertainTable.join_rule`).
+
+        :returns: the grown rule.
+        """
+        with self.table_lock(name):
+            table = self.table(name)
+            previous = table.version
+            grown = table.join_rule(rule_id, tid)
+            self._emit_delta(
+                name, table, "rule", previous, rule_id=rule_id, members=(tid,)
+            )
+        return grown
 
     def remove_tuple(self, name: str, tid: Any) -> UncertainTuple:
         """Remove one tuple (shrinking its rule, if any)."""

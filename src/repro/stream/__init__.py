@@ -7,9 +7,11 @@ static PT-k machinery to that setting (in the spirit of the authors'
 follow-up work on continuous probabilistic queries):
 
 * :class:`~repro.stream.window.SlidingWindowPTK` — a count-based
-  sliding window of uncertain tuples with rule support; the PT-k answer
-  over the current window is computed on demand with the exact RC+LR
-  engine and cached until the window changes.
+  sliding window of uncertain tuples with rule support, kept as a
+  private :class:`~repro.query.engine.UncertainDB` table through its
+  incremental writes; the PT-k answer over the current window is read
+  from the table's dynamic index on demand and cached until the window
+  changes.
 * :class:`~repro.stream.monitor.PTKMonitor` — wraps a window and emits
   an :class:`~repro.stream.monitor.AnswerDelta` (entered / left the
   answer set) after every arrival, for alerting-style applications.

@@ -8,11 +8,14 @@ tuple expires from the window it simply leaves its rule; the surviving
 members keep their membership probabilities (their exclusiveness
 constraint still holds pairwise).
 
-Answers are computed lazily: the window keeps a version counter, and
-:meth:`answer` re-runs the exact RC+LR engine only when the window has
-changed since the cached answer.  For window sizes in the tens of
-thousands this costs milliseconds thanks to the pruning rules (scan
-depth tracks k, not the window size).
+The window is a private :class:`~repro.query.engine.UncertainDB` table
+with the dynamic index on, driven by its incremental writes: an arrival
+is one ``add`` (plus ``add_rule`` when it is its tag's second live
+member, or ``join_rule`` after that), an expiry one ``remove_tuple``.
+Each write refreshes the table's warm preparation in place, so
+:meth:`~SlidingWindowPTK.answer` reads the live index scan, which
+re-prices only the rows at and below the first changed rank, up to the
+Theorem-5 stop depth: the cost tracks k, not the window size.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Optional, Tuple
 
-from repro.core.exact import ExactVariant, exact_ptk_query
 from repro.core.results import PTKAnswer
 from repro.exceptions import QueryError, ValidationError
 from repro.model.table import UncertainTable
-from repro.model.tuples import PROBABILITY_ATOL, UncertainTuple
+from repro.model.tuples import UncertainTuple
+from repro.query.engine import UncertainDB
 from repro.query.ranking import RankingFunction, by_score
 from repro.query.topk import TopKQuery
+
+_TABLE = "window"
 
 
 class SlidingWindowPTK:
@@ -35,8 +40,9 @@ class SlidingWindowPTK:
     :param k: top-k size.
     :param threshold: probability threshold p.
     :param window_size: number of most recent tuples retained.
-    :param ranking: ranking function (default: descending score).
-    :param variant: exact-algorithm variant used for evaluation.
+    :param ranking: ranking function (default: descending score, which
+        reads the dynamic index; any other ranking is answered by the
+        columnar exact read).
 
     Usage::
 
@@ -52,7 +58,6 @@ class SlidingWindowPTK:
         threshold: float,
         window_size: int,
         ranking: Optional[RankingFunction] = None,
-        variant: ExactVariant = ExactVariant.RC_LR,
     ) -> None:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
@@ -66,12 +71,15 @@ class SlidingWindowPTK:
         self.threshold = threshold
         self.window_size = window_size
         self.ranking = ranking or by_score()
-        self.variant = variant
-        self._window: Deque[Tuple[UncertainTuple, Optional[Any]]] = deque()
-        self._rule_mass: Dict[Any, float] = {}
-        self._rule_live: Dict[Any, int] = {}
-        self._seen_ids: Dict[Any, int] = {}
-        self._version = 0
+        self._query = None if ranking is None else TopKQuery(k=k, ranking=ranking)
+        self._db = UncertainDB()
+        self._db.register(UncertainTable(name=_TABLE))
+        self._db.enable_dynamic()
+        self._table = self._db.table(_TABLE)
+        self._window: Deque[Tuple[Any, Optional[Any]]] = deque()
+        # Newest live member of each tag.  Expiry is oldest-first, so
+        # when it expires it was the tag's last live member.
+        self._newest: Dict[Any, Any] = {}
         self._cached_version = -1
         self._cached_answer: Optional[PTKAnswer] = None
         self._arrivals = 0
@@ -92,49 +100,36 @@ class SlidingWindowPTK:
     ) -> None:
         """Add a tuple to the window, evicting the oldest when full.
 
+        A rejected arrival leaves the window unchanged.
+
         :param rule_tag: tuples sharing a tag are mutually exclusive
             while they coexist in the window.
-        :raises ValidationError: when a duplicate live tuple id arrives,
-            or the tag's in-window probability mass would exceed 1.
+        :raises DuplicateTupleError: when a live tuple has the same id.
+        :raises ValidationError: when the tag's in-window probability
+            mass would exceed 1.
         """
-        if self._seen_ids.get(tup.tid, 0) > 0:
-            raise ValidationError(
-                f"tuple id {tup.tid!r} is already live in the window"
-            )
+        db, tid = self._db, tup.tid
+        grouped = rule_tag in self._newest  # the tag has a live member
+        db.add(_TABLE, tid, tup.score, tup.probability, **tup.attributes)
+        if grouped:
+            newest = self._newest[rule_tag]
+            try:
+                if self._table.multi_rule_id_of(newest) is None:
+                    db.add_exclusive(_TABLE, rule_tag, newest, tid)
+                else:
+                    db.join_rule(_TABLE, rule_tag, tid)
+            except ValidationError:
+                db.remove_tuple(_TABLE, tid)
+                raise
         if rule_tag is not None:
-            mass = self._rule_mass.get(rule_tag, 0.0) + tup.probability
-            if mass > 1.0 + PROBABILITY_ATOL:
-                raise ValidationError(
-                    f"rule tag {rule_tag!r} would reach probability "
-                    f"{mass:.6f} > 1 within the window"
-                )
-            self._rule_mass[rule_tag] = mass
-            self._rule_live[rule_tag] = self._rule_live.get(rule_tag, 0) + 1
-        self._window.append((tup, rule_tag))
-        self._seen_ids[tup.tid] = self._seen_ids.get(tup.tid, 0) + 1
+            self._newest[rule_tag] = tid
+        self._window.append((tid, rule_tag))
         self._arrivals += 1
         if len(self._window) > self.window_size:
-            self._evict()
-        self._version += 1
-
-    def _evict(self) -> None:
-        expired, tag = self._window.popleft()
-        self._seen_ids[expired.tid] -= 1
-        if self._seen_ids[expired.tid] == 0:
-            del self._seen_ids[expired.tid]
-        if tag is not None:
-            # Forget the tag only when no live member still carries it:
-            # float cancellation can drive the remaining mass to ~0 while
-            # tiny-probability members are still in the window, and
-            # deleting then would restart the tag's mass accounting from
-            # scratch (and KeyError on the next same-tag eviction).
-            self._rule_live[tag] -= 1
-            if self._rule_live[tag] == 0:
-                del self._rule_live[tag]
-                del self._rule_mass[tag]
-            else:
-                remaining = self._rule_mass[tag] - expired.probability
-                self._rule_mass[tag] = max(remaining, 0.0)
+            expired, tag = self._window.popleft()
+            if tag is not None and self._newest[tag] == expired:
+                del self._newest[tag]
+            db.remove_tuple(_TABLE, expired)
 
     def extend(self, tuples, rule_tags=None) -> None:
         """Append many tuples (``rule_tags`` parallel to ``tuples``)."""
@@ -149,32 +144,22 @@ class SlidingWindowPTK:
     # Query side
     # ------------------------------------------------------------------
     def snapshot_table(self) -> UncertainTable:
-        """The current window contents as a static uncertain table."""
-        table = UncertainTable(name=f"window@{self._version}")
-        groups: Dict[Any, list] = {}
-        for tup, tag in self._window:
-            table.add_tuple(tup)
-            if tag is not None:
-                groups.setdefault(tag, []).append(tup.tid)
-        for tag, members in groups.items():
-            if len(members) > 1:
-                table.add_exclusive(f"tag:{tag}", *members)
-        return table
+        """A copy of the current window contents as an uncertain table."""
+        return self._table.filter(
+            lambda _: True, name=f"window@{self._table.version}"
+        )
 
     def answer(self) -> PTKAnswer:
         """The PT-k answer over the current window (cached per version)."""
-        if self._cached_version != self._version or self._cached_answer is None:
-            table = self.snapshot_table()
-            self._cached_answer = exact_ptk_query(
-                table,
-                TopKQuery(k=self.k, ranking=self.ranking),
-                self.threshold,
-                variant=self.variant,
+        version = self._table.version
+        if self._cached_version != version:
+            self._cached_answer = self._db.ptk(
+                _TABLE, self.k, self.threshold, query=self._query
             )
-            self._cached_version = self._version
+            self._cached_version = version
         return self._cached_answer
 
     @property
     def version(self) -> int:
-        """Monotone counter bumped on every window change."""
-        return self._version
+        """The window table's version: bumped on every change."""
+        return self._table.version

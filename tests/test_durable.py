@@ -44,7 +44,10 @@ from repro.durable.wal import MAGIC, encode_record
 from repro.exceptions import (
     DurabilityError,
     RecoveryError,
+    RuleConflictError,
     SnapshotCorruptionError,
+    UnknownTupleError,
+    ValidationError,
     WalCorruptionError,
 )
 from repro.model.table import UncertainTable, table_from_rows
@@ -498,6 +501,91 @@ class TestRecovery:
         assert after.answers == before.answers
         assert after.probabilities == pytest.approx(before.probabilities)
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+# Growing rules: the join record
+# ----------------------------------------------------------------------
+def joined_db(data_dir) -> DurableDB:
+    """A journalled table whose rules grew by joins, one of which
+    lost its joined member again."""
+    db = DurableDB(data_dir, fsync="off")
+    db.register(sample_table())
+    for i in range(6, 11):
+        db.add("demo", f"t{i}", 50.0 - i, 0.05)
+    db.join_rule("demo", "r1", "t6")
+    db.join_rule("demo", "r2", ("s", 7))
+    db.remove_tuple("demo", "t6")
+    db.join_rule("demo", "r1", "t7")
+    db.add_exclusive("demo", "r3", "t8", "t9")
+    db.join_rule("demo", "r3", "t10")
+    return db
+
+
+def assert_rules_identical(actual: UncertainTable, expected: UncertainTable):
+    """Rules equal member for member, in order, plus contents and version."""
+    assert_tables_equal(actual, expected)
+    assert sorted(actual.multi_rules(), key=repr) == sorted(
+        expected.multi_rules(), key=repr
+    )
+
+
+class TestJoinRule:
+    def test_crash_recovery_after_joins(self, tmp_path):
+        db = joined_db(tmp_path)
+        table = db.table("demo")
+        assert [r.tuple_ids for r in table.multi_rules()] == [
+            ("t1", "t2", "t7"), ("t3", "t5", ("s", 7)), ("t8", "t9", "t10"),
+        ]
+        # No close: recovery reads what the journal holds at a crash.
+        records, _, _ = replay_wal(tmp_path / "wal")
+        recovered = DurableDB(tmp_path, fsync="off")
+        assert recovered.last_recovery.replayed == len(records) == 12
+        assert_rules_identical(recovered.table("demo"), table)
+        recovered.close()
+        db.close()
+
+    def test_snapshot_then_joins_recover(self, tmp_path):
+        db = joined_db(tmp_path)
+        db.snapshot()
+        db.add("demo", "late", 1.0, 0.05)
+        db.join_rule("demo", "r1", "late")
+        table = db.table("demo")
+        db.close()
+        recovered = DurableDB(tmp_path, fsync="off")
+        assert recovered.last_recovery.replayed == 2
+        assert_rules_identical(recovered.table("demo"), table)
+        recovered.close()
+
+    @pytest.mark.parametrize(
+        "rule_id, tid, error",
+        [
+            ("r1", "t3", RuleConflictError),   # already in rule r2
+            ("r1", "heavy", ValidationError),  # Pr(r1) would pass 1
+            ("nope", "t9", ValidationError),   # no such rule
+            ("r1", "ghost", UnknownTupleError),
+        ],
+    )
+    def test_refused_join_journals_nothing(self, tmp_path, rule_id, tid, error):
+        db = DurableDB(tmp_path, fsync="off")
+        db.register(sample_table())
+        db.add("demo", "t9", 1.0, 0.05)
+        db.add("demo", "heavy", 1.0, 0.2)
+        version = db.table("demo").version
+        appended = db.wal.appended_records
+        with pytest.raises(error):
+            db.join_rule("demo", rule_id, tid)
+        assert db.table("demo").version == version
+        assert db.wal.appended_records == appended
+        db.close()
+
+    def test_verify_accepts_join_records(self, tmp_path):
+        joined_db(tmp_path).close()
+        records, _, _ = replay_wal(tmp_path / "wal")
+        assert sum(r["op"] == "join" for r in records) == 4
+        report = verify_data_dir(tmp_path)
+        assert report.ok, report.wal_errors
+        assert report.wal_records == len(records)
 
 
 # ----------------------------------------------------------------------

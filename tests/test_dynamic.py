@@ -110,6 +110,14 @@ class MutationDriver:
                 return TableDelta(self.name, "score", prev, table.version,
                                   tid=tid, score=score, old_score=old_score)
             free = [t for t in table.tuple_ids() if table.is_independent(t)]
+            if op == "join":
+                rules = table.multi_rules()
+                if not rules or not free:
+                    return None
+                rid, tid = rng.choice(rules).rule_id, rng.choice(free)
+                table.join_rule(rid, tid)
+                return TableDelta(self.name, "rule", prev, table.version,
+                                  rule_id=rid, members=(tid,))
             if len(free) < 2:
                 return None
             members = rng.sample(free, rng.randint(2, min(4, len(free))))
@@ -123,7 +131,7 @@ class MutationDriver:
 
     def random_op(self):
         ops = (["add"] * 4 + ["remove"] * 2 + ["update"] * 4
-               + ["score"] * 3 + ["rule"] * 2)
+               + ["score"] * 3 + ["rule"] * 2 + ["join"] * 2)
         if len(self.table) < 3:
             return self.emit("add")
         return self.emit(self.rng.choice(ops))

@@ -75,7 +75,7 @@ def step_both(prepared, warm, cold, table, delta):
 
 # Mutation scripts are drawn as (op-code, seed) pairs; the driver turns
 # them into valid mutations against the evolving table.
-OPS = ["add", "remove", "update", "score", "rule"]
+OPS = ["add", "remove", "update", "score", "rule", "join"]
 mutation_scripts = st.lists(
     st.tuples(st.integers(0, len(OPS) - 1), st.integers(0, 2**16)),
     min_size=1,
@@ -342,7 +342,8 @@ class TestPrepareRefreshProperty:
     @settings(max_examples=60, deadline=None)
     def test_refresh_equals_cold_prepare(self, script, seed):
         # Removes and updates pick any tuple, rule members included, so
-        # the script shrinks rules, dissolves them, and re-sums Pr(R).
+        # the script shrinks rules, dissolves them, and re-sums Pr(R);
+        # joins grow them.
         table = refresh_table(seed)
         driver = MutationDriver(table, seed=seed)
         query = TopKQuery(k=3)
@@ -420,13 +421,20 @@ class TestPrepareRefreshProperty:
                     elif op == "score":
                         primary.update_score(
                             "t", tid, float(rng.randint(0, 20)))
-                    else:
+                    elif op == "rule":
                         free = [t for t in tids if table.is_independent(t)]
                         if len(free) < 2:
                             continue
                         primary.add_exclusive(
                             "t", f"r{op_seed}-{len(table)}",
                             *rng.sample(free, 2))
+                    else:
+                        rules = table.multi_rules()
+                        free = [t for t in tids if table.is_independent(t)]
+                        if not rules or not free:
+                            continue
+                        primary.join_rule(
+                            "t", rng.choice(rules).rule_id, rng.choice(free))
                 except ReproError:
                     continue
                 replica.apply_batch({"records": records})

@@ -406,6 +406,35 @@ class TestReplicaApplier:
             assert ptk_bytes(applier.db, "t", k, p) == ptk_bytes(db, "t", k, p)
         db.close()
 
+    def test_join_records_refresh_the_warm_preparation(self, tmp_path):
+        from repro.query.prepare import prepare_ranking
+        from tests.test_dynamic_property import assert_refreshed_is_cold
+
+        db = make_primary(tmp_path)
+        server = ReplicationServer(db)
+        applier = ReplicaApplier()
+        applier.bootstrap(server.handle_bootstrap(applier.replica_id))
+        applier.db.ptk("t", k=5, threshold=0.3)  # warm the preparation
+        db.add("t", "late", score=99.5, probability=0.05)
+        db.join_rule("t", "r2", "late")
+        db.join_rule("t", "r1", "t1")
+        db.remove_tuple("t", "t5")
+        db.join_rule("t", "r1", "t2")
+        misses = applier.db.prepare_cache.stats().misses
+        applier.apply_batch(
+            server.handle_fetch(applier.replica_id, applier.cursor.encode())
+        )
+        replica_table = applier.db.table("t")
+        assert replica_table.version == db.table("t").version
+        assert replica_table.multi_rules() == db.table("t").multi_rules()
+        query = TopKQuery(k=5)
+        warm = applier.db.prepare_cache.get(replica_table, query)
+        assert applier.db.prepare_cache.stats().misses == misses  # refreshed
+        assert_refreshed_is_cold(warm, prepare_ranking(replica_table, query))
+        for k, p in [(1, 0.2), (5, 0.3), (10, 0.5)]:
+            assert ptk_bytes(applier.db, "t", k, p) == ptk_bytes(db, "t", k, p)
+        db.close()
+
     def test_reapplying_a_batch_is_idempotent(self, tmp_path):
         db = make_primary(tmp_path)
         server = ReplicationServer(db)

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core.exact import exact_ptk_query
-from repro.exceptions import QueryError, ValidationError
+from repro.datagen.tracking import TrackingConfig, detection_stream
+from repro.dynamic.index import DEFAULT_CAP
+from repro.exceptions import DuplicateTupleError, QueryError, ValidationError
 from repro.model.tuples import UncertainTuple
+from repro.query.ranking import by_score
 from repro.query.topk import TopKQuery
 from repro.stream import AnswerDelta, PTKMonitor, SlidingWindowPTK
 
@@ -43,6 +46,15 @@ class TestWindowBasics:
         window.append(detection("x", 1))
         with pytest.raises(ValidationError):
             window.append(detection("x", 2))
+
+    def test_attributes_reach_the_window_table(self):
+        window = SlidingWindowPTK(k=2, threshold=0.5, window_size=3)
+        window.append(UncertainTuple(
+            tid="x", score=1.0, probability=0.5,
+            attributes={"name": "radar1", "tid": 7, "tick": 3},
+        ))
+        [tup] = window.snapshot_table()
+        assert dict(tup.attributes) == {"name": "radar1", "tid": 7, "tick": 3}
 
     def test_id_reusable_after_expiry(self):
         window = SlidingWindowPTK(k=2, threshold=0.5, window_size=2)
@@ -117,6 +129,107 @@ class TestWindowAnswers:
             window.append(detection(f"a{i}", i))
             versions.append(window.version)
         assert versions == sorted(set(versions))
+
+
+def assert_matches_scalar(window, k, threshold, ranking=None):
+    """The window's answer equals the scalar engine's on a snapshot:
+    the same answers in order, probabilities within 1e-12."""
+    answer = window.answer()
+    query = TopKQuery(k=k) if ranking is None else TopKQuery(k=k, ranking=ranking)
+    scalar = exact_ptk_query(window.snapshot_table(), query, threshold)
+    assert answer.answers == scalar.answers
+    # Each engine reports the rows it priced; the answers are among them.
+    priced = answer.probabilities.keys() & scalar.probabilities.keys()
+    assert priced >= set(answer.answers)
+    for tid in priced:
+        assert answer.probabilities[tid] == pytest.approx(
+            scalar.probabilities[tid], abs=1e-12
+        )
+    return answer
+
+
+class TestWindowParity:
+    """Every arrival of a tagged tracking stream, against the scalar
+    RC+LR engine run on a copy of the window."""
+
+    ARRIVALS = list(
+        detection_stream(TrackingConfig(n_objects=15, n_ticks=30, seed=4))
+    )
+
+    def feed(self, window, k, threshold, ranking=None):
+        tags = sum(tag is not None for _, tag in self.ARRIVALS)
+        assert tags > 20  # the stream exercises rule writes
+        methods = set()
+        for detection_, tag in self.ARRIVALS:
+            window.append(detection_, rule_tag=tag)
+            answer = assert_matches_scalar(window, k, threshold, ranking)
+            methods.add(answer.method)
+        return methods
+
+    @pytest.mark.parametrize("window_size", [10, 40])
+    def test_every_arrival_matches_scalar_engine(self, window_size):
+        window = SlidingWindowPTK(k=5, threshold=0.45, window_size=window_size)
+        assert self.feed(window, 5, 0.45) == {"dynamic"}
+
+    def test_k_above_dynamic_cap_reads_columnar(self):
+        k = DEFAULT_CAP + 6
+        window = SlidingWindowPTK(k=k, threshold=0.2, window_size=120)
+        assert self.feed(window, k, 0.2) == {"columnar"}
+
+    def test_non_default_ranking(self):
+        ranking = by_score(descending=False)
+        window = SlidingWindowPTK(
+            k=3, threshold=0.3, window_size=25, ranking=ranking
+        )
+        assert self.feed(window, 3, 0.3, ranking) == {"columnar"}
+
+
+class TestRejectedArrival:
+    """A rejected arrival leaves the window as it was."""
+
+    def state(self, window):
+        table = window.snapshot_table()
+        return (
+            len(window),
+            [(t.tid, t.score, t.probability) for t in table],
+            [rule.tuple_ids for rule in table.multi_rules()],
+            window.answer().answers,
+            window.answer().probabilities,
+        )
+
+    def window(self):
+        window = SlidingWindowPTK(k=2, threshold=0.3, window_size=4)
+        window.append(detection("a", 5, 0.4), rule_tag="g")
+        window.append(detection("b", 4, 0.3))
+        window.append(detection("c", 3, 0.5), rule_tag="h")
+        window.append(detection("d", 2, 0.3), rule_tag="h")
+        return window
+
+    @pytest.mark.parametrize(
+        "tup, tag, error",
+        [
+            (detection("b", 9, 0.2), None, DuplicateTupleError),
+            (detection("a", 9, 0.2), "g", DuplicateTupleError),
+            # the tag's second live member: a new rule is refused
+            (detection("x", 9, 0.7), "g", ValidationError),
+            # a later member: the join is refused
+            (detection("x", 9, 0.3), "h", ValidationError),
+        ],
+    )
+    def test_window_unchanged(self, tup, tag, error):
+        window = self.window()
+        before = self.state(window)
+        with pytest.raises(error):
+            window.append(tup, rule_tag=tag)
+        assert self.state(window) == before
+        assert window.arrivals == 4
+        # The window goes on as if the arrival never came: "a" expires.
+        window.append(detection("x", 1, 0.2), rule_tag="h")
+        assert sorted(t.tid for t in window.snapshot_table()) == [
+            "b", "c", "d", "x"
+        ]
+        [rule] = window.snapshot_table().multi_rules()
+        assert rule.tuple_ids == ("c", "d", "x")
 
 
 class TestMonitor:
@@ -204,18 +317,19 @@ class TestEvictTagAccounting:
 
     def test_tiny_probability_member_keeps_tag_alive(self):
         # "a" (mass 0.6) and "tiny" (5e-10, below PROBABILITY_ATOL) share
-        # a tag.  When "a" expires, the remaining mass is ~0 but "tiny"
-        # is still live: the tag must not be forgotten.
+        # a tag.  When "a" expires its mass is released while "tiny"
+        # still carries the tag.
         window = SlidingWindowPTK(k=1, threshold=0.5, window_size=2)
         window.append(detection("a", 1, 0.6), rule_tag="g")
         window.append(detection("tiny", 2, 5e-10), rule_tag="g")
         window.append(detection("pad", 3, 0.5))  # evicts "a"
-        assert "g" in window._rule_mass
-        assert window._rule_mass["g"] == pytest.approx(5e-10, abs=1e-12)
-        # The surviving accounting still enforces the <= 1 constraint.
+        assert sorted(t.tid for t in window.snapshot_table()) == ["pad", "tiny"]
+        # 0.999 + 5e-10 fits once "a" is gone.
         window.append(detection("b", 4, 0.999), rule_tag="g")  # evicts "tiny"
+        # The <= 1 constraint is still enforced on the tag afterwards.
         with pytest.raises(ValidationError):
             window.append(detection("c", 5, 0.5), rule_tag="g")
+        assert sorted(t.tid for t in window.snapshot_table()) == ["b", "pad"]
 
     def test_no_keyerror_when_tagged_members_outlive_depleted_mass(self):
         window = SlidingWindowPTK(k=1, threshold=0.5, window_size=2)
@@ -240,7 +354,17 @@ class TestEvictTagAccounting:
         window.append(detection("c", 3, 0.2), rule_tag="g")
         window.append(detection("d", 4, 0.25), rule_tag="g")  # evicts "a"
         window.append(detection("e", 5, 0.4), rule_tag="g")   # evicts "b"
-        assert window._rule_mass["g"] >= 0.0
+        table = window.snapshot_table()
+        [rule] = table.multi_rules()
+        assert rule.tuple_ids == ("c", "d", "e")
+        assert table.rule_probability(rule) == pytest.approx(0.85)
+        # Expired members' mass is released: c, d, e plus 0.15 fits;
+        # plus 0.16 does not (the check precedes the eviction of "c").
+        with pytest.raises(ValidationError):
+            window.append(detection("f", 6, 0.16), rule_tag="g")
+        window.append(detection("f", 6, 0.15), rule_tag="g")  # evicts "c"
+        [rule] = window.snapshot_table().multi_rules()
+        assert rule.tuple_ids == ("d", "e", "f")
 
 
 class TestMonitorQuietBursts:
