@@ -185,7 +185,8 @@ def _dynamic_write_read(benchmark, candidates):
     included), moves the index onto it and serves the prune-bounded
     answer (Theorem-5 stop depth).
     """
-    from repro.dynamic import DynamicIndex, TableDelta, refresh_prepared
+    from repro.dynamic import DynamicIndex, refresh_prepared
+    from repro.model.mutation import Mutation
 
     scale = bench_scale()
     table = generate_synthetic_table(
@@ -208,20 +209,10 @@ def _dynamic_write_read(benchmark, candidates):
 
     def cycle():
         state["probability"] = 1.0 - state["probability"]
-        previous = table.version
-        table.update_probability(tid, state["probability"])
-        state["prepared"] = refresh_prepared(
-            state["prepared"],
-            table,
-            TableDelta(
-                table="bench",
-                op="update",
-                previous_version=previous,
-                version=table.version,
-                tid=tid,
-                probability=state["probability"],
-            ),
-        )
+        applied = table.apply(Mutation(
+            "bench", "update", tid=tid, probability=state["probability"]
+        ))
+        state["prepared"] = refresh_prepared(state["prepared"], table, applied)
         index.apply(state["prepared"])
         return index.scan_answer(k, 0.3)
 
@@ -254,7 +245,7 @@ def test_prepare_cache_refresh(benchmark):
     reused) instead of re-preparing it cold.  Each round's untimed setup adds the tuple
     the round removes, so the table keeps its size.
     """
-    from repro.dynamic.delta import TableDelta
+    from repro.model.mutation import Mutation
     from repro.query.prepare import PrepareCache
 
     scale = bench_scale()
@@ -271,30 +262,19 @@ def test_prepare_cache_refresh(benchmark):
     rng = random.Random(5)
     fresh = iter(range(10**9))
 
-    def write(op, tid, **fields):
-        delta = TableDelta(
-            table="bench",
-            op=op,
-            previous_version=table.version - 1,
-            version=table.version,
-            tid=tid,
-            **fields,
-        )
-        assert cache.refresh(table, delta) == 1
+    def write(mutation):
+        assert cache.refresh(table, table.apply(mutation)) == 1
 
     def setup():
         tid = f"fresh{next(fresh)}"
-        tup = table.add(tid, rng.uniform(0, 1000), 0.5)
-        write("add", tid, score=tup.score, probability=tup.probability)
+        write(Mutation("bench", "add", tid=tid, score=rng.uniform(0, 1000),
+                       probability=0.5))
         return (tid,), {}
 
     def cycle(tid):
-        mover = rng.choice(independent)
-        old_score = table.get(mover).score
-        moved = table.update_score(mover, rng.uniform(0, 1000))
-        write("score", mover, score=moved.score, old_score=old_score)
-        removed = table.remove_tuple(tid)
-        write("remove", tid, old_score=removed.score)
+        write(Mutation("bench", "score", tid=rng.choice(independent),
+                       score=rng.uniform(0, 1000)))
+        write(Mutation("bench", "remove", tid=tid))
 
     benchmark.pedantic(cycle, setup=setup, rounds=50, iterations=1)
 

@@ -11,8 +11,8 @@ loopback transport — twice per workload mix:
   version, the next read's ``PrepareCache.get`` misses and re-prepares,
   and the answer is a fresh pruned scan (the pre-``repro.dynamic``
   behaviour);
-* **delta-refresh** — ``dynamic`` on: the mutation's
-  :class:`~repro.dynamic.delta.TableDelta` refreshes the warm
+* **delta-refresh** — ``dynamic`` on: the applied
+  :class:`~repro.model.mutation.Mutation` refreshes the warm
   preparation, columns included; the next read moves the incremental
   index onto it (a column compare + a rewind of its kernel scans) and
   answers from the scan, pricing lazily only to the Theorem-5 stop
@@ -233,7 +233,8 @@ def test_rule_write_refresh():
     write, at n=10k with 1,000 three-member rules: a rule member's
     removal, a new two-member rule and a join.  Each refresh is checked
     against a cold ``prepare_ranking`` at the end."""
-    from repro.dynamic import TableDelta, refresh_prepared
+    from repro.dynamic import refresh_prepared
+    from repro.model.mutation import Mutation
     from repro.model.table import UncertainTable
     from repro.query.prepare import prepare_ranking
 
@@ -248,43 +249,26 @@ def test_rule_write_refresh():
     seconds = {"remove (rule member)": [], "rule (new)": [], "rule (join)": []}
     fresh = iter(range(10_000, 10**6))
 
-    def refreshed(label, delta):
+    def refreshed(label, mutation):
+        applied = table.apply(mutation)
         started = time.perf_counter()
-        result = refresh_prepared(prepared, table, delta)
+        result = refresh_prepared(prepared, table, applied)
         if label is not None:
             seconds[label].append(time.perf_counter() - started)
         return result
 
-    def add():
-        tid = f"t{next(fresh)}"
-        previous = table.version
-        tup = table.add(tid, rng.uniform(0, 1000), 0.3)
-        return tid, TableDelta("t", "add", previous, table.version, tid=tid,
-                               score=tup.score, probability=0.3)
-
     for step in range(200):
         rule = rng.choice([r for r in table.multi_rules() if len(r) >= 3])
-        tid = rule.tuple_ids[0]
-        previous = table.version
-        removed = table.remove_tuple(tid)
-        prepared = refreshed("remove (rule member)", TableDelta(
-            "t", "remove", previous, table.version, tid=tid,
-            old_score=removed.score))
-        members = []
-        for _ in range(3):
-            tid, delta = add()
-            prepared = refreshed(None, delta)
-            members.append(tid)
-        previous = table.version
-        table.add_exclusive(f"n{step}", *members[:2])
-        prepared = refreshed("rule (new)", TableDelta(
-            "t", "rule", previous, table.version, rule_id=f"n{step}",
-            members=tuple(members[:2])))
-        previous = table.version
-        table.join_rule(rule.rule_id, members[2])
-        prepared = refreshed("rule (join)", TableDelta(
-            "t", "rule", previous, table.version, rule_id=rule.rule_id,
-            members=(members[2],)))
+        prepared = refreshed("remove (rule member)",
+                             Mutation("t", "remove", tid=rule.tuple_ids[0]))
+        members = [f"t{next(fresh)}" for _ in range(3)]
+        for tid in members:
+            prepared = refreshed(None, Mutation(
+                "t", "add", tid=tid, score=rng.uniform(0, 1000), probability=0.3))
+        prepared = refreshed("rule (new)", Mutation(
+            "t", "rule", rule_id=f"n{step}", members=tuple(members[:2])))
+        prepared = refreshed("rule (join)", Mutation(
+            "t", "join", rule_id=rule.rule_id, tid=members[2]))
     cold = prepare_ranking(table, query)
     assert prepared.columns.tids == cold.columns.tids
     assert (prepared.columns.rule_index.tobytes()

@@ -47,9 +47,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.exceptions import RecoveryError
 from repro.durable import wal as wal_mod
 from repro.durable.snapshot import load_latest_snapshots
-from repro.durable.wal import decode_tid
 from repro.io.jsonio import table_from_dict
-from repro.model.rules import GenerationRule
+from repro.model.mutation import Mutation
 from repro.model.table import UncertainTable
 from repro.obs import OBS, catalogued, span as obs_span
 
@@ -149,14 +148,18 @@ def apply_record(
     tables: Dict[str, UncertainTable],
     record: Dict[str, Any],
     epochs: Optional[Dict[str, int]] = None,
-) -> bool:
-    """Apply one mutation record to the recovering table set.
+) -> Union[bool, Mutation]:
+    """Apply one WAL record to the recovering table set.
+
+    A table write is replayed as ``table.apply(Mutation.from_record(record))``.
 
     :param epochs: registration epoch of each table in ``tables``;
         updated in place as ``register`` records apply.  Entries for
         dropped names are kept so epoch monotonicity survives.
-    :returns: True when the record mutated state, False when it was
-        version-skipped (already covered by a snapshot) or a no-op.
+    :returns: the applied :class:`~repro.model.mutation.Mutation` for a
+        table write, True for an applied ``register`` / ``drop``, and
+        False when the record was version-skipped (already covered by a
+        snapshot) or a no-op.
     :raises RecoveryError: on malformed records or version gaps.
     """
     op = record.get("op")
@@ -185,49 +188,20 @@ def apply_record(
             f"WAL record {op!r} targets unknown table {name!r} "
             f"(its register record is missing)"
         )
-    version = int(record["version"])
-    if version <= table.version:
+    mutation = Mutation.from_record(record)
+    if mutation is None:
+        raise RecoveryError(f"unknown WAL record op {op!r}")
+    if mutation.version <= table.version:
         return False
-    if version != table.version + 1:
+    if mutation.previous_version != table.version:
         raise RecoveryError(
             f"version gap on table {name!r}: recovered version "
-            f"{table.version}, next WAL record claims {version} — "
+            f"{table.version}, next WAL record claims {mutation.version} — "
             f"mutations were lost"
         )
-    if op == "add":
-        table.add(
-            decode_tid(record["tid"]),
-            score=float(record["score"]),
-            probability=float(record["probability"]),
-            **record.get("attributes", {}),
-        )
-    elif op == "rule":
-        table.add_rule(
-            GenerationRule(
-                rule_id=record["rule_id"],
-                tuple_ids=tuple(decode_tid(m) for m in record["members"]),
-            )
-        )
-    elif op == "join":
-        table.join_rule(record["rule_id"], decode_tid(record["tid"]))
-    elif op == "remove":
-        table.remove_tuple(decode_tid(record["tid"]))
-    elif op == "update":
-        table.update_probability(
-            decode_tid(record["tid"]), float(record["probability"])
-        )
-    elif op == "score":
-        table.update_score(decode_tid(record["tid"]), float(record["score"]))
-    else:
-        raise RecoveryError(f"unknown WAL record op {op!r}")
-    # Each mutation bumps the version by exactly one, so replay lands on
-    # the journalled value; assert rather than trust.
-    if table.version != version:  # pragma: no cover - defensive
-        raise RecoveryError(
-            f"replaying {op!r} on {name!r} produced version "
-            f"{table.version}, journal says {version}"
-        )
-    return True
+    # Each write bumps the version by exactly one, so replay lands on
+    # the journalled value.
+    return table.apply(mutation)
 
 
 @dataclass

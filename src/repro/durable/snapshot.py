@@ -57,9 +57,10 @@ from repro.core.kernel import (
     rule_slots,
 )
 from repro.exceptions import SnapshotCorruptionError
-from repro.durable.wal import decode_tid, encode_tid
+from repro.model.mutation import decode_tid, encode_tid
 from repro.model.rules import GenerationRule
 from repro.model.table import UncertainTable
+from repro.model.tuples import UncertainTuple
 from repro.obs import OBS, catalogued
 
 MAGIC = b"RPSNAP01"
@@ -155,15 +156,16 @@ def deserialize_table(data: bytes, source: str = "<bytes>") -> Tuple[UncertainTa
         table = UncertainTable(name=header.get("table_name") or header["name"])
         attributes = header.get("attributes", {})
         for position, tid in enumerate(header["tids"]):
-            table.add(
+            table.add_tuple(UncertainTuple(
                 decode_tid(tid),
-                score=float(scores[position]),
-                probability=float(probabilities[position]),
-                **attributes.get(str(position), {}),
-            )
+                float(scores[position]),
+                float(probabilities[position]),
+                attributes.get(str(position), {}),
+            ))
         for rule in header.get("rules", []):
             table.add_exclusive(
-                rule["rule_id"], *[decode_tid(m) for m in rule["members"]]
+                decode_tid(rule["rule_id"]),
+                *[decode_tid(m) for m in rule["members"]],
             )
         table.validate()
         table._version = int(header["version"])
@@ -339,7 +341,7 @@ def open_snapshot_columns(
         tids = tuple(decode_tid(t) for t in header["tids"])
         rules = tuple(
             (
-                rule["rule_id"],
+                decode_tid(rule["rule_id"]),
                 tuple(decode_tid(m) for m in rule["members"]),
             )
             for rule in header.get("rules", [])

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import DurabilityError, WalCorruptionError
+from repro.model.mutation import decode_tid, encode_tid  # noqa: F401 - the WAL's tid codec
 from repro.obs import OBS, catalogued
 
 MAGIC = b"RPWAL001"
@@ -59,20 +60,6 @@ _HEADER = struct.Struct("<II")
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 FSYNC_POLICIES = ("always", "interval", "off")
-
-
-def encode_tid(tid: Any) -> Any:
-    """Map a tuple id to its JSON form (tuples become arrays)."""
-    if isinstance(tid, tuple):
-        return [encode_tid(item) for item in tid]
-    return tid
-
-
-def decode_tid(tid: Any) -> Any:
-    """Inverse of :func:`encode_tid` (arrays become tuples, recursively)."""
-    if isinstance(tid, list):
-        return tuple(decode_tid(item) for item in tid)
-    return tid
 
 
 def encode_record(record: Dict[str, Any]) -> bytes:

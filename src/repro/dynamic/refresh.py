@@ -5,20 +5,20 @@ module every mutation would condemn every warm preparation: the next
 read would pay selection + sort + rule indexing again even though a
 point mutation moves at most one rank.  :func:`refresh_prepared`
 advances a default-shape preparation (trivial predicate, rank by score
-descending) across one :class:`~repro.dynamic.delta.TableDelta` and
+descending) across one applied :class:`~repro.model.mutation.Mutation` and
 produces exactly the object :func:`~repro.query.prepare.prepare_ranking`
 would build against the mutated table, at the cost of one point write
 on its columns:
 
 * **ranking** — the written tuple's old rank is a binary search of the
-  columns for its old sort key ``(-score, str(tid))``: the delta
-  carries the old score of a ``remove`` or ``score`` write, and an
+  columns for its old sort key ``(-score, str(tid))``: the applied
+  write carries the old score of a ``remove`` or ``score``, and an
   ``update`` keeps the tuple's score.  Its new rank is a second binary
   search.  Each column then loses or gains one row by concatenation, or
   is copied and assigned — never written where an older preparation or
   a scan still holds it;
 * **rule index** — reused from the previous preparation.  Only a
-  ``rule`` write (a new rule, or a join growing one) and the removal of
+  ``rule`` write (a new rule) or a ``join`` (growing one) and the removal of
   a rule member change which tuples rules cover, and only those and a
   probability update of a rule member change a ``Pr(R)``.  Each touches
   one rule: its ``rule_of`` entries and its one ``Pr(R)`` sum are
@@ -29,7 +29,7 @@ on its columns:
 
 A refresh that cannot guarantee the exact cold order returns ``None``
 and the entry dies by ordinary version purge — never a wrong order.
-That happens on a version gap, on a ``remove`` or ``score`` delta
+That happens on a version gap, on a ``remove`` or ``score`` write
 without the old score, and on a score move onto a sort key another
 tuple holds:
 this needs two tids whose ``str()`` is equal (``1`` and ``"1"``), and
@@ -46,10 +46,9 @@ from typing import Any, Optional, Tuple
 import numpy as np
 
 from repro.core.kernel import TableColumns, first_encounter_slots
+from repro.model.mutation import Mutation
 from repro.model.table import UncertainTable
 from repro.query.prepare import PreparedRanking
-
-from repro.dynamic.delta import DELTA_OPS, TableDelta
 
 #: The cache key of the one query shape refresh understands: trivial
 #: predicate, rank by score descending (the serving layer's default).
@@ -102,44 +101,43 @@ def _index_rule(rule_of, rule_probability, table: UncertainTable, tid: Any) -> N
 def refresh_prepared(
     prepared: PreparedRanking,
     table: UncertainTable,
-    delta: TableDelta,
+    mutation: Mutation,
 ) -> Optional[PreparedRanking]:
-    """Advance one default-shape preparation across one delta.
+    """Advance one default-shape preparation across one applied write.
 
     :param prepared: a preparation of ``table`` at
-        ``delta.previous_version`` with the trivial predicate (so
+        ``mutation.previous_version`` with the trivial predicate (so
         ``prepared.table is table``).
-    :param table: the table the delta has already been applied to.
-    :param delta: the committed mutation.
-    :returns: the refreshed preparation at ``delta.version``, or
+    :param table: the table the write has already been applied to.
+    :param mutation: the applied mutation (:meth:`UncertainTable.apply`'s
+        return value).
+    :returns: the refreshed preparation at ``mutation.version``, or
         ``None`` when the refresh cannot reproduce the exact cold
         ranking (the caller drops the entry instead).
     """
-    if prepared.source_version != delta.previous_version:
+    if prepared.source_version != mutation.previous_version:
         return None
-    op = delta.op
-    if op not in DELTA_OPS:
-        return None
+    op = mutation.op
     columns = prepared.columns
     rule_of = prepared.rule_of
     rule_probability = prepared.rule_probability
     # The rule slot the write touched, if any: that of the row a remove
-    # or score write takes out, or of the rule a rule write grows.
+    # or score write takes out, or of the rule a rule or join write grows.
     slot = -1
     if op in ("remove", "update", "score"):
         old_score = (
-            table.get(delta.tid).score if op == "update" else delta.old_score
+            table.get(mutation.tid).score if op == "update" else mutation.old_score
         )
         if old_score is None:
             return None
-        position = _rank_of(columns, old_score, delta.tid)
+        position = _rank_of(columns, old_score, mutation.tid)
         if position is None:
             return None
         if op == "update":
             probability = columns.probability.copy()
-            probability[position] = table.get(delta.tid).probability
+            probability[position] = table.get(mutation.tid).probability
             columns = replace(columns, probability=probability)
-            rule = rule_of.get(delta.tid)
+            rule = rule_of.get(mutation.tid)
             if rule is not None:
                 rule_probability = dict(rule_probability)
                 rule_probability[rule.rule_id] = table.rule_probability(rule)
@@ -155,17 +153,17 @@ def refresh_prepared(
             )
             if op == "remove" and slot >= 0:
                 rule_of, rule_probability = dict(rule_of), dict(rule_probability)
-                rule = rule_of.pop(delta.tid)
+                rule = rule_of.pop(mutation.tid)
                 del rule_probability[rule.rule_id]
-                survivor = next(t for t in rule.tuple_ids if t != delta.tid)
+                survivor = next(t for t in rule.tuple_ids if t != mutation.tid)
                 if table.multi_rule_id_of(survivor) is None:
                     # Shrunk to one member: the rule is gone.
                     del rule_of[survivor]
                     columns.rule_index[columns.rule_index == slot] = -1
                 else:
                     _index_rule(rule_of, rule_probability, table, survivor)
-    elif op == "rule":
-        rule = table.rule_of(delta.members[0])
+    elif op in ("rule", "join"):
+        rule = table.rule_of(mutation.members[0])
         if rule.is_multi:
             rule_ids = columns.rule_ids
             if rule.rule_id in rule_probability:
@@ -173,7 +171,7 @@ def refresh_prepared(
             else:
                 slot, rule_ids = len(rule_ids), rule_ids + (rule.rule_id,)
             rule_index = columns.rule_index.copy()
-            for tid in delta.members:
+            for tid in mutation.members:
                 position = _rank_of(columns, table.get(tid).score, tid)
                 if position is None:
                     return None
@@ -182,7 +180,7 @@ def refresh_prepared(
             rule_of, rule_probability = dict(rule_of), dict(rule_probability)
             _index_rule(rule_of, rule_probability, table, rule.tuple_ids[0])
     if op in ("add", "score"):
-        tup = table.get(delta.tid)
+        tup = table.get(mutation.tid)
         key = _sort_key(tup.score, tup.tid)
         # bisect right: a fresh tuple is newest in insertion order, so
         # the stable ranking sort places it after any equal key.
@@ -215,7 +213,7 @@ def refresh_prepared(
         columns=columns,
         rule_of=rule_of,
         rule_probability=rule_probability,
-        source_version=delta.version,
+        source_version=mutation.version,
         predicate=prepared.predicate,
         ranking=prepared.ranking,
     )

@@ -36,6 +36,7 @@ from typing import Any, Dict, Union
 
 from repro.exceptions import ValidationError
 from repro.model.table import UncertainTable
+from repro.model.tuples import UncertainTuple
 
 
 def table_to_dict(table: UncertainTable) -> Dict[str, Any]:
@@ -88,12 +89,12 @@ def table_from_dict(document: Dict[str, Any]) -> UncertainTable:
                     f"tuple id {tid!r}"
                 )
             seen.add(tid)
-            table.add(
+            table.add_tuple(UncertainTuple(
                 tid,
-                score=entry["score"],
-                probability=entry["probability"],
-                **entry.get("attributes", {}),
-            )
+                entry["score"],
+                entry["probability"],
+                dict(entry.get("attributes", {})),
+            ))
         for entry in document.get("rules", []):
             members = [_revive_tid(member) for member in entry["members"]]
             for member in members:

@@ -11,6 +11,9 @@ paper (after Abiteboul et al., Imielinski & Lipski, and Sarma et al.):
 * :class:`~repro.model.table.UncertainTable` — a collection of tuples plus a
   set of generation rules covering every tuple exactly once (singleton rules
   are implicit).
+* :class:`~repro.model.mutation.Mutation` — one write to a table (a tuple
+  enters, leaves or changes; a rule forms or grows), the record every
+  layer from the table to the WAL and the replicas passes along.
 * :mod:`~repro.model.worlds` — exact possible-world enumeration, world
   probabilities (Equation 1), and world counting.
 
@@ -19,6 +22,7 @@ predicates, and the PT-k algorithms live in :mod:`repro.query` and
 :mod:`repro.core`.
 """
 
+from repro.model.mutation import Mutation
 from repro.model.rules import GenerationRule
 from repro.model.table import UncertainTable
 from repro.model.tuples import UncertainTuple
@@ -31,6 +35,7 @@ from repro.model.worlds import (
 
 __all__ = [
     "GenerationRule",
+    "Mutation",
     "PossibleWorld",
     "UncertainTable",
     "UncertainTuple",

@@ -25,6 +25,7 @@ from repro.exceptions import (
     UnknownTupleError,
     ValidationError,
 )
+from repro.model.mutation import Mutation
 from repro.model.rules import GenerationRule
 from repro.model.tuples import PROBABILITY_ATOL, UncertainTuple
 
@@ -85,24 +86,6 @@ class UncertainTable:
         self._order[tup.tid] = None
         self._version += 1
 
-    def add(
-        self,
-        tid: Any,
-        /,
-        score: float,
-        probability: float,
-        **attributes: Any,
-    ) -> UncertainTuple:
-        """Convenience wrapper: build and add an :class:`UncertainTuple`.
-
-        :returns: the tuple that was added.
-        """
-        tup = UncertainTuple(
-            tid=tid, score=score, probability=probability, attributes=attributes
-        )
-        self.add_tuple(tup)
-        return tup
-
     def add_rule(self, rule: GenerationRule) -> None:
         """Register a multi-tuple generation rule.
 
@@ -122,17 +105,8 @@ class UncertainTable:
                 raise UnknownTupleError(
                     f"rule {rule.rule_id!r} references unknown tuple {tid!r}"
                 )
-            if tid in self._rule_of_tuple:
-                raise RuleConflictError(
-                    f"tuple {tid!r} is already involved in rule "
-                    f"{self._rule_of_tuple[tid]!r}; a tuple may be involved in "
-                    f"at most one generation rule"
-                )
-        total = sum(self._tuples[tid].probability for tid in rule.tuple_ids)
-        if total > 1.0 + PROBABILITY_ATOL:
-            raise ValidationError(
-                f"rule {rule.rule_id!r} has total probability {total:.6f} > 1"
-            )
+            self._check_unruled(tid)
+        self._check_mass(rule.rule_id, (self._tuples[t] for t in rule.tuple_ids))
         self._rules[rule.rule_id] = rule
         if rule.is_multi:
             for tid in rule.tuple_ids:
@@ -143,6 +117,142 @@ class UncertainTable:
             )
         self._version += 1
 
+    def _check_unruled(self, tid: Any) -> None:
+        if tid in self._rule_of_tuple:
+            raise RuleConflictError(
+                f"tuple {tid!r} is already involved in rule "
+                f"{self._rule_of_tuple[tid]!r}; a tuple may be involved in "
+                f"at most one generation rule"
+            )
+
+    def _check_mass(self, rule_id: Any, members: Iterable[UncertainTuple]) -> None:
+        """Refuse a rule whose ``members`` would sum above probability 1."""
+        total = sum(tup.probability for tup in members)
+        if total > 1.0 + PROBABILITY_ATOL:
+            raise ValidationError(
+                f"rule {rule_id!r} would have total probability {total:.6f} > 1"
+            )
+
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
+    def apply(self, mutation: Mutation) -> Mutation:
+        """Apply one write: the one place the table branches on its op.
+
+        Every check runs before any state changes, so a rejected write
+        leaves the table (and its version) as it was.
+
+        * ``add`` builds and adds the tuple (:meth:`add_tuple`);
+        * ``rule`` adds the rule over ``members`` (:meth:`add_rule`);
+        * ``join`` moves the independent ``tid`` into the multi-tuple
+          rule ``rule_id`` as its last member;
+        * ``remove`` drops the tuple; a multi-tuple rule reduced to one
+          member is dropped too (its survivor becomes independent),
+          matching the projection semantics of :meth:`filter`;
+        * ``update`` / ``score`` replace the tuple's probability /
+          score; it keeps its attributes and rule membership.
+
+        :returns: the applied copy of ``mutation``: ``previous_version``
+            and ``version`` around the write, the stored ``score`` and
+            ``probability`` of an added tuple, the stored probability of
+            an ``update`` and score of a ``score`` write, the
+            ``old_score`` of a ``remove`` or ``score`` write, and the
+            ``members`` a ``rule`` or ``join`` put into the rule.
+        :raises InvalidProbabilityError, InvalidScoreError: bad values.
+        :raises DuplicateTupleError: an added id is already present.
+        :raises UnknownTupleError: the write names an absent tuple.
+        :raises RuleConflictError: a rule or join takes a tuple that is
+            already in a multi-tuple rule.
+        :raises ValidationError: a rule would sum above probability 1, a
+            rule id is taken, a join names no multi-tuple rule, or the
+            op is unknown.
+        """
+        op, tid = mutation.op, mutation.tid
+        previous = self._version
+        if op == "add":
+            tup = UncertainTuple(
+                tid, mutation.score, mutation.probability,
+                dict(mutation.attributes),
+            )
+            self.add_tuple(tup)
+            applied = dict(score=tup.score, probability=tup.probability)
+        elif op == "rule":
+            rule = GenerationRule(mutation.rule_id, tuple(mutation.members))
+            self.add_rule(rule)
+            applied = dict(members=rule.tuple_ids)
+        elif op == "join":
+            rule = self._rules.get(mutation.rule_id)
+            if rule is None or not rule.is_multi:
+                raise ValidationError(
+                    f"table {self.name!r} has no multi-tuple rule "
+                    f"{mutation.rule_id!r}"
+                )
+            self.get(tid)  # raise if unknown
+            self._check_unruled(tid)
+            grown = GenerationRule(rule.rule_id, rule.tuple_ids + (tid,))
+            self._check_mass(
+                rule.rule_id, (self._tuples[t] for t in grown.tuple_ids)
+            )
+            self._rules[rule.rule_id] = grown
+            self._rule_of_tuple[tid] = rule.rule_id
+            applied = dict(members=(tid,))
+        elif op == "remove":
+            removed = self.get(tid)
+            del self._tuples[tid]
+            del self._order[tid]
+            rule_id = self._rule_of_tuple.pop(tid, None)
+            if rule_id is not None:
+                rule = self._rules[rule_id]
+                shrunk = rule.restricted_to(
+                    [member for member in rule.tuple_ids if member != tid]
+                )
+                if shrunk is None or not shrunk.is_multi:
+                    del self._rules[rule_id]
+                    if shrunk is not None:
+                        self._rule_of_tuple.pop(shrunk.tuple_ids[0], None)
+                else:
+                    self._rules[rule_id] = shrunk
+            for key in self._singletons_of.pop(tid, ()):
+                del self._rules[key]
+            applied = dict(old_score=removed.score)
+        elif op == "update":
+            updated = self.get(tid).with_probability(mutation.probability)
+            rule_id = self._rule_of_tuple.get(tid)
+            if rule_id is not None:
+                self._check_mass(rule_id, (
+                    updated if member == tid else self._tuples[member]
+                    for member in self._rules[rule_id].tuple_ids
+                ))
+            self._tuples[tid] = updated
+            applied = dict(probability=updated.probability)
+        elif op == "score":
+            current = self.get(tid)
+            self._tuples[tid] = current.with_score(mutation.score)
+            applied = dict(score=self._tuples[tid].score, old_score=current.score)
+        else:
+            raise ValidationError(f"unknown mutation op {op!r}")
+        self._version = previous + 1
+        return mutation._replace(
+            previous_version=previous, version=self._version, **applied
+        )
+
+    # The named writes: each is one :class:`Mutation` through apply.
+    def add(
+        self,
+        tid: Any,
+        /,
+        score: float,
+        probability: float,
+        **attributes: Any,
+    ) -> UncertainTuple:
+        """Build and add an :class:`UncertainTuple`.
+
+        :returns: the tuple that was added.
+        """
+        self.apply(Mutation(self.name, "add", tid=tid, score=score,
+                            probability=probability, attributes=attributes))
+        return self._tuples[tid]
+
     def add_exclusive(self, rule_id: Any, *tuple_ids: Any) -> GenerationRule:
         """Convenience wrapper: build and add a :class:`GenerationRule`."""
         rule = GenerationRule(rule_id=rule_id, tuple_ids=tuple(tuple_ids))
@@ -152,112 +262,35 @@ class UncertainTable:
     def join_rule(self, rule_id: Any, tid: Any) -> GenerationRule:
         """Move an independent tuple into an existing multi-tuple rule.
 
-        The tuple becomes the rule's last member; everything is checked
-        before any state changes.
-
         :returns: the grown rule.
-        :raises ValidationError: if there is no multi-tuple rule
-            ``rule_id``, or the grown rule's probabilities would sum
-            above 1.
-        :raises UnknownTupleError: if ``tid`` is not in the table.
-        :raises RuleConflictError: if ``tid`` is already involved in a
-            multi-tuple rule.
         """
-        rule = self._rules.get(rule_id)
-        if rule is None or not rule.is_multi:
-            raise ValidationError(
-                f"table {self.name!r} has no multi-tuple rule {rule_id!r}"
-            )
-        self.get(tid)  # raise if unknown
-        if tid in self._rule_of_tuple:
-            raise RuleConflictError(
-                f"tuple {tid!r} is already involved in rule "
-                f"{self._rule_of_tuple[tid]!r}; a tuple may be involved in "
-                f"at most one generation rule"
-            )
-        grown = GenerationRule(rule_id=rule_id, tuple_ids=rule.tuple_ids + (tid,))
-        total = sum(self._tuples[member].probability for member in grown.tuple_ids)
-        if total > 1.0 + PROBABILITY_ATOL:
-            raise ValidationError(
-                f"adding {tid!r} would give rule {rule_id!r} total "
-                f"probability {total:.6f} > 1"
-            )
-        self._rules[rule_id] = grown
-        self._rule_of_tuple[tid] = rule_id
-        self._version += 1
-        return grown
+        self.apply(Mutation(self.name, "join", rule_id=rule_id, tid=tid))
+        return self._rules[rule_id]
 
     def remove_tuple(self, tid: Any) -> UncertainTuple:
         """Remove a tuple, shrinking any rule that involves it.
 
-        A multi-tuple rule reduced to one member is dropped (its
-        survivor becomes independent), matching the projection semantics
-        of :meth:`filter`.
-
         :returns: the removed tuple.
-        :raises UnknownTupleError: if absent.
         """
         removed = self.get(tid)
-        del self._tuples[tid]
-        del self._order[tid]
-        rule_id = self._rule_of_tuple.pop(tid, None)
-        if rule_id is not None:
-            rule = self._rules[rule_id]
-            shrunk = rule.restricted_to(
-                [member for member in rule.tuple_ids if member != tid]
-            )
-            if shrunk is None or not shrunk.is_multi:
-                del self._rules[rule_id]
-                if shrunk is not None:
-                    self._rule_of_tuple.pop(shrunk.tuple_ids[0], None)
-            else:
-                self._rules[rule_id] = shrunk
-        for key in self._singletons_of.pop(tid, ()):
-            del self._rules[key]
-        self._version += 1
+        self.apply(Mutation(self.name, "remove", tid=tid))
         return removed
 
     def update_probability(self, tid: Any, probability: float) -> UncertainTuple:
         """Replace a tuple's membership probability in place.
 
         :returns: the new tuple object.
-        :raises ValidationError: if the change would push the tuple's
-            rule above total probability 1.
         """
-        current = self.get(tid)
-        updated = current.with_probability(probability)
-        rule_id = self._rule_of_tuple.get(tid)
-        if rule_id is not None:
-            rule = self._rules[rule_id]
-            total = sum(
-                (updated if member == tid else self._tuples[member]).probability
-                for member in rule.tuple_ids
-            )
-            if total > 1.0 + PROBABILITY_ATOL:
-                raise ValidationError(
-                    f"updating Pr({tid!r}) to {probability} would give rule "
-                    f"{rule_id!r} total probability {total:.6f} > 1"
-                )
-        self._tuples[tid] = updated
-        self._version += 1
-        return updated
+        self.apply(Mutation(self.name, "update", tid=tid, probability=probability))
+        return self._tuples[tid]
 
     def update_score(self, tid: Any, score: float) -> UncertainTuple:
         """Replace a tuple's ranking score in place.
 
-        The tuple keeps its membership probability, attributes, and rule
-        membership; only its position in the ranked order moves.
-
         :returns: the new tuple object.
-        :raises InvalidScoreError: if the score is NaN, infinite, or not
-            a number (validated by the tuple constructor).
-        :raises UnknownTupleError: if absent.
         """
-        current = self.get(tid)
-        updated = current.with_score(score)
-        self._tuples[tid] = updated
-        self._version += 1
-        return updated
+        self.apply(Mutation(self.name, "score", tid=tid, score=score))
+        return self._tuples[tid]
 
     # ------------------------------------------------------------------
     # Lookup

@@ -27,6 +27,7 @@ from repro.core.exact import ExactVariant, exact_topk_probabilities
 from repro.core.results import AlgorithmStats, PTKAnswer
 from repro.exceptions import QueryError, ValidationError
 from repro.model.table import UncertainTable
+from repro.model.tuples import UncertainTuple
 from repro.query.topk import TopKQuery
 
 #: Attribute key that records which entity an alternative belongs to.
@@ -92,7 +93,7 @@ def table_from_xtuples(
             attributes = dict(xtuple.attributes)
             attributes[ENTITY_ATTRIBUTE] = xtuple.entity_id
             attributes[ALTERNATIVE_ATTRIBUTE] = j
-            table.add(tid, score=score, probability=probability, **attributes)
+            table.add_tuple(UncertainTuple(tid, score, probability, attributes))
             member_ids.append(tid)
         if len(member_ids) > 1:
             table.add_exclusive(f"xrule:{xtuple.entity_id}", *member_ids)

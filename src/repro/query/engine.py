@@ -26,8 +26,8 @@ from repro.core.exact import (
 )
 from repro.core.results import PTKAnswer
 from repro.core.sampling import SamplingConfig, sampled_ptk_query
-from repro.dynamic.delta import TableDelta
 from repro.exceptions import QueryError, UnknownTableError
+from repro.model.mutation import Mutation
 from repro.model.rules import GenerationRule
 from repro.model.table import UncertainTable
 from repro.model.tuples import UncertainTuple
@@ -90,16 +90,16 @@ class UncertainDB:
     def table_lock(self, name: str) -> threading.RLock:
         """The lock that orders ``name``'s writes against its reads.
 
-        A mutation holds it across the table write *and*
-        :meth:`_emit_delta`.  A read holds it at least while it takes
-        its snapshot of the table (a prepare-cache lookup, which a
-        dynamic read makes too); the ``ptk*`` methods here hold it for
-        the whole query.  Without it a read could pair one version's
-        contents with the other's number: a preparation of the new
-        tuples stored under the old version (the writer's refresh then
-        applies the delta a second time).  Re-entrant, so a journalling
-        subclass can hold it around the engine-level mutation plus its
-        WAL append.
+        A write holds it across the table write *and* the refresh of
+        warm preparations (:meth:`apply`).  A read holds it at least
+        while it takes its snapshot of the table (a prepare-cache
+        lookup, which a dynamic read makes too); the ``ptk*`` methods
+        here hold it for the whole query.  Without it a read could pair
+        one version's contents with the other's number: a preparation
+        of the new tuples stored under the old version (the writer's
+        refresh then applies the write a second time).  Re-entrant, so
+        a journalling subclass can hold it around the engine-level
+        write plus its WAL append.
 
         :meth:`register` creates the lock; a name that was never
         registered gets a private lock (its callers fail on the table
@@ -126,8 +126,8 @@ class UncertainDB:
     def enable_dynamic(self, cap: Optional[int] = None) -> Any:
         """Turn on incremental PT-k maintenance (:mod:`repro.dynamic`).
 
-        Every mutation routed through this engine's methods
-        (:meth:`add`, :meth:`remove_tuple`, ...) already carries the
+        Every write routed through this engine (:meth:`apply` and the
+        named writes over it) already carries the
         table's warm default-shape preparation across the write,
         columns included.  Once enabled, default-shape :meth:`ptk` reads
         are answered from a per-table index of live kernel scans over
@@ -150,26 +150,6 @@ class UncertainDB:
             for name in self.tables():
                 self._dynamic.register(name)
         return self._dynamic
-
-    def _emit_delta(
-        self,
-        name: str,
-        table: UncertainTable,
-        op: str,
-        previous_version: int,
-        **fields: Any,
-    ) -> TableDelta:
-        """Publish one committed mutation: refresh warm prepared
-        rankings in place (the dynamic indexes read them)."""
-        delta = TableDelta(
-            table=name,
-            op=op,
-            previous_version=previous_version,
-            version=table.version,
-            **fields,
-        )
-        self._prepare_cache.refresh(table, delta)
-        return delta
 
     # ------------------------------------------------------------------
     # Catalogue
@@ -220,14 +200,26 @@ class UncertainDB:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    # The engine-level mutation boundary: inputs are validated by the
-    # model layer (probabilities in (0, 1], finite scores, no duplicate
-    # ids — all raising MutationError subclasses *before* any state
-    # changes), and every committed mutation is published through
-    # ``_emit_delta`` so warm preparations (which the dynamic indexes
-    # price) advance instead of going cold.  DurableDB overrides each method to add
-    # WAL journalling on top.
+    def apply(self, mutation: Mutation) -> Mutation:
+        """Apply one write to the registered table ``mutation.table``.
 
+        The table validates it before any state changes
+        (:meth:`UncertainTable.apply`, raising a ``MutationError`` on
+        bad input); the applied copy then refreshes warm preparations in
+        place, so the dynamic indexes that price them advance instead of
+        going cold.  Both run under the table lock.
+
+        :returns: the applied mutation.
+        :raises UnknownTableError: no such table.
+        """
+        with self.table_lock(mutation.table):
+            table = self.table(mutation.table)
+            applied = table.apply(mutation)
+            self._prepare_cache.refresh(table, applied)
+        return applied
+
+    # The named writes: each is one Mutation through apply (which a
+    # journalling subclass overrides).
     def add(
         self,
         name: str,
@@ -246,35 +238,14 @@ class UncertainDB:
         :raises UnknownTableError: no such table.
         """
         with self.table_lock(name):
-            table = self.table(name)
-            previous = table.version
-            tup = table.add(tid, score, probability, **attributes)
-            self._emit_delta(
-                name,
-                table,
-                "add",
-                previous,
-                tid=tid,
-                score=tup.score,
-                probability=tup.probability,
-                attributes=dict(attributes) or None,
-            )
-        return tup
+            self.apply(Mutation(name, "add", tid=tid, score=score,
+                                probability=probability, attributes=attributes))
+            return self.table(name).get(tid)
 
     def add_rule(self, name: str, rule: GenerationRule) -> None:
         """Attach a multi-tuple generation rule to a registered table."""
-        with self.table_lock(name):
-            table = self.table(name)
-            previous = table.version
-            table.add_rule(rule)
-            self._emit_delta(
-                name,
-                table,
-                "rule",
-                previous,
-                rule_id=rule.rule_id,
-                members=tuple(rule.tuple_ids),
-            )
+        self.apply(Mutation(name, "rule", rule_id=rule.rule_id,
+                            members=rule.tuple_ids))
 
     def add_exclusive(
         self, name: str, rule_id: Any, *tuple_ids: Any
@@ -285,28 +256,19 @@ class UncertainDB:
         return rule
 
     def join_rule(self, name: str, rule_id: Any, tid: Any) -> GenerationRule:
-        """Move an independent tuple into an existing multi-tuple rule
-        (see :meth:`UncertainTable.join_rule`).
+        """Move an independent tuple into an existing multi-tuple rule.
 
         :returns: the grown rule.
         """
         with self.table_lock(name):
-            table = self.table(name)
-            previous = table.version
-            grown = table.join_rule(rule_id, tid)
-            self._emit_delta(
-                name, table, "rule", previous, rule_id=rule_id, members=(tid,)
-            )
-        return grown
+            self.apply(Mutation(name, "join", rule_id=rule_id, tid=tid))
+            return self.table(name).rule_of(tid)
 
     def remove_tuple(self, name: str, tid: Any) -> UncertainTuple:
         """Remove one tuple (shrinking its rule, if any)."""
         with self.table_lock(name):
-            table = self.table(name)
-            previous = table.version
-            removed = table.remove_tuple(tid)
-            self._emit_delta(name, table, "remove", previous, tid=tid,
-                             old_score=removed.score)
+            removed = self.table(name).get(tid)
+            self.apply(Mutation(name, "remove", tid=tid))
         return removed
 
     def update_probability(
@@ -314,31 +276,14 @@ class UncertainDB:
     ) -> UncertainTuple:
         """Replace one tuple's membership probability."""
         with self.table_lock(name):
-            table = self.table(name)
-            previous = table.version
-            updated = table.update_probability(tid, probability)
-            self._emit_delta(
-                name,
-                table,
-                "update",
-                previous,
-                tid=tid,
-                probability=updated.probability,
-            )
-        return updated
+            self.apply(Mutation(name, "update", tid=tid, probability=probability))
+            return self.table(name).get(tid)
 
     def update_score(self, name: str, tid: Any, score: float) -> UncertainTuple:
         """Replace one tuple's ranking score (it moves in the order)."""
         with self.table_lock(name):
-            table = self.table(name)
-            previous = table.version
-            old_score = table.get(tid).score
-            updated = table.update_score(tid, score)
-            self._emit_delta(
-                name, table, "score", previous, tid=tid, score=updated.score,
-                old_score=old_score,
-            )
-        return updated
+            self.apply(Mutation(name, "score", tid=tid, score=score))
+            return self.table(name).get(tid)
 
     # ------------------------------------------------------------------
     # Queries

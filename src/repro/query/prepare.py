@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
+from repro.model.mutation import Mutation
 from repro.model.rules import GenerationRule
 from repro.model.statistics import TableStatistics
 from repro.model.table import UncertainTable
@@ -308,11 +309,11 @@ class PrepareCache:
                 entries.popitem(last=False)
             return prepared
 
-    def refresh(self, table: UncertainTable, delta: Any) -> int:
+    def refresh(self, table: UncertainTable, mutation: Mutation) -> int:
         """Advance warm preparations of ``table`` across one committed
         mutation instead of letting version keying condemn them.
 
-        For every cached entry prepared at ``delta.previous_version``
+        For every cached entry prepared at ``mutation.previous_version``
         whose shape :func:`repro.dynamic.refresh.refresh_prepared`
         understands (trivial predicate, rank by score descending), the
         entry is replaced in place by a point write on its columns — the
@@ -321,8 +322,8 @@ class PrepareCache:
         ordinary stale-purge path, so a refresh is never less correct
         than an invalidation, only cheaper.
 
-        :param delta: a :class:`repro.dynamic.delta.TableDelta` already
-            applied to ``table``.
+        :param mutation: a :class:`repro.model.mutation.Mutation` as
+            ``table.apply`` returned it.
         :returns: the number of entries refreshed.
         """
         from repro.dynamic.refresh import DEFAULT_SHAPE_KEY, refresh_prepared
@@ -335,9 +336,9 @@ class PrepareCache:
             for key, prepared in list(entries.items()):
                 if key != DEFAULT_SHAPE_KEY:
                     continue
-                if prepared.source_version != delta.previous_version:
+                if prepared.source_version != mutation.previous_version:
                     continue
-                replacement = refresh_prepared(prepared, table, delta)
+                replacement = refresh_prepared(prepared, table, mutation)
                 if replacement is None:
                     continue
                 entries[key] = replacement

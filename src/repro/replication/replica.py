@@ -50,12 +50,12 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.durable.db import DurableDB
 from repro.durable.recover import apply_record, recover_state
-from repro.dynamic.delta import delta_from_record, old_score_of
 from repro.durable.snapshot import write_snapshot
 from repro.durable.stream import WalCursor
 from repro.durable.wal import WriteAheadLog
 from repro.exceptions import RecoveryError, ReplicationError
 from repro.io.jsonio import table_from_dict
+from repro.model.mutation import Mutation
 from repro.obs import OBS, catalogued, span as obs_span
 from repro.query.engine import UncertainDB
 
@@ -158,38 +158,28 @@ class ReplicaApplier:
                 name = record.get("table")
                 # Under the table lock: a read on an executor thread must
                 # never snapshot the table between the apply and the
-                # delta that refreshes the warm state.
+                # refresh of the warm state.
                 with self.db.table_lock(name):
-                    old_score = old_score_of(self._tables.get(name), record)
-                    changed = apply_record(self._tables, record, self._epochs)
-                    if changed:
-                        applied += 1
-                        if op == "register":
-                            # apply_record replaced the table object;
-                            # swap the registry to match (drop invalidates
-                            # the old object's prepare-cache entries).
-                            if name in self.db.tables():
-                                self.db.drop(name)
-                            self.db.register(self._tables[name], name=name)
-                        elif op == "drop":
-                            if name in self.db.tables():
-                                self.db.drop(name)
-                        else:
-                            # In-place mutations need no registry
-                            # surgery (the table object is shared and its
-                            # version bump keeps the prepare cache sound)
-                            # — but the same delta the primary emitted
-                            # advances warm preparations here (and with
-                            # them the dynamic indexes' columns), so a
-                            # replica read after apply is served from
-                            # refreshed state, not a cold re-prepare.
-                            delta = delta_from_record(record, old_score)
-                            if delta is not None:
-                                self.db.prepare_cache.refresh(
-                                    self._tables[name], delta
-                                )
-                    else:
+                    result = apply_record(self._tables, record, self._epochs)
+                    if not result:
                         skipped += 1
+                        continue
+                    applied += 1
+                    if isinstance(result, Mutation):
+                        # The table object is shared with the registry;
+                        # the applied mutation, equal to the one the
+                        # primary refreshed from, advances warm
+                        # preparations here too (and with them the
+                        # dynamic indexes' columns).
+                        self.db.prepare_cache.refresh(self._tables[name], result)
+                        continue
+                    # A register replaced the table object, a drop removed
+                    # it: swap the registry to match (drop invalidates the
+                    # old object's prepare-cache entries).
+                    if name in self.db.tables():
+                        self.db.drop(name)
+                    if op == "register":
+                        self.db.register(self._tables[name], name=name)
             if "cursor" in payload:
                 self.cursor = WalCursor.decode(payload["cursor"])
             now = time.monotonic()

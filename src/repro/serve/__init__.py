@@ -39,12 +39,12 @@ from repro.serve.coalescer import RequestCoalescer
 from repro.serve.scheduler import CostScheduler, ExactTask
 from repro.serve.protocol import (
     DeadlineExceededError,
-    MutationRequest,
     ProtocolError,
     QueryRequest,
     QueryResponse,
     RejectedError,
     StaleReadError,
+    mutation_from_dict,
 )
 from repro.serve.server import ServeApp, ServeConfig, run, serve
 
@@ -55,7 +55,6 @@ __all__ = [
     "ExactTask",
     "HTTPTransport",
     "LoopbackTransport",
-    "MutationRequest",
     "ProtocolError",
     "QueryRequest",
     "QueryResponse",
@@ -66,6 +65,7 @@ __all__ = [
     "ServeClientError",
     "ServeConfig",
     "StaleReadError",
+    "mutation_from_dict",
     "run",
     "serve",
 ]

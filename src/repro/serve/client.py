@@ -252,7 +252,7 @@ class ServeClient:
     def mutate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Apply one write on a writable node (``POST /mutate``).
 
-        ``payload`` follows :class:`~repro.serve.protocol.MutationRequest`
+        ``payload`` follows :func:`~repro.serve.protocol.mutation_from_dict`
         — e.g. ``{"op": "add", "table": t, "tid": ..., "score": ...,
         "probability": ...}``; ops are ``add`` / ``remove`` / ``update``
         / ``score`` / ``rule``.  Returns the new table version and, on

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.model.mutation import FIELDS, Mutation, decode_tid
 
 #: Query modes a client may request.  ``auto`` lets the server pick:
 #: exact when the planner predicts the deadline is met, else sampled.
@@ -280,106 +281,92 @@ class QueryResponse:
 MUTATION_OPS = ("add", "remove", "update", "score", "rule")
 
 
-@dataclass(frozen=True)
-class MutationRequest:
-    """One validated write request (``POST /mutate``, not on replicas).
+def mutation_from_dict(payload: Any) -> Mutation:
+    """Validate an untrusted ``POST /mutate`` payload into a
+    :class:`~repro.model.mutation.Mutation`.
 
     Writes are accepted by any server that owns its state — a plain
     server or a replication primary (journalled, so replicas and the
     failover smoke test observe them flowing through the WAL stream).
-    Replicas refuse: their state is the primary's.
+    Replicas refuse: their state is the primary's.  The payload carries
+    ``op`` (one of :data:`MUTATION_OPS`), ``table`` and the op's WAL
+    record fields (:data:`~repro.model.mutation.FIELDS`), tuple ids in
+    their JSON form.
 
-    :param op: ``add`` / ``remove`` / ``update`` / ``score`` / ``rule``.
-    :param table: registered table name.
-    :param tid: tuple id (``add`` / ``remove`` / ``update`` / ``score``).
-    :param score: ranking score (``add`` / ``score``).
-    :param probability: membership probability (``add`` / ``update``).
-    :param attributes: extra tuple attributes (``add``).
-    :param rule_id: generation-rule id (``rule``).
-    :param members: tuple ids of the exclusion rule (``rule``).
+    :raises ProtocolError: naming the first offending field.
     """
-
-    op: str
-    table: str
-    tid: Any = None
-    score: Optional[float] = None
-    probability: Optional[float] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    rule_id: Any = None
-    members: Tuple[Any, ...] = ()
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "MutationRequest":
-        """Validate an untrusted JSON payload into a mutation.
-
-        :raises ProtocolError: naming the first offending field.
-        """
-        if not isinstance(payload, Mapping):
-            raise ProtocolError(
-                f"mutation request must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        op = _require(payload, "op")
-        if op not in MUTATION_OPS:
-            raise ProtocolError(
-                f"op must be one of {list(MUTATION_OPS)}, got {op!r}"
-            )
-        table = _require(payload, "table")
-        if not isinstance(table, str) or not table:
-            raise ProtocolError(
-                f"table must be a non-empty string, got {table!r}"
-            )
-        known = {"op", "table"}
-        tid = score = probability = rule_id = None
-        attributes: Dict[str, Any] = {}
-        members: Tuple[Any, ...] = ()
-        if op in ("add", "remove", "update", "score"):
-            tid = _require(payload, "tid")
-            known.add("tid")
-        if op in ("add", "score"):
-            score = _number(payload, "score")
-            known.add("score")
-        if op in ("add", "update"):
-            probability = _number(payload, "probability")
-            if not (0.0 < probability <= 1.0):
-                raise ProtocolError(
-                    f"probability must be in (0, 1], got {probability!r}"
-                )
-            known.add("probability")
-        if op == "add":
-            attributes = payload.get("attributes", {})
-            if not isinstance(attributes, Mapping):
-                raise ProtocolError(
-                    f"attributes must be a JSON object, got {attributes!r}"
-                )
-            attributes = dict(attributes)
-            known.add("attributes")
-        if op == "rule":
-            rule_id = _require(payload, "rule_id")
-            raw_members = _require(payload, "members")
-            if not isinstance(raw_members, (list, tuple)) or len(raw_members) < 2:
-                raise ProtocolError(
-                    f"members must be a list of >= 2 tuple ids, "
-                    f"got {raw_members!r}"
-                )
-            members = tuple(raw_members)
-            known.update(("rule_id", "members"))
-        unknown = set(payload) - known
-        if unknown:
-            raise ProtocolError(
-                f"unknown mutation request field(s) for op {op!r}: "
-                f"{sorted(unknown)}"
-            )
-        return cls(
-            op=op,
-            table=table,
-            tid=tid,
-            score=score,
-            probability=probability,
-            attributes=attributes,
-            rule_id=rule_id,
-            members=members,
+    if not isinstance(payload, Mapping):
+        raise ProtocolError(
+            f"mutation request must be a JSON object, "
+            f"got {type(payload).__name__}"
         )
+    op = _require(payload, "op")
+    if op not in MUTATION_OPS:
+        raise ProtocolError(
+            f"op must be one of {list(MUTATION_OPS)}, got {op!r}"
+        )
+    table = _require(payload, "table")
+    if not isinstance(table, str) or not table:
+        raise ProtocolError(
+            f"table must be a non-empty string, got {table!r}"
+        )
+    fields = {name: _mutation_field(payload, name) for name in FIELDS[op]}
+    unknown = set(payload) - {"op", "table", *fields}
+    if unknown:
+        raise ProtocolError(
+            f"unknown mutation request field(s) for op {op!r}: "
+            f"{sorted(unknown)}"
+        )
+    return Mutation(table, op, **fields)
+
+
+def _mutation_field(payload: Mapping[str, Any], name: str) -> Any:
+    """One validated mutation field, tuple ids decoded."""
+    if name == "attributes":
+        attributes = payload.get("attributes", {})
+        if not isinstance(attributes, Mapping):
+            raise ProtocolError(
+                f"attributes must be a JSON object, got {attributes!r}"
+            )
+        # /mutate calls the named DurableDB.add(name, tid, score,
+        # probability, **attributes) (the e2e benchmark times it), whose
+        # own parameters these two names would collide with.
+        for key in ("score", "probability"):
+            if key in attributes:
+                raise ProtocolError(
+                    f"attributes.{key} is not allowed: {key!r} names the "
+                    f"tuple's own field"
+                )
+        return dict(attributes)
+    if name in ("score", "probability"):
+        value = _number(payload, name)
+        if name == "probability" and not (0.0 < value <= 1.0):
+            raise ProtocolError(
+                f"probability must be in (0, 1], got {value!r}"
+            )
+        return value
+    value = _require(payload, name)
+    if name != "members":
+        return _id(name, value)
+    if not isinstance(value, (list, tuple)) or len(value) < 2:
+        raise ProtocolError(
+            f"members must be a list of >= 2 tuple ids, got {value!r}"
+        )
+    return tuple(_id("members", tid) for tid in value)
+
+
+def _id(name: str, value: Any) -> Any:
+    """A tuple or rule id in its JSON form, decoded (arrays become
+    tuples); a JSON object cannot be one."""
+    decoded = decode_tid(value)
+    try:
+        hash(decoded)
+    except TypeError:
+        raise ProtocolError(
+            f"{name} must be a string, a number or an array of them, "
+            f"got {value!r}"
+        ) from None
+    return decoded
 
 
 def _number(payload: Mapping[str, Any], key: str) -> float:

@@ -64,7 +64,6 @@ from repro.core.exact import exact_ptk_query
 from repro.core.results import PTKAnswer
 from repro.core.sampling import SamplingConfig, sampled_ptk_query
 from repro.durable.stream import WalCursor
-from repro.durable.wal import decode_tid
 from repro.exceptions import (
     CursorLostError,
     ReplicationError,
@@ -84,13 +83,13 @@ from repro.serve.coalescer import RequestCoalescer
 from repro.serve.scheduler import CostScheduler, ExactTask
 from repro.serve.protocol import (
     DeadlineExceededError,
-    MutationRequest,
     ProtocolError,
     QueryRequest,
     QueryResponse,
     RejectedError,
     StaleReadError,
     error_body,
+    mutation_from_dict,
 )
 from repro.stats.intervals import wilson_interval
 
@@ -605,36 +604,31 @@ class ServeApp:
                 ),
             )
         try:
-            mutation = MutationRequest.from_dict(payload)
+            mutation = mutation_from_dict(payload)
         except ProtocolError as error:
             return _json_response(400, error_body("bad-request", str(error)))
         try:
+            # The e2e benchmark's ``durable.mutate`` layer times the
+            # named DurableDB writes, so the tuple ops call them; a rule
+            # goes straight through apply.
             if mutation.op == "add":
                 self.db.add(
                     mutation.table,
-                    decode_tid(mutation.tid),
+                    mutation.tid,
                     mutation.score,
                     mutation.probability,
                     **mutation.attributes,
                 )
             elif mutation.op == "remove":
-                self.db.remove_tuple(mutation.table, decode_tid(mutation.tid))
+                self.db.remove_tuple(mutation.table, mutation.tid)
             elif mutation.op == "update":
                 self.db.update_probability(
-                    mutation.table,
-                    decode_tid(mutation.tid),
-                    mutation.probability,
+                    mutation.table, mutation.tid, mutation.probability
                 )
             elif mutation.op == "score":
-                self.db.update_score(
-                    mutation.table, decode_tid(mutation.tid), mutation.score
-                )
-            else:  # rule
-                self.db.add_exclusive(
-                    mutation.table,
-                    mutation.rule_id,
-                    *[decode_tid(tid) for tid in mutation.members],
-                )
+                self.db.update_score(mutation.table, mutation.tid, mutation.score)
+            else:
+                self.db.apply(mutation)
         except (UnknownTableError, UnknownTupleError) as error:
             return _json_response(404, error_body("unknown", str(error)))
         except ReproError as error:

@@ -9,10 +9,13 @@ members keep their membership probabilities (their exclusiveness
 constraint still holds pairwise).
 
 The window is a private :class:`~repro.query.engine.UncertainDB` table
-with the dynamic index on, driven by its incremental writes: an arrival
-is one ``add`` (plus ``add_rule`` when it is its tag's second live
-member, or ``join_rule`` after that), an expiry one ``remove_tuple``.
-Each write refreshes the table's warm preparation in place, so
+with the dynamic index on, driven by its incremental writes, each one
+:class:`~repro.model.mutation.Mutation` through
+:meth:`~repro.query.engine.UncertainDB.apply`: an arrival is one
+``add`` (plus a ``rule`` when it is its tag's second live member, or a
+``join`` after that), an expiry one ``remove``.  The tuple's attributes
+travel as a dict, so any attribute name passes.  Each write refreshes
+the table's warm preparation in place, so
 :meth:`~SlidingWindowPTK.answer` reads the live index scan, which
 re-prices only the rows at and below the first changed rank, up to the
 Theorem-5 stop depth: the cost tracks k, not the window size.
@@ -25,6 +28,7 @@ from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.results import PTKAnswer
 from repro.exceptions import QueryError, ValidationError
+from repro.model.mutation import Mutation
 from repro.model.table import UncertainTable
 from repro.model.tuples import UncertainTuple
 from repro.query.engine import UncertainDB
@@ -108,18 +112,20 @@ class SlidingWindowPTK:
         :raises ValidationError: when the tag's in-window probability
             mass would exceed 1.
         """
-        db, tid = self._db, tup.tid
+        apply, tid = self._db.apply, tup.tid
         grouped = rule_tag in self._newest  # the tag has a live member
-        db.add(_TABLE, tid, tup.score, tup.probability, **tup.attributes)
+        apply(Mutation(_TABLE, "add", tid=tid, score=tup.score,
+                       probability=tup.probability, attributes=tup.attributes))
         if grouped:
             newest = self._newest[rule_tag]
             try:
                 if self._table.multi_rule_id_of(newest) is None:
-                    db.add_exclusive(_TABLE, rule_tag, newest, tid)
+                    apply(Mutation(_TABLE, "rule", rule_id=rule_tag,
+                                   members=(newest, tid)))
                 else:
-                    db.join_rule(_TABLE, rule_tag, tid)
+                    apply(Mutation(_TABLE, "join", rule_id=rule_tag, tid=tid))
             except ValidationError:
-                db.remove_tuple(_TABLE, tid)
+                apply(Mutation(_TABLE, "remove", tid=tid))
                 raise
         if rule_tag is not None:
             self._newest[rule_tag] = tid
@@ -129,7 +135,7 @@ class SlidingWindowPTK:
             expired, tag = self._window.popleft()
             if tag is not None and self._newest[tag] == expired:
                 del self._newest[tag]
-            db.remove_tuple(_TABLE, expired)
+            apply(Mutation(_TABLE, "remove", tid=expired))
 
     def extend(self, tuples, rule_tags=None) -> None:
         """Append many tuples (``rule_tags`` parallel to ``tuples``)."""

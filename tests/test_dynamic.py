@@ -26,11 +26,10 @@ from repro.core.rule_compression import rule_index_of_table
 from repro.dynamic import (
     DynamicIndex,
     DynamicIndexRegistry,
-    TableDelta,
-    delta_from_record,
     refresh_prepared,
 )
 from repro.exceptions import QueryError, ReproError
+from repro.model.mutation import Mutation
 from repro.model.table import UncertainTable
 from repro.query.engine import UncertainDB
 from repro.query.prepare import prepare_ranking
@@ -58,11 +57,17 @@ def build_index(table):
 
 
 class MutationDriver:
-    """Random mutation generator that keeps table and deltas in sync."""
+    """Random mutation generator: every op is drawn as one
+    :class:`Mutation` through ``db.apply`` (a private engine over
+    ``table`` unless ``db`` is given), whose applied copy is the delta."""
 
-    def __init__(self, table, seed=0, name="t"):
+    def __init__(self, table, seed=0, name="t", db=None):
         self.table = table
         self.name = name
+        if db is None:
+            db = UncertainDB()
+            db.register(table, name=name)
+        self.db = db
         self.rng = random.Random(seed)
         self.next_tid = 0
         self.next_rule = 0
@@ -75,57 +80,50 @@ class MutationDriver:
                 deltas.append(delta)
         return deltas
 
-    def emit(self, op):
+    def draw(self, op):
+        """The op as a Mutation against the current table, or None."""
         rng, table = self.rng, self.table
-        prev = table.version
-        try:
-            if op == "add":
-                tid = f"t{self.next_tid}"
-                self.next_tid += 1
-                score = rng.choice(
-                    [rng.uniform(0, 100), float(rng.randint(0, 20))]
-                )
-                p = rng.uniform(0.05, 1.0)
-                table.add(tid, score, p)
-                return TableDelta(self.name, "add", prev, table.version,
-                                  tid=tid, score=score, probability=p)
-            if op == "remove":
-                tid = rng.choice(table.tuple_ids())
-                removed = table.remove_tuple(tid)
-                return TableDelta(self.name, "remove", prev, table.version,
-                                  tid=tid, old_score=removed.score)
-            if op == "update":
-                tid = rng.choice(table.tuple_ids())
-                p = rng.uniform(0.05, 1.0)
-                table.update_probability(tid, p)
-                return TableDelta(self.name, "update", prev, table.version,
-                                  tid=tid, probability=p)
-            if op == "score":
-                tid = rng.choice(table.tuple_ids())
-                score = rng.choice(
-                    [rng.uniform(0, 100), float(rng.randint(0, 20))]
-                )
-                old_score = table.get(tid).score
-                table.update_score(tid, score)
-                return TableDelta(self.name, "score", prev, table.version,
-                                  tid=tid, score=score, old_score=old_score)
-            free = [t for t in table.tuple_ids() if table.is_independent(t)]
-            if op == "join":
-                rules = table.multi_rules()
-                if not rules or not free:
-                    return None
-                rid, tid = rng.choice(rules).rule_id, rng.choice(free)
-                table.join_rule(rid, tid)
-                return TableDelta(self.name, "rule", prev, table.version,
-                                  rule_id=rid, members=(tid,))
-            if len(free) < 2:
+        if op == "add":
+            tid = f"t{self.next_tid}"
+            self.next_tid += 1
+            score = rng.choice(
+                [rng.uniform(0, 100), float(rng.randint(0, 20))]
+            )
+            return Mutation(self.name, "add", tid=tid, score=score,
+                            probability=rng.uniform(0.05, 1.0))
+        if op == "remove":
+            return Mutation(self.name, "remove",
+                            tid=rng.choice(table.tuple_ids()))
+        if op == "update":
+            tid = rng.choice(table.tuple_ids())
+            return Mutation(self.name, "update", tid=tid,
+                            probability=rng.uniform(0.05, 1.0))
+        if op == "score":
+            tid = rng.choice(table.tuple_ids())
+            score = rng.choice(
+                [rng.uniform(0, 100), float(rng.randint(0, 20))]
+            )
+            return Mutation(self.name, "score", tid=tid, score=score)
+        free = [t for t in table.tuple_ids() if table.is_independent(t)]
+        if op == "join":
+            rules = table.multi_rules()
+            if not rules or not free:
                 return None
-            members = rng.sample(free, rng.randint(2, min(4, len(free))))
-            rid = f"r{self.next_rule}"
-            self.next_rule += 1
-            table.add_exclusive(rid, *members)
-            return TableDelta(self.name, "rule", prev, table.version,
-                              rule_id=rid, members=tuple(members))
+            rid, tid = rng.choice(rules).rule_id, rng.choice(free)
+            return Mutation(self.name, "join", rule_id=rid, tid=tid)
+        if len(free) < 2:
+            return None
+        members = rng.sample(free, rng.randint(2, min(4, len(free))))
+        rid = f"r{self.next_rule}"
+        self.next_rule += 1
+        return Mutation(self.name, "rule", rule_id=rid, members=tuple(members))
+
+    def emit(self, op):
+        mutation = self.draw(op)
+        if mutation is None:
+            return None
+        try:
+            return self.db.apply(mutation)
         except ReproError:
             return None  # table rejected it (rule sum > 1, ...) — no delta
 
@@ -185,7 +183,7 @@ class TestByteEquality:
         prev = table.version
         table.update_probability("t199", 0.9)
         suffix = index.apply(advance(
-            prepared, table, TableDelta("t", "update", prev, table.version,
+            prepared, table, Mutation("t", "update", prev, table.version,
                                         tid="t199", probability=0.9)))
         assert suffix <= 2
 
@@ -231,7 +229,7 @@ class TestIndexContracts:
         # fine.  A true collision needs the same tid key too, which two
         # distinct tuples cannot have — so moving onto an equal score
         # must be *supported*:
-        index.apply(advance(prepared, table, TableDelta(
+        index.apply(advance(prepared, table, Mutation(
             "t", "score", prev, table.version, tid="b", score=10.0,
             old_score=9.0)))
         tids, out = cold_probabilities(table, 1)
@@ -390,7 +388,7 @@ class TestPrepareRefresh:
         prepared = prepare_ranking(table, TopKQuery(k=3))
         prev = table.version
         mutate(table)
-        delta = TableDelta("t", previous_version=prev,
+        delta = Mutation("t", previous_version=prev,
                            version=table.version, **op_fields)
         refreshed = refresh_prepared(prepared, table, delta)
         assert refreshed is not None
@@ -430,7 +428,7 @@ class TestPrepareRefresh:
         prepared = prepare_ranking(table, TopKQuery(k=1))
         prev = table.version
         table.remove_tuple("t2")
-        delta = TableDelta("t", "remove", prev, table.version, tid="t2")
+        delta = Mutation("t", "remove", prev, table.version, tid="t2")
         assert refresh_prepared(prepared, table, delta) is None
 
     def test_version_mismatch_declines(self):
@@ -439,7 +437,7 @@ class TestPrepareRefresh:
         prepared = prepare_ranking(table, TopKQuery(k=1))
         table.update_probability("a", 0.6)
         table.update_probability("a", 0.7)
-        stale = TableDelta("t", "update", table.version - 1, table.version,
+        stale = Mutation("t", "update", table.version - 1, table.version,
                            tid="a", probability=0.7)
         # prepared is two versions behind: surgery must refuse
         assert refresh_prepared(prepared, table, stale) is None
@@ -477,13 +475,13 @@ class TestDeltaCodec:
              "members": [encode_tid("a"), encode_tid("b")]},
         ]
         for record in records:
-            delta = delta_from_record(record)
+            delta = Mutation.from_record(record)
             assert delta is not None
             assert delta.op == record["op"]
             assert delta.version == record["version"]
             assert delta.previous_version == record["version"] - 1
-        assert delta_from_record({"op": "register", "table": "t"}) is None
-        assert delta_from_record({"op": "serve", "table": "t"}) is None
+        assert Mutation.from_record({"op": "register", "table": "t"}) is None
+        assert Mutation.from_record({"op": "serve", "table": "t"}) is None
 
 
 class TestServeIntegration:

@@ -13,10 +13,10 @@ Three oracles, in increasing strength:
 The index prices whatever preparation it is handed, so the index
 suites run every step twice: once on the refreshed preparation, once on
 a cold :func:`prepare_ranking`.  The warm prepared ranking is held to
-the same standard: after every delta, :func:`refresh_prepared` must
+the same standard: after every write, :func:`refresh_prepared` must
 return the object a cold :func:`prepare_ranking` builds — its columns
-bitwise — or ``None`` on a sort-key collision; and so must the deltas
-the engine emits and a replica rebuilds from the shipped WAL.
+bitwise — or ``None`` on a sort-key collision; and so must the applied
+mutations of the engine and of a replica reading the shipped WAL.
 
 Plus the two hard end-to-end cases: a SIGKILL mid-mutation (recovery
 must rebuild state the index then answers identically on) and the
@@ -38,23 +38,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exact import exact_ptk_query
-from repro.dynamic import (
-    DynamicIndex,
-    TableDelta,
-    delta_from_record,
-    refresh_prepared,
-)
+from repro.dynamic import DynamicIndex, refresh_prepared
+from repro.model.mutation import Mutation
 from repro.model.table import UncertainTable
 from repro.query.engine import UncertainDB
 from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
 from repro.semantics.naive import naive_topk_probabilities
 from tests.test_dynamic import MutationDriver, advance, cold_probabilities
-
-
-def feed(db, table, delta):
-    """Mirror UncertainDB._emit_delta for driver-made mutations."""
-    db.prepare_cache.refresh(table, delta)
 
 
 def twin_indexes(table):
@@ -186,19 +177,15 @@ class TestInterleavedMutations:
         table = UncertainTable(name="t")
         db.register(table, name="t")
         db.enable_dynamic(cap=4)
-        driver = MutationDriver(table, seed=seed)
+        driver = MutationDriver(table, seed=seed, db=db)
         for _ in range(5):
-            delta = driver.emit("add")
-            if delta is not None:
-                feed(db, table, delta)
+            driver.emit("add")
         threshold = 0.3
         for op_index, op_seed in script[:12]:
             driver.rng.seed(op_seed)
             op = OPS[op_index] if len(table) >= 3 else "add"
-            delta = driver.emit(op)
-            if delta is None:
+            if driver.emit(op) is None:
                 continue
-            feed(db, table, delta)
             if not len(table):
                 continue
             answer = db.ptk("t", k=k, threshold=threshold)
@@ -234,17 +221,12 @@ class TestInterleavedMutations:
         table = UncertainTable(name="t")
         db.register(table, name="t")
         db.enable_dynamic(cap=4)
-        driver = MutationDriver(table, seed=seed)
+        driver = MutationDriver(table, seed=seed, db=db)
         for _ in range(10):
-            delta = driver.emit("add")
-            if delta is not None:
-                feed(db, table, delta)
+            driver.emit("add")
         for op_index, op_seed in script:
             driver.rng.seed(op_seed)
-            op = OPS[op_index] if len(table) >= 3 else "add"
-            delta = driver.emit(op)
-            if delta is not None:
-                feed(db, table, delta)
+            driver.emit(OPS[op_index] if len(table) >= 3 else "add")
         answer = db.ptk("t", k=3, threshold=0.25)
         assert answer.method == "dynamic"
         cold = exact_ptk_query(table, TopKQuery(k=3), 0.25)
@@ -279,7 +261,7 @@ def emit_twin(table, rng):
         mover, anchor = rng.choice([(tid, str(tid)), (str(tid), tid)])
         score = table.get(anchor).score
         table.update_score(mover, score)
-        return TableDelta("t", "score", previous, table.version,
+        return Mutation("t", "score", previous, table.version,
                           tid=mover, score=score)
     singles = [
         t for t in table.tuple_ids()
@@ -290,7 +272,7 @@ def emit_twin(table, rng):
     tid = rng.choice(singles)
     score = table.get(tid).score
     table.add(str(tid), score, 0.3)
-    return TableDelta("t", "add", previous, table.version,
+    return Mutation("t", "add", previous, table.version,
                       tid=str(tid), score=score, probability=0.3)
 
 
@@ -370,9 +352,10 @@ class TestPrepareRefreshProperty:
     @given(script=mutation_scripts, seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_primary_and_replica_deltas_refresh_like_cold(self, script, seed):
-        # The deltas the engine emits and the ones a replica rebuilds
-        # from the shipped WAL: equal, carrying the old score of every
-        # remove and score move, and each refreshes to the cold prepare.
+        # The applied mutations the primary refreshes from and the ones
+        # a replica applies from the shipped WAL: equal, carrying the old
+        # score of every remove and score move, and each refreshes to
+        # the cold prepare.
         import tempfile
 
         from repro.durable import DurableDB
@@ -409,32 +392,36 @@ class TestPrepareRefreshProperty:
                 tid = rng.choice(tids) if tids else None
                 old_score = table.get(tid).score if tid is not None else None
                 del records[:], primary_deltas[:], replica_deltas[:]
+                if op == "add":
+                    mutation = Mutation("t", "add",
+                                        tid=f"n{op_seed}-{len(table)}",
+                                        score=float(rng.randint(0, 20)),
+                                        probability=0.2)
+                elif op == "remove":
+                    mutation = Mutation("t", "remove", tid=tid)
+                elif op == "update":
+                    mutation = Mutation("t", "update", tid=tid,
+                                        probability=rng.uniform(0.05, 0.3))
+                elif op == "score":
+                    mutation = Mutation("t", "score", tid=tid,
+                                        score=float(rng.randint(0, 20)))
+                elif op == "rule":
+                    free = [t for t in tids if table.is_independent(t)]
+                    if len(free) < 2:
+                        continue
+                    mutation = Mutation("t", "rule",
+                                        rule_id=f"r{op_seed}-{len(table)}",
+                                        members=tuple(rng.sample(free, 2)))
+                else:
+                    rules = table.multi_rules()
+                    free = [t for t in tids if table.is_independent(t)]
+                    if not rules or not free:
+                        continue
+                    mutation = Mutation("t", "join",
+                                        rule_id=rng.choice(rules).rule_id,
+                                        tid=rng.choice(free))
                 try:
-                    if op == "add":
-                        primary.add("t", f"n{op_seed}-{len(table)}",
-                                    float(rng.randint(0, 20)), 0.2)
-                    elif op == "remove":
-                        primary.remove_tuple("t", tid)
-                    elif op == "update":
-                        primary.update_probability(
-                            "t", tid, rng.uniform(0.05, 0.3))
-                    elif op == "score":
-                        primary.update_score(
-                            "t", tid, float(rng.randint(0, 20)))
-                    elif op == "rule":
-                        free = [t for t in tids if table.is_independent(t)]
-                        if len(free) < 2:
-                            continue
-                        primary.add_exclusive(
-                            "t", f"r{op_seed}-{len(table)}",
-                            *rng.sample(free, 2))
-                    else:
-                        rules = table.multi_rules()
-                        free = [t for t in tids if table.is_independent(t)]
-                        if not rules or not free:
-                            continue
-                        primary.join_rule(
-                            "t", rng.choice(rules).rule_id, rng.choice(free))
+                    primary.apply(mutation)
                 except ReproError:
                     continue
                 replica.apply_batch({"records": records})

@@ -166,7 +166,8 @@ class TestFloat64Scores:
 
     def test_live_refreshed_and_snapshot_rankings_agree(self, tmp_path):
         from repro.durable.snapshot import open_snapshot_columns, write_snapshot
-        from repro.dynamic import TableDelta, refresh_prepared
+        from repro.dynamic import refresh_prepared
+        from repro.model.mutation import Mutation
         from repro.query.prepare import prepare_ranking
         from repro.query.topk import TopKQuery
 
@@ -176,7 +177,7 @@ class TestFloat64Scores:
         prepared = prepare_ranking(table, TopKQuery(k=1))
         previous = table.version
         table.add("b", 2**53 + 2, 0.5)
-        refreshed = refresh_prepared(prepared, table, TableDelta(
+        refreshed = refresh_prepared(prepared, table, Mutation(
             "t", "add", previous, table.version, tid="b",
             score=2**53 + 2, probability=0.5,
         ))
@@ -279,3 +280,62 @@ class TestServeMapping:
                 client.mutate({"op": "update", "table": "t", "tid": "a",
                                "probability": 2.0})
             assert err.value.status == 400
+
+
+@pytest.mark.parametrize("field", ["score", "probability"])
+def test_mutate_refuses_attributes_named_like_the_tuple_fields(field):
+    # /mutate calls the named add(name, tid, score, probability,
+    # **attributes), which cannot take these two names as keywords.
+    from repro.serve.client import (
+        LoopbackTransport, ServeClient, ServeClientError,
+    )
+    from repro.serve.server import ServeApp, ServeConfig
+
+    db = make_db()
+    version = db.table("t").version
+    app = ServeApp(db, ServeConfig(window_ms=0.0, enable_obs=False))
+    with LoopbackTransport(app) as transport:
+        client = ServeClient(transport)
+        with pytest.raises(ServeClientError) as err:
+            client.mutate({"op": "add", "table": "t", "tid": "c",
+                           "score": 1.0, "probability": 0.5,
+                           "attributes": {field: 2, "tid": 3}})
+        assert err.value.status == 400
+        assert err.value.body["error"] == "bad-request"
+        assert f"attributes.{field}" in err.value.body["message"]
+        client.mutate({"op": "add", "table": "t", "tid": "c",
+                       "score": 1.0, "probability": 0.5,
+                       "attributes": {"tid": 3, "name": 4}})
+    assert db.table("t").version == version + 1
+    assert dict(db.table("t").get("c").attributes) == {"tid": 3, "name": 4}
+
+
+def test_mutate_refuses_ids_that_cannot_key_a_table():
+    from repro.serve.client import (
+        LoopbackTransport, ServeClient, ServeClientError,
+    )
+    from repro.serve.server import ServeApp, ServeConfig
+
+    db = make_db()
+    version = db.table("t").version
+    app = ServeApp(db, ServeConfig(window_ms=0.0, enable_obs=False))
+    with LoopbackTransport(app) as transport:
+        client = ServeClient(transport)
+        for payload in [
+            {"op": "add", "table": "t", "tid": {"x": 1}, "score": 1.0,
+             "probability": 0.5},
+            {"op": "remove", "table": "t", "tid": [{"x": 1}]},
+            {"op": "rule", "table": "t", "rule_id": {"g": 1},
+             "members": ["a", "b"]},
+            {"op": "rule", "table": "t", "rule_id": "r",
+             "members": ["a", {"b": 1}]},
+        ]:
+            with pytest.raises(ServeClientError) as err:
+                client.mutate(payload)
+            assert err.value.status == 400
+            assert err.value.body["error"] == "bad-request"
+        assert db.table("t").version == version
+        # An array id is a tuple id, for rules as for tuples.
+        client.mutate({"op": "rule", "table": "t", "rule_id": ["g", 1],
+                       "members": ["a", "b"]})
+    assert db.table("t").rule_of("a").rule_id == ("g", 1)
