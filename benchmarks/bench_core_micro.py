@@ -177,15 +177,16 @@ def test_scheduler_cost_order(benchmark):
 
 
 def _dynamic_write_read(benchmark, candidates):
-    """Time one write→read cycle of the incremental PT-k index.
+    """Time one write→read cycle of the carried warm-scan store.
 
     Each round flips the probability of one independent tuple — the
     first of ``candidates(ranked tuples, stop depth)`` — carries the
     preparation across the write (:func:`refresh_prepared`, columns
-    included), moves the index onto it and serves the prune-bounded
-    answer (Theorem-5 stop depth).
+    included), hands it the store (``carry_scans``) and serves the
+    prune-bounded answer (Theorem-5 stop depth), which moves the scan
+    onto the new columns first.
     """
-    from repro.dynamic import DynamicIndex, refresh_prepared
+    from repro.dynamic import refresh_prepared
     from repro.model.mutation import Mutation
 
     scale = bench_scale()
@@ -198,8 +199,8 @@ def _dynamic_write_read(benchmark, candidates):
     )
     k = max(10, int(200 * scale))
     prepared = prepare_ranking(table, TopKQuery(k=k))
-    index = DynamicIndex.build(prepared)
-    _, _, depth, _ = index.scan_answer(k, 0.3)  # settle the lazy build once
+    # settle the lazy build once
+    depth = prepared.index.scan_answer(prepared.columns, k, 0.3).stats.scan_depth
     tid = next(
         t.tid
         for t in candidates(table.ranked_tuples(), depth)
@@ -212,9 +213,10 @@ def _dynamic_write_read(benchmark, candidates):
         applied = table.apply(Mutation(
             "bench", "update", tid=tid, probability=state["probability"]
         ))
-        state["prepared"] = refresh_prepared(state["prepared"], table, applied)
-        index.apply(state["prepared"])
-        return index.scan_answer(k, 0.3)
+        prepared = state["prepared"] = refresh_prepared(
+            state["prepared"], table, applied
+        ).carry_scans(state["prepared"])
+        return prepared.index.scan_answer(prepared.columns, k, 0.3)
 
     benchmark.pedantic(cycle, rounds=30, iterations=1)
 
@@ -223,7 +225,7 @@ def test_dynamic_delta_refresh(benchmark):
     """The repro.dynamic serving hot path, write below the answer.
 
     The mutated tuple is the deepest independent one — the common
-    case — so the read prices nothing: the index's scan keeps every row
+    case — so the read prices nothing: the carried scan keeps every row
     above the write.
     """
     _dynamic_write_read(benchmark, lambda ranked, depth: reversed(ranked))
@@ -231,8 +233,8 @@ def test_dynamic_delta_refresh(benchmark):
 
 def test_dynamic_shallow_write_read(benchmark):
     """The write lands above the answer depth (half-way down to it), so
-    the index restores its scan from a snapshot and the read re-prices
-    to the stop depth."""
+    the read restores the carried scan from a snapshot and re-prices to
+    the stop depth."""
     _dynamic_write_read(benchmark, lambda ranked, depth: ranked[depth // 2 :])
 
 

@@ -7,18 +7,17 @@ plus a full pruned scan on the next read.  This benchmark drives the
 whole service stack — ``POST /mutate`` and ``POST /query`` through the
 loopback transport — twice per workload mix:
 
-* **invalidate** — ``dynamic`` off: every mutation bumps the table
-  version, the next read's ``PrepareCache.get`` misses and re-prepares,
-  and the answer is a fresh pruned scan (the pre-``repro.dynamic``
-  behaviour);
+* **invalidate** — ``dynamic`` off, and every mutation drops the
+  table's cached preparations (the prepare-cache refresh hook is
+  stubbed to invalidate): the next read's ``PrepareCache.get`` misses
+  and re-prepares, and the answer is a fresh pruned scan (the
+  pre-``repro.dynamic`` behaviour);
 * **delta-refresh** — ``dynamic`` on: the applied
   :class:`~repro.model.mutation.Mutation` refreshes the warm
-  preparation, columns included; the next read moves the incremental
-  index onto it (a column compare + a rewind of its kernel scans) and
-  answers from the scan, pricing lazily only to the Theorem-5 stop
-  depth — byte-identical to a cold scan.  The
-  ``invalidate`` arm additionally stubs the prepare-cache refresh hook
-  so it measures the true pre-subsystem baseline.
+  preparation, columns included, and hands it the warm scans; the next
+  read moves its scan onto the new columns (a column compare + a rewind
+  to a snapshot) and answers from it, pricing lazily only to the
+  Theorem-5 stop depth — byte-identical to a cold scan.
 
 Mixes: 90/10 (read-dominated dashboard refreshing under a trickle of
 updates) and 50/50 (write-heavy ingestion).  Every answer in the
@@ -99,11 +98,13 @@ def _mixed_loop(write_fraction: float, dynamic: bool):
     db, name, n_tuples = _make_db()
     if not dynamic:
         # The true pre-repro.dynamic baseline: a mutation condemns warm
-        # preparations (version keying purges them on the next get), so
-        # every post-write read re-prepares.  Without this stub the
+        # preparations and their scans, so every post-write read
+        # re-prepares and scans cold.  Without this stub the
         # delta-refresh surgery — itself part of the subsystem under
-        # test — would quietly keep the "invalidate" arm's cache warm.
-        db.prepare_cache.refresh = lambda table, delta: 0
+        # test — would quietly keep the "invalidate" arm's cache warm,
+        # and a re-prepare would take the stale entry's scans over.
+        cache = db.prepare_cache
+        cache.refresh = lambda table, delta: cache.invalidate(table) and 0
     app = ServeApp(
         db,
         ServeConfig(
@@ -111,7 +112,6 @@ def _mixed_loop(write_fraction: float, dynamic: bool):
             max_inflight=1,
             enable_obs=False,
             dynamic=dynamic,
-            dynamic_cap=K,
         ),
     )
     rng = random.Random(SEED)
@@ -176,8 +176,9 @@ def test_dynamic_mixed_loops():
             f"k={K}, p={THRESHOLD}, seed={SEED}; single closed-loop "
             "client over the loopback transport; 'invalidate' serves "
             "post-write reads via re-prepare + pruned scan, "
-            "'delta-refresh' via the incremental index (answers "
-            "oracle-checked against cold exact scans: diffs must be 0)"
+            "'delta-refresh' via the carried warm scans (answers "
+            "oracle-checked against cold exact scans: diffs must be 0); "
+            f"nproc={os.cpu_count()}"
         ),
     )
     summary = {}
@@ -286,3 +287,62 @@ def test_rule_write_refresh():
         result.add_row(label, len(samples),
                        statistics.median(samples) * 1e3)
     emit(result, "dynamic_rule_refresh.txt")
+
+
+#: Rounds per deep-write arm; the table reports each repetition's median.
+DEEP_ROUNDS = 40
+DEEP_REPETITIONS = 3
+
+
+def _deep_write_read_seconds(db, name, k):
+    """Median seconds of ``db.ptk(name, k, p)`` after lowering the score
+    of the lowest-ranked tuple by 1e-3, over :data:`DEEP_ROUNDS` rounds;
+    every read is checked against a cold columnar read."""
+    table = db.table(name)
+    db.ptk(name, k, THRESHOLD)  # the scan at k is warm before round 1
+    samples = []
+    for _ in range(DEEP_ROUNDS):
+        last = db.prepare_cache.get(table, TopKQuery(k=k)).columns.tids[-1]
+        db.update_score(name, last, table.get(last).score - 1e-3)
+        started = time.perf_counter()
+        answer = db.ptk(name, k, THRESHOLD)
+        samples.append(time.perf_counter() - started)
+    cold = exact_ptk_query(table, TopKQuery(k=k), THRESHOLD, columnar=True)
+    assert answer.answers == cold.answers
+    assert answer.probabilities == cold.probabilities
+    assert answer.stats.scan_depth == cold.stats.scan_depth
+    return statistics.median(samples)
+
+
+def test_deep_write_read():
+    """A read after a write below every priced row, with the dynamic
+    route on and off: both resume the same carried warm scans, so the
+    write costs the read one column compare at every ``k``."""
+    result = ExperimentTable(
+        title="Read after a deep write (lowest-ranked tuple's score - 1e-3)",
+        columns=["k", "arm", "repetition", "n", "read_p50_ms"],
+        notes=(
+            f"p={THRESHOLD}, seed={SEED}, n/10 rules; median of "
+            f"{DEEP_ROUNDS} rounds per repetition, arms interleaved in "
+            f"one process; nproc={os.cpu_count()}"
+        ),
+    )
+    medians = {}
+    for repetition in range(DEEP_REPETITIONS):
+        for k in (10, 100):
+            for arm in ("dynamic on", "dynamic off"):
+                db, name, n_tuples = _make_db()
+                if arm == "dynamic on":
+                    db.enable_dynamic()
+                seconds = _deep_write_read_seconds(db, name, k)
+                medians.setdefault((k, arm), []).append(seconds)
+                result.add_row(k, arm, repetition + 1, n_tuples,
+                               round(seconds * 1e3, 3))
+    emit(result, "dynamic_deep_write.txt")
+    for k in (10, 100):
+        on = statistics.median(medians[(k, "dynamic on")])
+        off = statistics.median(medians[(k, "dynamic off")])
+        assert off <= 1.5 * on, (
+            f"k={k}: plain read {off * 1e3:.3f}ms vs dynamic "
+            f"{on * 1e3:.3f}ms"
+        )

@@ -3,9 +3,9 @@
 Measures the monitored sliding window on the tracking stream: arrivals
 per second for growing window sizes, plus answer churn.  An arrival is
 one incremental write (plus a rule write for a tagged one, and one
-removal once the window is full) and the answer one read of the live
-dynamic-index scan, which re-prices only the rows below the first
-changed rank, up to the Theorem-5 stop depth.  So the per-arrival cost
+removal once the window is full) and the answer one columnar read of
+the warm scan each write hands on, which re-prices only the rows below
+the first changed rank, up to the Theorem-5 stop depth.  So the per-arrival cost
 should track k, not the window size — the streaming analogue of
 Figure 7.  At the default scale (0.5) the stream is long enough for
 the 5,000 window to fill.

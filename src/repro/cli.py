@@ -343,7 +343,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_ms=args.slow_ms,
         metrics_flush_s=args.metrics_flush_s,
         dynamic=args.dynamic,
-        dynamic_cap=args.dynamic_cap,
     )
     names = ", ".join(sorted(db.tables()))
     print(f"loaded tables: {names}", flush=True)
@@ -417,7 +416,6 @@ def _serve_config_for_replication(args: argparse.Namespace):
         port=args.port,
         window_ms=args.window_ms,
         dynamic=getattr(args, "dynamic", False),
-        dynamic_cap=getattr(args, "dynamic_cap", 64),
     )
 
 
@@ -822,17 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dynamic",
         action="store_true",
-        help="maintain incremental PT-k indexes: reads are served from "
-        "live scans moved onto each write's refreshed preparation "
+        help="serve default-shape reads through the dynamic route, "
+        "straight from the warm scans each write hands on "
         "(see docs/dynamic.md)",
-    )
-    serve.add_argument(
-        "--dynamic-cap",
-        type=int,
-        default=64,
-        metavar="K",
-        help="largest k the dynamic indexes serve; larger requests "
-        "take the ordinary planned path",
     )
     serve.set_defaults(fn=_cmd_serve)
 
@@ -913,12 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
     primary.add_argument(
         "--dynamic",
         action="store_true",
-        help="maintain incremental PT-k indexes over the mutation "
-        "stream (see docs/dynamic.md)",
-    )
-    primary.add_argument(
-        "--dynamic-cap", type=int, default=64, metavar="K",
-        help="largest k the dynamic indexes serve",
+        help="serve default-shape reads through the dynamic route "
+        "(see docs/dynamic.md)",
     )
     primary.set_defaults(fn=_cmd_replicate_primary)
 
@@ -962,12 +948,8 @@ def build_parser() -> argparse.ArgumentParser:
     follow.add_argument(
         "--dynamic",
         action="store_true",
-        help="maintain incremental PT-k indexes over the applied WAL "
-        "stream (see docs/dynamic.md)",
-    )
-    follow.add_argument(
-        "--dynamic-cap", type=int, default=64, metavar="K",
-        help="largest k the dynamic indexes serve",
+        help="serve default-shape reads through the dynamic route "
+        "(see docs/dynamic.md)",
     )
     follow.set_defaults(fn=_cmd_replicate_follow)
 

@@ -140,11 +140,12 @@ class ExactPTKEngine:
         :func:`shared_scan_reads`): rows another engine priced are not
         priced again, and each read's ``tuples_evaluated`` and
         ``subset_extensions`` bill only the state's growth during it.
-    :param lock: the lock that serialises reads of a ``state`` shared
-        across threads (a preparation's warm scan,
-        :meth:`~repro.query.prepare.PreparedRanking.scan_state`).  A
-        read holds it only while it reads the state, and a budgeted
-        read waits for it no later than its deadline.
+    :param lock: the lock of a preparation's warm scan
+        (:meth:`~repro.dynamic.index.DynamicIndex.scan`), a ``state``
+        shared across threads and preparations.  A read holds it only
+        while it moves the state onto ``columns``
+        (:meth:`~repro.dynamic.index._LiveScan.follow`) and reads it, and
+        a budgeted read waits for it no later than its deadline.
     """
 
     def __init__(
@@ -327,7 +328,7 @@ class ExactPTKEngine:
 
         Reveals the ``Pr^k`` column in ranking order to Theorem 5's stop
         depth (:meth:`~repro.core.kernel.TopKScanState.read`, the read
-        the dynamic index serves too); the answers are the revealed rows with ``Pr^k >= p``, since by
+        the dynamic route serves too); the answers are the revealed rows with ``Pr^k >= p``, since by
         Theorem 5 no deeper row can reach ``p``.  Theorems 3–4 do not
         apply to the kernel, so no row is skipped:
         ``stats.tuples_evaluated`` counts the rows this engine priced
@@ -352,6 +353,8 @@ class ExactPTKEngine:
         ) as scan_span:
             if self._acquire(stop_at):
                 try:
+                    if self._lock is not None:
+                        state.follow(self._columns)
                     done, extensions = state.done, state.extensions
                     (
                         answer.answers,
@@ -485,12 +488,13 @@ def exact_ptk_query(
         kernel (the default there); ``False`` keeps the scalar
         per-tuple loop as the cross-check oracle.  With a threshold
         above 0, ``True`` reads the preparation's warm scan at ``k``
-        (:meth:`~repro.query.prepare.PreparedRanking.scan_state`) to
+        (:attr:`~repro.query.prepare.PreparedRanking.index`) to
         Theorem 5's stop depth (see :class:`ExactPTKEngine`): answers,
         probabilities, ``scan_depth`` and ``stopped_by`` are bitwise a
         fresh scan's, and ``tuples_evaluated`` and
         ``subset_extensions`` bill only the rows earlier reads at ``k``
-        had not priced (0 when a read repeats).  The default ``None``
+        had not priced, on this preparation or one before a write that
+        left them unchanged (0 when a read repeats).  The default ``None``
         keeps the scalar engine, the reference oracle.
     :param deadline_seconds: wall-clock budget of a columnar read
         (``columnar=True``, threshold above 0).  On expiry the answer is
@@ -510,7 +514,8 @@ def exact_ptk_query(
     if columnar and threshold != 0.0:
         # ... and resumes the preparation's warm scan at this k.
         _validate_threshold(threshold)
-        state, lock = prepared.scan_state(query.k)
+        state = prepared.index.scan(columns, query.k)
+        lock = state.lock
     engine = ExactPTKEngine(
         () if columns is not None else prepared.ranked,
         prepared.rule_of,

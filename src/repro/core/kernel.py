@@ -26,8 +26,8 @@ pruning tracker, and the scalar oracle:
   oracle; see ``tests/test_kernel.py``).  :func:`columnar_topk_scan` is
   that pass run to the end of the table; a thresholded read stops it
   at Theorem 5's bound, and a read cut by its deadline resumes it.
-  The incremental index (:mod:`repro.dynamic`) keeps one such state
-  alive across writes.  :func:`columnar_dp_rows` is the same pass
+  A preparation's warm-scan store (:mod:`repro.dynamic`) keeps one
+  such state per ``k`` alive across writes.  :func:`columnar_dp_rows` is the same pass
   handing out each row's whole DP vector, for the profile and
   position-probability readers.
 

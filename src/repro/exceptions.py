@@ -28,7 +28,7 @@ class MutationError(ValidationError):
     The umbrella for write-path input validation at the
     :class:`~repro.query.engine.UncertainDB` /
     :class:`~repro.durable.db.DurableDB` boundary: a rejected mutation
-    leaves the table, its version, the WAL, and any dynamic index
+    leaves the table, its version, the WAL, and any warm preparation
     exactly as they were.
     """
 

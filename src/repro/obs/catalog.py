@@ -153,28 +153,16 @@ CATALOG: Dict[str, MetricSpec] = {
         # -------------------------------------------------- dynamic index
         _spec(
             "repro_dyn_deltas_applied_total", "counter", ("op",),
-            "Committed mutations carried into a built dynamic PT-k "
-            "index without a cold rebuild (op=any: the index follows "
-            "table versions, not operations).",
+            "Table versions a preparation's warm-scan store was "
+            "handed across (op=any: the store follows table versions, "
+            "not operations).",
             "Beyond the paper (incremental maintenance)",
         ),
         _spec(
             "repro_dyn_suffix_length", "histogram", (),
-            "Ranks invalidated per column move (the suffix of the "
-            "ranked order from the first rank where the new columns "
-            "differ).",
-            "Beyond the paper (incremental maintenance)",
-        ),
-        _spec(
-            "repro_dyn_fallbacks_total", "counter", ("reason",),
-            "Dynamic-index reads that fell back to a cold rebuild "
-            "(reason=cap|error).",
-            "Beyond the paper (incremental maintenance)",
-        ),
-        _spec(
-            "repro_dyn_refresh_seconds", "timer", (),
-            "Wall time moving a dynamic index onto a newer "
-            "preparation (column compare plus snapshot restore).",
+            "Ranks invalidated per warm-scan move (the suffix of the "
+            "ranked order from the first rank where the reader's "
+            "columns differ).",
             "Beyond the paper (incremental maintenance)",
         ),
         _spec(

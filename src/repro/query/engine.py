@@ -123,32 +123,26 @@ class UncertainDB:
         :meth:`enable_dynamic` is called."""
         return self._dynamic
 
-    def enable_dynamic(self, cap: Optional[int] = None) -> Any:
-        """Turn on incremental PT-k maintenance (:mod:`repro.dynamic`).
+    def enable_dynamic(self) -> Any:
+        """Turn on the dynamic read route (:mod:`repro.dynamic`).
 
         Every write routed through this engine (:meth:`apply` and the
-        named writes over it) already carries the
-        table's warm default-shape preparation across the write,
-        columns included.  Once enabled, default-shape :meth:`ptk` reads
-        are answered from a per-table index of live kernel scans over
-        that preparation (byte-identical to a cold columnar scan).
+        named writes over it) already carries the table's warm
+        preparations across the write, their warm scans included, and
+        every columnar read resumes those scans.  Once enabled,
+        default-shape :meth:`ptk` reads are answered through the
+        :class:`~repro.dynamic.registry.DynamicIndexRegistry` from the
+        same scans (byte-identical to a cold columnar scan), with
+        ``method="dynamic"`` and read counters.
 
-        Idempotent: a second call returns the existing registry
-        unchanged (``cap`` is only read on the first).
+        Idempotent: a second call returns the existing registry.
 
-        :param cap: largest ``k`` served incrementally (default
-            :data:`repro.dynamic.index.DEFAULT_CAP`).
         :returns: the :class:`~repro.dynamic.registry.DynamicIndexRegistry`.
         """
         from repro.dynamic.registry import DynamicIndexRegistry
-        from repro.dynamic.index import DEFAULT_CAP
 
         if self._dynamic is None:
-            self._dynamic = DynamicIndexRegistry(
-                self._prepare_cache, cap=DEFAULT_CAP if cap is None else cap
-            )
-            for name in self.tables():
-                self._dynamic.register(name)
+            self._dynamic = DynamicIndexRegistry(self)
         return self._dynamic
 
     # ------------------------------------------------------------------
@@ -170,8 +164,6 @@ class UncertainDB:
         # identity and version, so a previously dropped table's entries
         # are already gone (``drop`` invalidates them) and a table object
         # registered under a second name must keep its warm preparations.
-        if self._dynamic is not None:
-            self._dynamic.register(key)
         return key
 
     def table(self, name: str) -> UncertainTable:
@@ -194,8 +186,6 @@ class UncertainDB:
         table = self.table(name)
         del self._tables[name]
         self._prepare_cache.invalidate(table)
-        if self._dynamic is not None:
-            self._dynamic.drop(name)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -206,8 +196,8 @@ class UncertainDB:
         The table validates it before any state changes
         (:meth:`UncertainTable.apply`, raising a ``MutationError`` on
         bad input); the applied copy then refreshes warm preparations in
-        place, so the dynamic indexes that price them advance instead of
-        going cold.  Both run under the table lock.
+        place, so they and their warm scans carry over instead of going
+        cold.  Both run under the table lock.
 
         :returns: the applied mutation.
         :raises UnknownTableError: no such table.
@@ -303,28 +293,20 @@ class UncertainDB:
         in ranking order to Theorem 5's stop depth (every row with
         ``pruning=False``), and ``method`` reads ``"columnar"``.
 
-        With :meth:`enable_dynamic` on, a default-shape query (no
-        explicit ``query`` object) whose ``k`` fits the registry cap is
-        answered from the maintained incremental index: same answer
-        set, ``method="dynamic"``, and ``probabilities`` covering the
-        ranks down to the Theorem-5 stop depth
-        (``answer.stats.scan_depth``), not every tuple — bitwise what a
-        cold columnar scan of the current table computes for them.  A
-        bad ``k`` or ``threshold`` raises the same :class:`QueryError`
-        on either path.
+        With :meth:`enable_dynamic` on, a pruned default-shape query
+        (no explicit ``query`` object) is answered through the dynamic
+        registry from the same warm scans: the same answer,
+        ``method="dynamic"``.  A bad ``k`` or ``threshold`` raises the
+        same :class:`QueryError` on either path.
         """
         with query_scope(
             "ptk", table=name, k=k, threshold=threshold
         ), self.table_lock(name):
             if query is None:
                 query = TopKQuery(k=k)
-                if self._dynamic is not None:
+                if self._dynamic is not None and pruning:
                     _validate_threshold(threshold)
-                    answer = self._dynamic.answer(
-                        name, self.table(name), k, threshold
-                    )
-                    if answer is not None:
-                        return answer
+                    return self._dynamic.answer(self.table(name), k, threshold)
             return exact_ptk_query(
                 self.table(name),
                 query,
@@ -400,7 +382,7 @@ class UncertainDB:
         ``(table, k)`` share one columnar scan, read once per threshold
         (see :func:`repro.core.exact.shared_scan_reads`).  Answers come
         back in request order and are identical to calling :meth:`ptk`
-        per request (with the dynamic index off): answers,
+        per request (with the dynamic route off): answers,
         probabilities, ``scan_depth`` and ``stopped_by``.
 
         :param n_workers: pool size; ``None``/``0`` means one worker per

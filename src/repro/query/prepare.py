@@ -28,11 +28,15 @@ Correctness relies on two identities:
 Tables are held weakly: dropping the last reference to a table frees its
 cached preparations.
 
-A preparation also keeps its warm columnar scans, one per ``k``
-(:meth:`PreparedRanking.scan_state`): a thresholded columnar read
-prices only the rows no earlier read at its ``k`` priced.  A
-preparation never changes and a write makes a new one, so no write
-reaches a warm scan; its scans die with it.
+A preparation also has its warm columnar scans, one per ``k``
+(:attr:`PreparedRanking.index`, a
+:class:`~repro.dynamic.index.DynamicIndex`): a thresholded columnar
+read prices only the rows no earlier read at its ``k`` priced.  A
+preparation never changes and a write makes a new one, so the cache
+hands the old preparation's scans to the new one — the refreshed
+preparation, or a cold re-prepare of the same shape — and the next read
+at each ``k`` re-prices only the rows at and below the first rank the
+write changed.
 """
 
 from __future__ import annotations
@@ -53,15 +57,12 @@ from repro.obs import OBS, catalogued, span as obs_span
 from repro.query.topk import TopKQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.kernel import TableColumns, TopKScanState
+    from repro.core.kernel import TableColumns
+    from repro.dynamic.index import DynamicIndex
 
 #: Cached preparations kept per table; oldest evicted first.  Dashboards
 #: alternating a handful of predicates/rankings stay fully cached.
 DEFAULT_MAX_ENTRIES_PER_TABLE = 8
-
-#: Warm columnar scans kept per preparation, one per ``k``; the least
-#: recently read ``k`` is evicted first.
-MAX_SCAN_STATES = 8
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ class PreparedRanking:
         (held so identity-based cache keys stay unambiguous).
     :param ranking: the ranking function, held for the same reason.
 
-    Besides these fields a preparation holds its warm columnar scans
-    (:meth:`scan_state`).  Pickling drops them; the copy starts cold.
+    Besides these fields a preparation has its warm columnar scans
+    (:attr:`index`).  Pickling drops them; the copy starts cold.
     """
 
     table: UncertainTable
@@ -116,52 +117,38 @@ class PreparedRanking:
             [self.rule_probability[rule_id] for rule_id in columns.rule_ids],
         )
 
-    def __post_init__(self) -> None:
-        self._clear_scans()
+    @cached_property
+    def index(self) -> "DynamicIndex":
+        """The warm columnar scans of these columns, one per ``k``.
 
-    def _clear_scans(self) -> None:
-        object.__setattr__(self, "_scans", OrderedDict())
-        object.__setattr__(self, "_scans_lock", threading.Lock())
+        Built empty on first use (:meth:`DynamicIndex.build`) unless
+        :meth:`carry_scans` handed this preparation an earlier one's.
+        Readers move a scan onto their preparation's columns before
+        reading it, so preparations that share the store may be read
+        side by side.
+        """
+        from repro.dynamic.index import DynamicIndex
+
+        return DynamicIndex.build(self)
+
+    def carry_scans(self, earlier: "PreparedRanking") -> "PreparedRanking":
+        """Take over ``earlier``'s warm scans (:meth:`DynamicIndex.apply`)
+        and return self.  ``earlier`` is an older preparation of the same
+        table and shape; call before this preparation is shared."""
+        self.__dict__["index"] = earlier.index.apply(self)
+        return self
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        del state["_scans"], state["_scans_lock"]
+        state.pop("index", None)
         return state
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._clear_scans()
-
-    def scan_state(self, k: int) -> Tuple["TopKScanState", threading.Lock]:
-        """The warm columnar scan of these columns at ``k`` and its lock.
-
-        Built on first use; at most :data:`MAX_SCAN_STATES` are kept,
-        the least recently read ``k`` evicted first.  Readers take the
-        lock around each read of the state (the state is not
-        thread-safe) and take no other lock while they hold it.
-        """
-        from repro.core.kernel import TopKScanState
-
-        with self._scans_lock:
-            entry = self._scans.get(k)
-            if entry is None:
-                columns = self.columns
-                entry = self._scans[k] = (
-                    TopKScanState(columns.probability, columns.rule_index, k),
-                    threading.Lock(),
-                )
-                while len(self._scans) > MAX_SCAN_STATES:
-                    self._scans.popitem(last=False)
-            else:
-                self._scans.move_to_end(k)
-            return entry
-
     def scanned_rows(self, k: int) -> int:
-        """Rows the warm scan at ``k`` has priced (0 when there is none);
-        creates no scan and does not count as a read."""
-        with self._scans_lock:
-            entry = self._scans.get(k)
-        return 0 if entry is None else entry[0].done
+        """Rows of these columns the warm scan at ``k`` has priced and
+        would keep: after a write above them, the snapshot row the scan
+        restores to (0 when there is none).  Creates no scan and does
+        not count as a read."""
+        return self.index.valid_rows(self.columns, k)
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -274,17 +261,25 @@ class PrepareCache:
     # Lookup
     # ------------------------------------------------------------------
     def get(self, table: UncertainTable, query: TopKQuery) -> PreparedRanking:
-        """The prepared ranking for ``query`` on ``table`` (built on miss)."""
+        """The prepared ranking for ``query`` on ``table`` (built on miss).
+
+        A preparation built on a miss takes over the warm scans of the
+        stale entry of its shape, if one is cached
+        (:meth:`PreparedRanking.carry_scans`).
+        """
         with self._lock:
             version = table.version
             key = (query.predicate.cache_key(), query.ranking.cache_key())
             entries = self._by_table.get(table)
+            earlier = None
             if entries is not None:
                 # Purge preparations of older table versions eagerly.
                 stale = [
                     k for k, prep in entries.items()
                     if prep.source_version != version
                 ]
+                if key in stale:
+                    earlier = entries[key]
                 for k in stale:
                     del entries[k]
                 hit = entries.get(key)
@@ -300,6 +295,8 @@ class PrepareCache:
                 catalogued("repro_prepare_cache_misses_total").inc()
                 OBS.flight.note_prepare(hit=False)
             prepared = prepare_ranking(table, query)
+            if earlier is not None:
+                prepared.carry_scans(earlier)
             if entries is None:
                 entries = OrderedDict()
                 self._by_table[table] = entries
@@ -316,11 +313,13 @@ class PrepareCache:
         For every cached entry prepared at ``mutation.previous_version``
         whose shape :func:`repro.dynamic.refresh.refresh_prepared`
         understands (trivial predicate, rank by score descending), the
-        entry is replaced in place by a point write on its columns — the
-        next read hits a warm, current-version preparation with no cold
-        re-prepare.  Entries the surgery declines fall back to the
-        ordinary stale-purge path, so a refresh is never less correct
-        than an invalidation, only cheaper.
+        entry is replaced in place by a point write on its columns, which
+        takes over the entry's warm scans — the next read hits a warm,
+        current-version preparation with no cold re-prepare.  Entries the
+        surgery declines fall back to the ordinary stale-purge path (the
+        next lookup re-prepares cold and takes the scans over then), so
+        a refresh is never less correct than an invalidation, only
+        cheaper.
 
         :param mutation: a :class:`repro.model.mutation.Mutation` as
             ``table.apply`` returned it.
@@ -341,13 +340,24 @@ class PrepareCache:
                 replacement = refresh_prepared(prepared, table, mutation)
                 if replacement is None:
                     continue
-                entries[key] = replacement
+                entries[key] = replacement.carry_scans(prepared)
                 refreshed += 1
             if refreshed and OBS.enabled:
                 catalogued("repro_prepare_cache_refreshes_total").inc(
                     refreshed
                 )
         return refreshed
+
+    def peek(
+        self, table: UncertainTable, query: TopKQuery
+    ) -> Optional[PreparedRanking]:
+        """The cached preparation of ``query``'s shape on ``table``,
+        possibly of an older version, or ``None``; builds nothing and
+        counts no hit or miss."""
+        key = (query.predicate.cache_key(), query.ranking.cache_key())
+        with self._lock:
+            entries = self._by_table.get(table)
+            return None if entries is None else entries.get(key)
 
     # ------------------------------------------------------------------
     # Invalidation and introspection

@@ -169,8 +169,8 @@ class ReplicaApplier:
                         # The table object is shared with the registry;
                         # the applied mutation, equal to the one the
                         # primary refreshed from, advances warm
-                        # preparations here too (and with them the
-                        # dynamic indexes' columns).
+                        # preparations here too, their warm scans
+                        # included.
                         self.db.prepare_cache.refresh(self._tables[name], result)
                         continue
                     # A register replaced the table object, a drop removed

@@ -10,7 +10,7 @@ Architecture (one process, one event loop, a small thread pool)::
                             |
                             v  (thread pool, max_inflight wide)
                       _run_batch: one PrepareCache.get for the batch;
-                      decide (expire / dynamic index / plan) per item,
+                      decide (expire / dynamic route / plan) per item,
                       then serve each item through one record: dynamic
                       answers, exact work cheapest-first (re-checking
                       deadlines before each item), sampled items with
@@ -35,7 +35,7 @@ executes (degrading or failing it *before* any scan starts), and the
 scan itself runs under a wall-clock budget — a cut-off scan returns a
 partial answer, and the rows it priced stay in the preparation's warm
 scan at its ``k``, so a retry continues from them instead of
-restarting.  Whichever way an item is answered (dynamic index, exact,
+restarting.  Whichever way an item is answered (dynamic route, exact,
 sampled, or expired), it lands exactly one ``served`` flight profile,
 and its serve counter is bumped from that same record.
 
@@ -136,12 +136,10 @@ class ServeConfig:
     :param metrics_flush_s: period of the background flusher that
         snapshots registry metrics (and span trees) into ``flight_dir``;
         0 disables it.
-    :param dynamic: maintain incremental PT-k indexes
-        (:mod:`repro.dynamic`): default-shape reads are served from
-        live kernel scans moved onto each write's refreshed
-        preparation, re-pricing only the rows the write can affect.
-    :param dynamic_cap: largest ``k`` the dynamic indexes serve; larger
-        requests fall back to the ordinary planned path.
+    :param dynamic: serve default-shape reads through the dynamic
+        route (:mod:`repro.dynamic`): straight from the preparation's
+        warm scans, which each write hands on, skipping the planner.
+        Exact reads resume the same scans either way.
     """
 
     host: str = "127.0.0.1"
@@ -161,7 +159,6 @@ class ServeConfig:
     flight_ring: int = 256
     metrics_flush_s: float = 30.0
     dynamic: bool = False
-    dynamic_cap: int = 64
 
 
 @dataclass
@@ -189,7 +186,7 @@ class _Item:
     """One batch item on its way from the decide phase to its record.
 
     ``route`` is the one path the item takes: ``dynamic`` (answered
-    from the incremental index; ``answer`` and ``elapsed`` set),
+    from the preparation's warm scans; ``answer`` and ``elapsed`` set),
     ``exact`` (planned; re-checked by the scheduler before it runs),
     ``sampled`` (planned or degraded; ``config`` set) or ``expired``.
     """
@@ -251,7 +248,7 @@ class ServeApp:
         self._flusher_task: Optional[asyncio.Task] = None
         self._exported_traces: set = set()
         if self.config.dynamic:
-            self.db.enable_dynamic(cap=self.config.dynamic_cap)
+            self.db.enable_dynamic()
         if self.config.enable_obs:
             obs.enable()
             if self.config.enable_flight:
@@ -818,7 +815,7 @@ class ServeApp:
 
         Two phases.  The *decide* phase opens no profile: each item is
         expired (its deadline passed before dispatch), answered from the
-        dynamic index, or planned exact or sampled.  The *execute* phase
+        dynamic route, or planned exact or sampled.  The *execute* phase
         then serves dispatch expiries and dynamic answers in arrival
         order, exact work cheapest-first (the scheduler's order), and
         planned-sampled items last, each through :meth:`_serve_item`.
@@ -863,20 +860,18 @@ class ServeApp:
             decided.append(item)
             if remaining is not None and remaining <= 0:
                 continue  # expired at dispatch
-            # Dynamic fast path: serve straight from the maintained
-            # incremental index (byte-identical to the cold columnar
-            # scan).  Explicitly sampled requests keep their semantics;
-            # k above the registry cap falls through to planning.
+            # Dynamic fast path: serve straight from the preparation's
+            # warm scans (byte-identical to the cold columnar scan).
+            # Explicitly sampled requests keep their semantics.
             if registry is not None and work.request.mode != "sampled":
                 started = time.perf_counter()
                 with table_lock:
                     item.answer = registry.answer(
-                        name, table, work.request.k, work.request.threshold
+                        table, work.request.k, work.request.threshold
                     )
-                if item.answer is not None:
-                    item.route = "dynamic"
-                    item.elapsed = time.perf_counter() - started
-                    continue
+                item.route = "dynamic"
+                item.elapsed = time.perf_counter() - started
+                continue
             item.route, item.config, item.degraded, item.estimate = self._plan(
                 table, work.request, remaining, prepared
             )

@@ -9,9 +9,9 @@ follow-up work on continuous probabilistic queries):
 * :class:`~repro.stream.window.SlidingWindowPTK` — a count-based
   sliding window of uncertain tuples with rule support, kept as a
   private :class:`~repro.query.engine.UncertainDB` table through its
-  incremental writes; the PT-k answer over the current window is read
-  from the table's dynamic index on demand and cached until the window
-  changes.
+  incremental writes; the PT-k answer over the current window is a
+  columnar read of the warm scans those writes carry, taken on demand
+  and cached until the window changes.
 * :class:`~repro.stream.monitor.PTKMonitor` — wraps a window and emits
   an :class:`~repro.stream.monitor.AnswerDelta` (entered / left the
   answer set) after every arrival, for alerting-style applications.

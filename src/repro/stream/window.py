@@ -9,16 +9,16 @@ members keep their membership probabilities (their exclusiveness
 constraint still holds pairwise).
 
 The window is a private :class:`~repro.query.engine.UncertainDB` table
-with the dynamic index on, driven by its incremental writes, each one
+driven by its incremental writes, each one
 :class:`~repro.model.mutation.Mutation` through
 :meth:`~repro.query.engine.UncertainDB.apply`: an arrival is one
 ``add`` (plus a ``rule`` when it is its tag's second live member, or a
 ``join`` after that), an expiry one ``remove``.  The tuple's attributes
-travel as a dict, so any attribute name passes.  Each write refreshes
-the table's warm preparation in place, so
-:meth:`~SlidingWindowPTK.answer` reads the live index scan, which
-re-prices only the rows at and below the first changed rank, up to the
-Theorem-5 stop depth: the cost tracks k, not the window size.
+travel as a dict, so any attribute name passes.  Each write hands the
+table's warm scans on to its next preparation, so
+:meth:`~SlidingWindowPTK.answer`, a columnar exact read, re-prices only
+the rows at and below the first changed rank, up to the Theorem-5 stop
+depth: the cost tracks k, not the window size.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ class SlidingWindowPTK:
     :param k: top-k size.
     :param threshold: probability threshold p.
     :param window_size: number of most recent tuples retained.
-    :param ranking: ranking function (default: descending score, which
-        reads the dynamic index; any other ranking is answered by the
-        columnar exact read).
+    :param ranking: ranking function (default: descending score).
 
     Usage::
 
@@ -78,7 +76,6 @@ class SlidingWindowPTK:
         self._query = None if ranking is None else TopKQuery(k=k, ranking=ranking)
         self._db = UncertainDB()
         self._db.register(UncertainTable(name=_TABLE))
-        self._db.enable_dynamic()
         self._table = self._db.table(_TABLE)
         self._window: Deque[Tuple[Any, Optional[Any]]] = deque()
         # Newest live member of each tag.  Expiry is oldest-first, so

@@ -31,10 +31,11 @@ from repro.core import exact as exact_module
 from repro.core import kernel
 from repro.core.exact import COLUMNAR, ExactPTKEngine, exact_ptk_query
 from repro.core.kernel import ANSWER_CHUNK, TopKScanState
+from repro.dynamic.index import MAX_SCAN_STATES
 from repro.exceptions import QueryError
 from repro.obs import OBS, catalogued
 from repro.query.engine import UncertainDB
-from repro.query.prepare import MAX_SCAN_STATES, prepare_ranking
+from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
 
 from tests.test_kernel import random_table

@@ -6,9 +6,10 @@ must be bit-for-bit identical to a cold recompute of the current table
 that contract per mutation kind, across suffix restarts, through the
 registry's fallback policy, and end to end through the serve layer.
 
-The index prices a preparation's columns; :func:`advance` moves a
-preparation across one write the way the prepare cache does (a refresh,
-or a cold re-prepare where the refresh declines).
+A preparation's warm-scan store prices its columns; :func:`advance`
+moves a preparation across one write the way the prepare cache does (a
+refresh, or a cold re-prepare where the refresh declines), handing the
+store on, and :func:`read_column` reads it on the new columns.
 """
 
 import json
@@ -23,17 +24,15 @@ import pytest
 from repro.core.exact import exact_ptk_query
 from repro.core.kernel import TableColumns, columnar_topk_scan
 from repro.core.rule_compression import rule_index_of_table
-from repro.dynamic import (
-    DynamicIndex,
-    DynamicIndexRegistry,
-    refresh_prepared,
-)
+from repro.dynamic import refresh_prepared
 from repro.exceptions import QueryError, ReproError
 from repro.model.mutation import Mutation
 from repro.model.table import UncertainTable
 from repro.query.engine import UncertainDB
 from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
+from tests.test_columnar_read import bits, cold
+from tests.test_kernel import random_table
 
 
 def cold_probabilities(table, k):
@@ -45,15 +44,21 @@ def cold_probabilities(table, k):
 
 
 def advance(prepared, table, delta):
-    """The preparation after ``delta``: refreshed, or cold on a decline."""
+    """The preparation after ``delta``: refreshed, or cold on a decline,
+    holding ``prepared``'s warm scans."""
     refreshed = refresh_prepared(prepared, table, delta)
-    return refreshed or prepare_ranking(table, TopKQuery(k=1))
+    later = refreshed or prepare_ranking(table, TopKQuery(k=1))
+    return later.carry_scans(prepared)
 
 
 def build_index(table):
-    """A fresh index over a cold preparation of ``table``."""
-    prepared = prepare_ranking(table, TopKQuery(k=1))
-    return prepared, DynamicIndex.build(prepared)
+    """A cold preparation of ``table``, its warm-scan store empty."""
+    return prepare_ranking(table, TopKQuery(k=1))
+
+
+def read_column(prepared, k):
+    """The full ``Pr^k`` column from ``prepared``'s warm scan at ``k``."""
+    return prepared.index.topk_probabilities(prepared.columns, k)
 
 
 class MutationDriver:
@@ -142,16 +147,17 @@ class TestByteEquality:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(25)
-        prepared, index = build_index(table)
+        prepared = build_index(table)
         for step in range(80):
             delta = driver.random_op()
             if delta is None:
                 continue
             prepared = advance(prepared, table, delta)
-            index.apply(prepared)
             tids, out = cold_probabilities(table, k)
-            assert tuple(index.tids) == tids, f"order differs at step {step}"
-            dyn = index.topk_probabilities(k)
+            assert tuple(prepared.columns.tids) == tids, (
+                f"order differs at step {step}"
+            )
+            dyn = read_column(prepared, k)
             assert np.array_equal(out, dyn), (
                 f"step {step}: {np.flatnonzero(out != dyn)[:5]}"
             )
@@ -163,28 +169,28 @@ class TestByteEquality:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=42)
         driver.seed_tuples(BLOCK + 40)
-        prepared, index = build_index(table)
+        prepared = build_index(table)
         for _ in range(30):
             delta = driver.random_op()
             if delta is None:
                 continue
             prepared = advance(prepared, table, delta)
-            index.apply(prepared)
         tids, out = cold_probabilities(table, 3)
-        assert tuple(index.tids) == tids
-        assert np.array_equal(out, index.topk_probabilities(3))
+        assert tuple(prepared.columns.tids) == tids
+        assert np.array_equal(out, read_column(prepared, 3))
 
     def test_suffix_restart_is_localised(self):
         # Mutating the worst-ranked tuple must not re-evaluate the prefix.
         table = UncertainTable(name="t")
         for i in range(200):
             table.add(f"t{i}", float(1000 - i), 0.5)
-        prepared, index = build_index(table)
+        prepared = build_index(table)
+        scan = prepared.index.scan(prepared.columns, 1)
         prev = table.version
         table.update_probability("t199", 0.9)
-        suffix = index.apply(advance(
+        suffix = scan.follow(advance(
             prepared, table, Mutation("t", "update", prev, table.version,
-                                        tid="t199", probability=0.9)))
+                                        tid="t199", probability=0.9)).columns)
         assert suffix <= 2
 
 
@@ -195,11 +201,11 @@ class TestIndexContracts:
         table = UncertainTable(name="t")
         for i in range(10):
             table.add(f"t{i}", float(10 - i), 0.5)
-        _, index = build_index(table)
+        prepared = build_index(table)
         for k in (3, 2):
             _, out = cold_probabilities(table, k)
-            assert np.array_equal(out, index.topk_probabilities(k))
-        assert sorted(index.scans) == [2, 3]
+            assert np.array_equal(out, read_column(prepared, k))
+        assert sorted(prepared.index.scans) == [2, 3]
 
     def test_apply_skips_versions(self):
         # apply needs no delta chain: a preparation several writes ahead,
@@ -207,45 +213,46 @@ class TestIndexContracts:
         table = UncertainTable(name="t")
         for i in range(40):
             table.add(f"t{i}", float(40 - i), 0.1 + 0.02 * i)
-        _, index = build_index(table)
-        index.topk_probabilities(2)
+        prepared = build_index(table)
+        read_column(prepared, 2)
         table.update_probability("t30", 0.9)
         table.update_score("t35", 100.0)
         table.remove_tuple("t10")
-        suffix = index.apply(prepare_ranking(table, TopKQuery(k=1)))
+        later = prepare_ranking(table, TopKQuery(k=1)).carry_scans(prepared)
+        suffix = later.index.scan(later.columns, 2).follow(later.columns)
         assert suffix == len(table)  # the moved tuple now ranks first
         tids, out = cold_probabilities(table, 2)
-        assert tuple(index.tids) == tids
-        assert np.array_equal(out, index.topk_probabilities(2))
+        assert tuple(later.columns.tids) == tids
+        assert np.array_equal(out, read_column(later, 2))
 
     def test_score_collision_refused_before_mutation(self):
         table = UncertainTable(name="t")
         table.add("a", 10.0, 0.5)
         table.add("b", 9.0, 0.5)
-        prepared, index = build_index(table)
+        prepared = build_index(table)
         prev = table.version
         table.update_score("b", 10.0)  # collides with ("a", 10.0)? no —
         # sort key is (-score, str(tid)); same score, different tid is
         # fine.  A true collision needs the same tid key too, which two
         # distinct tuples cannot have — so moving onto an equal score
         # must be *supported*:
-        index.apply(advance(prepared, table, Mutation(
+        prepared = advance(prepared, table, Mutation(
             "t", "score", prev, table.version, tid="b", score=10.0,
-            old_score=9.0)))
+            old_score=9.0))
         tids, out = cold_probabilities(table, 1)
-        assert tuple(index.tids) == tids
-        assert np.array_equal(out, index.topk_probabilities(1))
+        assert tuple(prepared.columns.tids) == tids
+        assert np.array_equal(out, read_column(prepared, 1))
 
 
 class TestRegistry:
-    def build_db(self, n=20, cap=8, dynamic=True):
+    def build_db(self, n=20, dynamic=True):
         db = UncertainDB()
         table = UncertainTable(name="t")
         for i in range(n):
             table.add(f"t{i}", float(n - i), 0.4)
         db.register(table, name="t")
         if dynamic:
-            db.enable_dynamic(cap=cap)
+            db.enable_dynamic()
         return db
 
     def test_engine_answers_match_exact_engine(self):
@@ -268,11 +275,11 @@ class TestRegistry:
         # With the index off, db.ptk is the columnar read: dynamic on and
         # off agree bitwise, stop reason included.
         stops = set()
-        for n, cap, shapes in (
-            (20, 8, [(4, 0.3), (2, 0.5), (8, 0.1), (4, 0.0)]),
-            (2000, 64, [(5, 0.3), (20, 0.3), (50, 0.3)]),
+        for n, shapes in (
+            (20, [(4, 0.3), (2, 0.5), (8, 0.1), (4, 0.0)]),
+            (2000, [(5, 0.3), (20, 0.3), (50, 0.3)]),
         ):
-            on = self.build_db(n=n, cap=cap)
+            on = self.build_db(n=n)
             off = self.build_db(n=n, dynamic=False)
             for k, threshold in shapes:
                 got = on.ptk("t", k=k, threshold=threshold)
@@ -289,7 +296,7 @@ class TestRegistry:
         # A cold dynamic read bills what the columnar engine bills for
         # the same read (the rows it priced, whole chunks); a warm read
         # of the same scan prices nothing and bills 0.
-        on = self.build_db(n=2000, cap=64)
+        on = self.build_db(n=2000)
         off = self.build_db(n=2000, dynamic=False)
         cold = on.ptk("t", k=10, threshold=0.3)
         want = off.ptk("t", k=10, threshold=0.3)
@@ -317,18 +324,12 @@ class TestRegistry:
         for tid, probability in answer.probabilities.items():
             assert cold.probabilities.get(tid, probability) == probability
 
-    def test_k_above_cap_falls_back_to_cold_path(self):
-        db = self.build_db(cap=4)
-        answer = db.ptk("t", k=6, threshold=0.3)
-        assert answer.method != "dynamic"
-        assert db.dynamic.fallbacks.get("cap") == 1
-
     def test_direct_table_write_detected_as_stale(self):
-        db = self.build_db(cap=4)
+        db = self.build_db()
         db.ptk("t", k=2, threshold=0.3)
         # bypass the engine: the version advances with no delta, the
         # prepare cache purges the stale preparation and re-prepares
-        # cold, and the index moves onto the cold columns
+        # cold, taking the stale entry's scans over
         db.table("t").update_probability("t0", 0.9)
         answer = db.ptk("t", k=2, threshold=0.3)
         assert answer.method == "dynamic"
@@ -338,10 +339,9 @@ class TestRegistry:
         assert answer.answers == cold.answers
 
     def test_drop_and_reregister_under_new_epoch(self):
-        db = self.build_db(cap=4)
+        db = self.build_db()
         db.ptk("t", k=2, threshold=0.3)
         db.drop("t")
-        assert db.dynamic.tracked() == []
         replacement = UncertainTable(name="t")
         replacement.add("z", 1.0, 0.5)
         db.register(replacement, name="t")
@@ -350,10 +350,9 @@ class TestRegistry:
         assert answer.answers == ["z"]
 
     def test_stats_shape(self):
-        db = self.build_db(cap=4)
+        db = self.build_db()
         db.ptk("t", k=2, threshold=0.3)
         stats = db.dynamic.stats()
-        assert stats["cap"] == 4
         assert stats["tables"]["t"]["indexes"][2]["n"] == 20
         assert stats["reads"] == {"index": 0, "rebuild": 1}
 
@@ -495,7 +494,6 @@ class TestServeIntegration:
         db.register(table, name="demo")
         config.setdefault("window_ms", 0.0)
         config.setdefault("dynamic", True)
-        config.setdefault("dynamic_cap", 8)
         return db, ServeApp(db, ServeConfig(**config))
 
     def test_mutate_then_read_serves_from_index(self):
@@ -523,9 +521,9 @@ class TestServeIntegration:
                 sampled = client.query(table="demo", k=3, threshold=0.15,
                                        mode="sampled", sample_budget=200)
                 assert sampled["mode"] == "sampled"
-                # k over the cap takes the planned path
+                # every k reads the warm scans, however large
                 big = client.query(table="demo", k=20, threshold=0.15)
-                assert big["mode"] == "exact"
+                assert big["mode"] == "dynamic"
         finally:
             obs.disable()
 
@@ -775,9 +773,9 @@ class TestWriteReadOrdering:
         for i in range(60):
             table.add(f"t{i}", float(i % 17), 0.2 + 0.01 * (i % 50))
         db.register(table, name="t")
-        # Every read moves the index onto the preparation it takes, a
+        # Every read moves its scan onto the preparation it takes, a
         # snapshot the table lock must keep whole.
-        db.enable_dynamic(cap=4)
+        db.enable_dynamic()
         errors = []
 
         def writer(seed):
@@ -825,3 +823,81 @@ class TestWriteReadOrdering:
                 assert probability == cold[tid]
         cached = db.prepare_cache.get(table, TopKQuery(k=2))
         assert cached.ranked == prepare_ranking(table, TopKQuery(k=2)).ranked
+
+
+class TestCarriedScans:
+    """A plain database's reads resume the warm scans each write hands
+    on to the next preparation."""
+
+    @staticmethod
+    def synthetic_db(dynamic):
+        from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_table
+
+        db = UncertainDB()
+        db.register(generate_synthetic_table(
+            SyntheticConfig(n_tuples=500, n_rules=50, seed=3)
+        ), name="t")
+        if dynamic:
+            db.enable_dynamic()
+        return db
+
+    def test_unpruned_read_prices_every_row_with_dynamic_on(self):
+        got = self.synthetic_db(True).ptk("t", 5, 0.3, pruning=False)
+        want = self.synthetic_db(False).ptk("t", 5, 0.3, pruning=False)
+        assert got.stats.scan_depth == want.stats.scan_depth == 500
+        assert len(got.probabilities) == len(want.probabilities) == 500
+        assert got.stats.stopped_by == want.stats.stopped_by == "exhausted"
+        assert bits(got) == bits(want)
+
+    def test_write_above_the_priced_rows_rewinds_to_its_snapshot(self):
+        table = random_table(31, 600, rule_fraction=0.3)
+        db = UncertainDB()
+        db.register(table, name="t")
+        first = db.ptk("t", 10, 0.3)
+        before = db.prepare_cache.get(table, TopKQuery(k=10))
+        priced = before.scanned_rows(10)
+        assert priced == first.stats.tuples_evaluated > 40
+        db.update_probability("t", before.columns.tids[40], 0.01)
+        after = db.prepare_cache.get(table, TopKQuery(k=10))
+        assert after.index is before.index
+        # Row 32 is the last snapshot at or above the changed row 40;
+        # the older preparation still keeps every row it priced.
+        assert after.scanned_rows(10) == 32
+        assert before.scanned_rows(10) == priced
+        read = db.ptk("t", 10, 0.3)
+        assert read.stats.tuples_evaluated == after.scanned_rows(10) - 32
+        assert bits(read) == bits(cold(table, 10, 0.3))
+
+    def test_write_below_the_priced_rows_costs_the_read_nothing(self):
+        table = random_table(31, 600, rule_fraction=0.3)
+        db = UncertainDB()
+        db.register(table, name="t")
+        db.ptk("t", 10, 0.3)
+        before = db.prepare_cache.get(table, TopKQuery(k=10))
+        priced = before.scanned_rows(10)
+        assert priced < len(table)
+        db.update_probability("t", before.columns.tids[-1], 0.01)
+        after = db.prepare_cache.get(table, TopKQuery(k=10))
+        assert after is not before
+        assert after.scanned_rows(10) == priced
+        read = db.ptk("t", 10, 0.3)
+        assert read.stats.tuples_evaluated == 0
+        assert bits(read) == bits(cold(table, 10, 0.3))
+
+    def test_declined_refresh_reprepares_with_the_scans(self):
+        # Moving "1" onto the score of 1 gives both one sort key; the
+        # refresh declines, and the cold re-prepare takes the scans.
+        table = UncertainTable(name="t")
+        for tid in range(40):
+            table.add(tid, float(100 - tid), 0.3)
+        table.add("1", 50.5, 0.3)
+        db = UncertainDB()
+        db.register(table, name="t")
+        db.ptk("t", 5, 0.3)
+        before = db.prepare_cache.peek(table, TopKQuery(k=5))
+        db.update_score("t", "1", table.get(1).score)
+        assert db.prepare_cache.peek(table, TopKQuery(k=5)) is before
+        after = db.prepare_cache.get(table, TopKQuery(k=5))
+        assert after is not before and after.index is before.index
+        assert after.index.deltas_applied == 1
+        assert bits(db.ptk("t", 5, 0.3)) == bits(cold(table, 5, 0.3))

@@ -10,9 +10,10 @@ Three oracles, in increasing strength:
    whose ``Fraction >= float`` threshold comparisons are themselves
    exact.
 
-The index prices whatever preparation it is handed, so the index
-suites run every step twice: once on the refreshed preparation, once on
-a cold :func:`prepare_ranking`.  The warm prepared ranking is held to
+A warm-scan store prices whatever columns its reader holds, so the
+store suites run every step twice: once on the refreshed preparation,
+once on a cold :func:`prepare_ranking` that took the previous cold
+one's store over.  The warm prepared ranking is held to
 the same standard: after every write, :func:`refresh_prepared` must
 return the object a cold :func:`prepare_ranking` builds — its columns
 bitwise — or ``None`` on a sort-key collision; and so must the applied
@@ -29,6 +30,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -38,30 +40,39 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.exact import exact_ptk_query
-from repro.dynamic import DynamicIndex, refresh_prepared
+from repro.dynamic import refresh_prepared
 from repro.model.mutation import Mutation
 from repro.model.table import UncertainTable
 from repro.query.engine import UncertainDB
 from repro.query.prepare import prepare_ranking
 from repro.query.topk import TopKQuery
 from repro.semantics.naive import naive_topk_probabilities
-from tests.test_dynamic import MutationDriver, advance, cold_probabilities
+from tests.test_columnar_read import bits, cold, columnar
+from tests.test_dynamic import (
+    MutationDriver,
+    advance,
+    cold_probabilities,
+    read_column,
+)
+from tests.test_kernel import random_table
 
 
 def twin_indexes(table):
-    """Two indexes over one table: ``warm`` follows refreshed
-    preparations, ``cold`` a cold re-prepare at every step."""
-    prepared = prepare_ranking(table, TopKQuery(k=1))
-    return prepared, DynamicIndex.build(prepared), DynamicIndex.build(prepared)
+    """Two preparations of one table, each with its own warm-scan
+    store: ``warm`` follows refreshed preparations, ``cold`` a cold
+    re-prepare at every step."""
+    return (
+        prepare_ranking(table, TopKQuery(k=1)),
+        prepare_ranking(table, TopKQuery(k=1)),
+    )
 
 
-def step_both(prepared, warm, cold, table, delta):
-    """Move both indexes across ``delta``; returns the new preparation
-    and the indexes to check."""
-    prepared = advance(prepared, table, delta)
-    warm.apply(prepared)
-    cold.apply(prepare_ranking(table, TopKQuery(k=1)))
-    return prepared, (warm, cold)
+def step_both(warm, cold, table, delta):
+    """Move both preparations across ``delta``, each handing its store
+    on; returns the new pair."""
+    warm = advance(warm, table, delta)
+    cold = prepare_ranking(table, TopKQuery(k=1)).carry_scans(cold)
+    return warm, cold
 
 
 # Mutation scripts are drawn as (op-code, seed) pairs; the driver turns
@@ -105,18 +116,18 @@ class TestInterleavedMutations:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(8)
-        prepared, warm, cold = twin_indexes(table)
+        warm, cold = twin_indexes(table)
         for op_index, op_seed in script:
             driver.rng.seed(op_seed)
             op = OPS[op_index] if len(table) >= 3 else "add"
             delta = driver.emit(op)
             if delta is None:
                 continue
-            prepared, indexes = step_both(prepared, warm, cold, table, delta)
-            for index in indexes:
+            warm, cold = step_both(warm, cold, table, delta)
+            for prepared in (warm, cold):
                 tids, out = cold_probabilities(table, k)
-                assert tuple(index.tids) == tids
-                assert np.array_equal(out, index.topk_probabilities(k))
+                assert tuple(prepared.columns.tids) == tids
+                assert np.array_equal(out, read_column(prepared, k))
 
     @SMALL_STRIDES
     @given(script=mutation_scripts, k=st.integers(1, 4),
@@ -132,7 +143,7 @@ class TestInterleavedMutations:
     ):
         # The prune-bounded lazy path: interleave mutations with
         # scan_answer reads only — never topk_probabilities, so the
-        # index's scan genuinely lags — and pin the answer set plus the
+        # store's scan genuinely lags — and pin the answer set plus the
         # scanned prefix's values to the cold full column at every
         # step.  A final full read checks that the chain of partial
         # scans and restores composes bitwise into the uninterrupted
@@ -140,17 +151,21 @@ class TestInterleavedMutations:
         table = UncertainTable(name="t")
         driver = MutationDriver(table, seed=seed)
         driver.seed_tuples(8)
-        prepared, warm, cold = twin_indexes(table)
+        warm, cold = twin_indexes(table)
         for op_index, op_seed in script:
             driver.rng.seed(op_seed)
             op = OPS[op_index] if len(table) >= 3 else "add"
             delta = driver.emit(op)
             if delta is None:
                 continue
-            prepared, indexes = step_both(prepared, warm, cold, table, delta)
-            for index in indexes:
-                answers, probabilities, depth, _ = index.scan_answer(
-                    k, threshold
+            warm, cold = step_both(warm, cold, table, delta)
+            for prepared in (warm, cold):
+                answer = prepared.index.scan_answer(
+                    prepared.columns, k, threshold
+                )
+                answers, probabilities, depth = (
+                    answer.answers, answer.probabilities,
+                    answer.stats.scan_depth,
                 )
                 tids, out = cold_probabilities(table, k)
                 expected = [
@@ -160,10 +175,10 @@ class TestInterleavedMutations:
                 assert depth <= len(tids)
                 for position in range(depth):
                     assert probabilities[tids[position]] == out[position]
-        for index in (warm, cold):
+        for prepared in (warm, cold):
             tids, out = cold_probabilities(table, k)
-            assert tuple(index.tids) == tids
-            assert np.array_equal(out, index.topk_probabilities(k))
+            assert tuple(prepared.columns.tids) == tids
+            assert np.array_equal(out, read_column(prepared, k))
 
     @given(script=mutation_scripts, k=st.integers(1, 3),
            seed=st.integers(0, 1000))
@@ -176,7 +191,7 @@ class TestInterleavedMutations:
         db = UncertainDB()
         table = UncertainTable(name="t")
         db.register(table, name="t")
-        db.enable_dynamic(cap=4)
+        db.enable_dynamic()
         driver = MutationDriver(table, seed=seed, db=db)
         for _ in range(5):
             driver.emit("add")
@@ -220,7 +235,7 @@ class TestInterleavedMutations:
         db = UncertainDB()
         table = UncertainTable(name="t")
         db.register(table, name="t")
-        db.enable_dynamic(cap=4)
+        db.enable_dynamic()
         driver = MutationDriver(table, seed=seed, db=db)
         for _ in range(10):
             driver.emit("add")
@@ -493,7 +508,7 @@ def test_sigkill_recovery_then_dynamic_equals_cold(tmp_path):
 
     db = DurableDB(tmp_path, fsync="off")
     try:
-        db.enable_dynamic(cap=8)
+        db.enable_dynamic()
         table = db.table("killed")
         table.validate()
         for k in (1, 3, 5):
@@ -528,7 +543,7 @@ def test_replica_dynamic_answers_equal_primary(tmp_path):
     primary = DurableDB(tmp_path, fsync="off")
     table = UncertainTable(name="shared")
     primary.register(table, name="shared")
-    primary.enable_dynamic(cap=6)
+    primary.enable_dynamic()
     driver = MutationDriver(primary.table("shared"), seed=11, name="shared")
     import random as _random
 
@@ -553,7 +568,7 @@ def test_replica_dynamic_answers_equal_primary(tmp_path):
     records, _, _ = wal_mod.replay_wal(primary.data_dir / "wal")
 
     replica = ReplicaApplier()
-    replica.db.enable_dynamic(cap=6)
+    replica.db.enable_dynamic()
     registers = [r for r in records if r["op"] == "register"]
     mutations = [r for r in records
                  if r["op"] not in ("register", "serve")]
@@ -569,3 +584,106 @@ def test_replica_dynamic_answers_equal_primary(tmp_path):
     assert replica_answer.answers == primary_answer.answers
     assert replica_answer.probabilities == primary_answer.probabilities
     primary.close()
+
+
+# ----------------------------------------------------------------------
+# The carried store on a plain database: every read equals a cold read
+# ----------------------------------------------------------------------
+def twin_write(db, table, rng):
+    """:func:`emit_twin`'s sort-key collision, written through ``db``."""
+    pairs = [t for t in table.tuple_ids() if str(t) in table and t != str(t)]
+    if pairs and rng.random() < 0.5:
+        tid = rng.choice(pairs)
+        mover, anchor = rng.choice([(tid, str(tid)), (str(tid), tid)])
+        db.update_score("t", mover, table.get(anchor).score)
+        return
+    singles = [
+        t for t in table.tuple_ids()
+        if isinstance(t, int) and str(t) not in table
+    ]
+    if singles:
+        tid = rng.choice(singles)
+        db.add("t", str(tid), table.get(tid).score, 0.3)
+
+
+class TestCarriedStore:
+    READ_KS = (2, 5, 70, 100)
+
+    # Op-codes past OPS draw a collision write (twin_write).  Pinned:
+    # "1" joins at the score of 1, then moves onto it again after a
+    # score write of its own.
+    @given(
+        script=st.lists(
+            st.tuples(
+                st.integers(0, len(OPS)),
+                st.integers(0, 2**16),
+                st.sampled_from(READ_KS),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        seed=st.integers(0, 1000),
+    )
+    @example(
+        script=[(6, 1, 5), (3, 7, 2), (6, 0, 5), (6, 2, 100), (2, 5, 70)],
+        seed=1,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_reads_between_writes_equal_cold_reads(self, script, seed):
+        db = UncertainDB()
+        table = refresh_table(seed)
+        db.register(table, name="t")
+        driver = MutationDriver(table, seed=seed, db=db)
+        for _ in range(150):
+            driver.emit("add")
+        for op_index, op_seed, k in script:
+            driver.rng.seed(op_seed)
+            if op_index == len(OPS):
+                twin_write(db, table, driver.rng)
+            else:
+                driver.emit(OPS[op_index])
+            read = db.ptk("t", k, 0.3)
+            assert read.method == "columnar"
+            assert bits(read) == bits(cold(table, k, 0.3))
+
+    def test_threads_read_an_old_and_a_new_preparation(self):
+        table = random_table(7, 3000, rule_fraction=0.3)
+        db = UncertainDB()
+        db.register(table, name="t")
+        shapes = [(10, 0.2), (10, 0.3), (10, 0.5)]
+        old = db.prepare_cache.get(table, TopKQuery(k=10))
+        expected_old = {shape: bits(cold(table, *shape)) for shape in shapes}
+        for shape in shapes:
+            columnar(table, *shape, old)
+        db.update_probability("t", old.columns.tids[3], 0.01)
+        new = db.prepare_cache.get(table, TopKQuery(k=10))
+        assert new.index is old.index
+        expected_new = {shape: bits(cold(table, *shape)) for shape in shapes}
+        assert expected_new != expected_old
+        failures = []
+
+        def reader(prepared, expected, seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    shape = rng.choice(shapes)
+                    if bits(columnar(table, *shape, prepared)) != expected[shape]:
+                        failures.append((prepared.source_version, shape))
+            except Exception as error:  # pragma: no cover - reported below
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=reader, args=(old, expected_old, 1)),
+            threading.Thread(target=reader, args=(new, expected_new, 2)),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside each read
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

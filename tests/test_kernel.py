@@ -509,11 +509,13 @@ class TestResumableScan:
             table, query, threshold, prepared=prepare_ranking(table, query),
             columnar=True,
         )
-        answers, probabilities, depth, _ = DynamicIndex.build(
-            prepare_ranking(table, query)
-        ).scan_answer(k, threshold)
-        assert read.answers == answers
-        assert read.probabilities == probabilities
+        prepared = prepare_ranking(table, query)
+        dynamic = DynamicIndex.build(prepared).scan_answer(
+            prepared.columns, k, threshold
+        )
+        assert read.answers == dynamic.answers
+        assert read.probabilities == dynamic.probabilities
+        depth = dynamic.stats.scan_depth
         assert read.stats.scan_depth == depth
         paused = TopKScanState(columns.probability, columns.rule_index, k)
         if pauses:

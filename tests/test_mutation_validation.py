@@ -247,7 +247,7 @@ class TestDurableBoundary:
 
     def test_rejection_emits_no_dynamic_delta(self):
         db = make_db()
-        db.enable_dynamic(cap=4)
+        db.enable_dynamic()
         db.ptk("t", k=2, threshold=0.3)  # build the index
         applied = db.dynamic.deltas_applied
         with pytest.raises(MutationError):

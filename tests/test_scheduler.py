@@ -588,7 +588,7 @@ class TestPerItemRecord:
         } == {key: float(key in bumped) for key in SERVE_COUNTERS}
 
     def test_dynamic(self):
-        app = serve_app(make_db(n=60), dynamic=True, dynamic_cap=8)
+        app = serve_app(make_db(n=60), dynamic=True)
         self._check(
             app, [self._target()],
             {"outcome": "ok", "mode": "dynamic", "prepare_hit": False},

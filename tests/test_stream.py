@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.exact import exact_ptk_query
 from repro.datagen.tracking import TrackingConfig, detection_stream
-from repro.dynamic.index import DEFAULT_CAP
 from repro.exceptions import DuplicateTupleError, QueryError, ValidationError
 from repro.model.tuples import UncertainTuple
 from repro.query.ranking import by_score
@@ -169,10 +168,10 @@ class TestWindowParity:
     @pytest.mark.parametrize("window_size", [10, 40])
     def test_every_arrival_matches_scalar_engine(self, window_size):
         window = SlidingWindowPTK(k=5, threshold=0.45, window_size=window_size)
-        assert self.feed(window, 5, 0.45) == {"dynamic"}
+        assert self.feed(window, 5, 0.45) == {"columnar"}
 
-    def test_k_above_dynamic_cap_reads_columnar(self):
-        k = DEFAULT_CAP + 6
+    def test_large_k_reads_columnar(self):
+        k = 70
         window = SlidingWindowPTK(k=k, threshold=0.2, window_size=120)
         assert self.feed(window, k, 0.2) == {"columnar"}
 
