@@ -3,10 +3,10 @@
 Dashboards and report generators routinely ask several threshold
 queries over the same table and ranking (different k for different
 panels, several thresholds for sensitivity).  A ``Pr^k`` column priced
-once answers every threshold at that k, so the requests share one
-columnar scan per distinct k (:func:`repro.core.exact.shared_scan_reads`)
-over one preparation of the table, dealt to workers by the same fan-out
-as :func:`repro.parallel.fanout.parallel_ptk_queries`.
+once answers every threshold at that k, so the requests read the
+preparation's warm scan at each distinct k
+(:attr:`repro.query.prepare.PreparedRanking.index`) through the same
+fan-out as :func:`repro.parallel.fanout.parallel_ptk_queries`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def batch_ptk_queries(
     requests: Sequence[Tuple[int, float]],
     ranking: RankingFunction | None = None,
     cache: Optional[PrepareCache] = None,
-    n_workers: Optional[int] = 1,
 ) -> List[PTKAnswer]:
     """Answer several ``(k, threshold)`` PT-k queries in one scan.
 
@@ -45,17 +44,14 @@ def batch_ptk_queries(
     :param ranking: shared ranking function.
     :param cache: an optional :class:`PrepareCache`; selection, ranking,
         and rule indexing run at most once either way — the cache lets
-        *successive* batch calls on an unchanged table skip them too.
-    :param n_workers: how many workers the distinct k's are dealt to
-        (:func:`repro.parallel.fanout.fan_out`, which receives the
-        prepared columns); ``1`` (the default) answers inline, ``0`` or
-        ``None`` means one per CPU.
+        *successive* batch calls skip them too, and resume the warm
+        scans those calls priced.
     :returns: one :class:`PTKAnswer` per request, in request order.
         Each answer carries the full ``Pr^k`` map for its k and is
         bitwise :func:`repro.core.exact.exact_ptk_query` with
-        ``pruning=False, columnar=True``.  The first request at each k
-        bills that k's scan (``tuples_evaluated``); later ones at the
-        same k bill 0, their marginal cost.
+        ``pruning=False, columnar=True``.  Each bills
+        (``tuples_evaluated``) only the rows of its k's scan no earlier
+        read had priced: a repeat at the same k bills 0.
     """
     from repro.parallel.fanout import fan_out
 
@@ -69,7 +65,6 @@ def batch_ptk_queries(
     return fan_out(
         {table.name: prepared},
         [(table.name, k, threshold) for k, threshold in requests],
-        n_workers,
         pruning=False,
         mode="batch",
     )

@@ -136,10 +136,11 @@ class ExactPTKEngine:
         snapshot); built on demand when omitted.
     :param state: a columnar read's :class:`~repro.core.kernel.
         TopKScanState` at this ``k`` over ``columns``, to read instead of
-        a fresh one.  Several engines may read one state in turn (see
-        :func:`shared_scan_reads`): rows another engine priced are not
-        priced again, and each read's ``tuples_evaluated`` and
-        ``subset_extensions`` bill only the state's growth during it.
+        a fresh one.  Several engines may read one state in turn (a
+        preparation's warm scan, :meth:`~repro.dynamic.index.DynamicIndex
+        .scan`): rows another engine priced are not priced again, and
+        each read's ``tuples_evaluated`` and ``subset_extensions`` bill
+        only the state's growth during it.
     :param lock: the lock of a preparation's warm scan
         (:meth:`~repro.dynamic.index.DynamicIndex.scan`), a ``state``
         shared across threads and preparations.  A read holds it only
@@ -532,45 +533,6 @@ def exact_ptk_query(
         lock=lock,
     )
     return engine.run(deadline_seconds=deadline_seconds)
-
-
-def shared_scan_reads(
-    columns: TableColumns,
-    requests: Sequence[Tuple[int, float]],
-    pruning: bool = True,
-) -> List[PTKAnswer]:
-    """Columnar PT-k reads of one table that share one scan per ``k``.
-
-    One :class:`~repro.core.kernel.TopKScanState` is built per distinct
-    ``k`` and read once per request, in request order, by a columnar
-    :class:`ExactPTKEngine`.  Every answer is bitwise the one a read on
-    a fresh state gives — answers, probabilities, ``scan_depth`` and
-    ``stopped_by`` — because pausing the scan is bitwise neutral and a
-    read at a new threshold restarts Theorem 5's running mass.  Rows
-    are priced once per ``k``: each answer's ``tuples_evaluated`` and
-    ``subset_extensions`` bill the rows its read added to the state.
-
-    :param columns: the table's ranked columns (a preparation's
-        :attr:`~repro.query.prepare.PreparedRanking.columns`).
-    :param requests: ``(k, threshold)`` pairs, thresholds in ``(0, 1]``.
-    :param pruning: ``False`` reads every row (``limit = inf``), so
-        each answer carries the full ``Pr^k`` map.
-    :returns: one answer per request, in request order.
-    """
-    states: Dict[int, kernel.TopKScanState] = {}
-    answers: List[PTKAnswer] = []
-    for k, threshold in requests:
-        state = states.get(k)
-        if state is None:
-            state = states[k] = kernel.TopKScanState(
-                columns.probability, columns.rule_index, k
-            )
-        engine = ExactPTKEngine(
-            (), {}, {}, k=k, threshold=threshold, pruning=pruning,
-            columnar=True, columns=columns, state=state,
-        )
-        answers.append(engine.run())
-    return answers
 
 
 def exact_topk_probabilities(

@@ -290,6 +290,14 @@ class DurableDB(UncertainDB):
             self._auto_note(name, max(k for k, _ in requests), None)
         return super().ptk_batch(name, requests, **kwargs)
 
+    def ptk_many(self, requests, **kwargs):
+        largest: Dict[str, int] = {}
+        for name, k, _ in requests:
+            largest[name] = max(k, largest.get(name, k))
+        for name, k in largest.items():
+            self._auto_note(name, k, None)
+        return super().ptk_many(requests, **kwargs)
+
     def _auto_note(self, name: str, k: int, query: Optional[TopKQuery]) -> None:
         """Journal default-shaped queries; opaque predicates are skipped
         (they have no serialisable identity to re-prepare from)."""

@@ -216,7 +216,7 @@ CATALOG: Dict[str, MetricSpec] = {
         ),
         _spec(
             "repro_parallel_workers", "gauge", (),
-            "Worker count resolved for the last parallel call.",
+            "Worker count resolved for the last sharded sampler run.",
             "Beyond the paper (parallel execution)",
         ),
         _spec(

@@ -341,17 +341,14 @@ class UncertainDB:
         name: str,
         requests: "List[Tuple[int, float]]",
         ranking=None,
-        n_workers: Optional[int] = 1,
     ) -> List[PTKAnswer]:
-        """Several ``(k, threshold)`` PT-k queries sharing one scan.
+        """Several ``(k, threshold)`` PT-k queries sharing one scan per k.
 
         Delegates to :func:`repro.core.batch.batch_ptk_queries` with this
-        engine's prepare cache, so back-to-back batches on an unchanged
-        table skip selection/ranking/rule indexing entirely.
-
-        :param n_workers: ``1`` answers all requests inline; ``> 1``
-            (or ``0`` for one per CPU) deals the distinct k's across a
-            process pool sharing one prepared ranking.
+        engine's prepare cache, so back-to-back batches skip
+        selection/ranking/rule indexing and resume the warm scans of
+        the preparation (:meth:`ptk`'s, for the default ranking): a
+        write below the priced rows costs them no DP work.
         """
         from repro.core.batch import batch_ptk_queries
 
@@ -363,30 +360,23 @@ class UncertainDB:
                 requests,
                 ranking=ranking,
                 cache=self._prepare_cache,
-                n_workers=n_workers,
             )
 
     def ptk_many(
         self,
         requests: "List[Tuple[str, int, float]]",
-        n_workers: Optional[int] = None,
         pruning: bool = True,
     ) -> List[PTKAnswer]:
-        """Independent exact PT-k queries fanned out across workers.
+        """Independent exact PT-k queries, possibly over several tables.
 
-        Each request is a ``(table_name, k, threshold)`` triple; requests
-        may span several registered tables.  Every distinct table is
-        prepared **once** in the parent — through this engine's prepare
-        cache, so the warm entries also serve later queries — and its
-        cached columns are shipped to the workers.  Requests on the same
-        ``(table, k)`` share one columnar scan, read once per threshold
-        (see :func:`repro.core.exact.shared_scan_reads`).  Answers come
-        back in request order and are identical to calling :meth:`ptk`
-        per request (with the dynamic route off): answers,
-        probabilities, ``scan_depth`` and ``stopped_by``.
-
-        :param n_workers: pool size; ``None``/``0`` means one worker per
-            available CPU, ``1`` answers serially in-process.
+        Each request is a ``(table_name, k, threshold)`` triple.  Every
+        distinct table is prepared **once**, through this engine's
+        prepare cache, and each request runs :meth:`ptk`'s read on that
+        preparation (with the dynamic route off): it resumes the
+        preparation's warm scan at its ``k``, which reads before and
+        after this call share.  Answers come back in request order and
+        are bitwise a fresh database's :meth:`ptk` per request:
+        answers, probabilities, ``scan_depth`` and ``stopped_by``.
         """
         from repro.parallel.fanout import parallel_ptk_queries
 
@@ -402,12 +392,7 @@ class UncertainDB:
         with query_scope(
             "ptk-many", requests=len(requests), tables=len(ready)
         ):
-            return parallel_ptk_queries(
-                ready,
-                requests,
-                n_workers=n_workers,
-                pruning=pruning,
-            )
+            return parallel_ptk_queries(ready, requests, pruning=pruning)
 
     def utopk(
         self, name: str, k: int, query: Optional[TopKQuery] = None

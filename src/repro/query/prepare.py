@@ -398,45 +398,38 @@ class PrepareCache:
                     )
             return dropped
 
-    def _purge_stale(self) -> int:
-        """Drop entries whose source table has since mutated.
+    def _live_entries(self) -> int:
+        """The number of entries prepared at their table's current
+        version.
 
-        ``get`` purges lazily per table; counting must not wait for the
-        next lookup, or ``stats().entries`` over-reports between a table
-        mutation and the next query (and any counters built on it lie).
-
-        :returns: the number of *live* entries remaining.
+        Stale entries are counted out but not deleted: the next
+        :meth:`get` of their shape purges them and hands their warm
+        scans to the cold re-prepare, so counting must not drop them.
         """
-        live = 0
-        for table, entries in list(self._by_table.items()):
-            version = table.version
-            stale = [
-                key for key, prep in entries.items()
-                if prep.source_version != version
-            ]
-            for key in stale:
-                del entries[key]
-            live += len(entries)
-        return live
+        return sum(
+            prep.source_version == table.version
+            for table, entries in list(self._by_table.items())
+            for prep in entries.values()
+        )
 
     def stats(self) -> PrepareCacheStats:
         """Hit/miss/invalidation counters plus the live entry count.
 
-        Stale-version entries are purged before counting, so ``entries``
-        reflects what the next lookups can actually serve.
+        ``entries`` counts only current-version entries, what the next
+        lookups can actually serve.
         """
         with self._lock:
             return PrepareCacheStats(
                 hits=self._hits,
                 misses=self._misses,
                 invalidations=self._invalidations,
-                entries=self._purge_stale(),
+                entries=self._live_entries(),
                 epoch=self._epoch,
             )
 
     def __len__(self) -> int:
         with self._lock:
-            return self._purge_stale()
+            return self._live_entries()
 
 
 def resolve_prepared(

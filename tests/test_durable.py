@@ -614,6 +614,20 @@ class TestDurableDB:
         assert recovered.prepare_cache.stats().hits == 1
         recovered.close()
 
+    def test_ptk_many_serve_keys_warm_prepare_cache(self, tmp_path):
+        db = DurableDB(tmp_path, fsync="off")
+        db.register(sample_table())
+        db.ptk_many([("demo", 1, 0.3), ("demo", 2, 0.5)])
+        db.close()
+
+        recovered = DurableDB(tmp_path, fsync="off", warm_start=True)
+        assert recovered.last_recovery.serve_keys == [("demo", 2, None)]
+        assert recovered.prepare_cache.stats().misses == 1
+        recovered.ptk_many([("demo", 2, 0.3)])
+        stats = recovered.prepare_cache.stats()
+        assert (stats.hits, stats.misses) == (1, 1)
+        recovered.close()
+
     def test_warm_start_disabled(self, tmp_path):
         db = DurableDB(tmp_path, fsync="off")
         db.register(sample_table())

@@ -611,13 +611,15 @@ class TestCarriedStore:
 
     # Op-codes past OPS draw a collision write (twin_write).  Pinned:
     # "1" joins at the score of 1, then moves onto it again after a
-    # score write of its own.
+    # score write of its own.  Each step reads through one of db.ptk,
+    # ptk_many and ptk_batch, which all resume the same warm scans.
     @given(
         script=st.lists(
             st.tuples(
                 st.integers(0, len(OPS)),
                 st.integers(0, 2**16),
                 st.sampled_from(READ_KS),
+                st.sampled_from(("ptk", "many", "batch")),
             ),
             min_size=1,
             max_size=30,
@@ -625,7 +627,10 @@ class TestCarriedStore:
         seed=st.integers(0, 1000),
     )
     @example(
-        script=[(6, 1, 5), (3, 7, 2), (6, 0, 5), (6, 2, 100), (2, 5, 70)],
+        script=[
+            (6, 1, 5, "ptk"), (3, 7, 2, "many"), (6, 0, 5, "ptk"),
+            (6, 2, 100, "batch"), (2, 5, 70, "ptk"),
+        ],
         seed=1,
     )
     @settings(max_examples=25, deadline=None)
@@ -636,15 +641,23 @@ class TestCarriedStore:
         driver = MutationDriver(table, seed=seed, db=db)
         for _ in range(150):
             driver.emit("add")
-        for op_index, op_seed, k in script:
+        for op_index, op_seed, k, reader in script:
             driver.rng.seed(op_seed)
             if op_index == len(OPS):
                 twin_write(db, table, driver.rng)
             else:
                 driver.emit(OPS[op_index])
-            read = db.ptk("t", k, 0.3)
-            assert read.method == "columnar"
-            assert bits(read) == bits(cold(table, k, 0.3))
+            if reader == "ptk":
+                reads = [(db.ptk("t", k, 0.3), 0.3, True)]
+            elif reader == "many":
+                many = db.ptk_many([("t", k, 0.3), ("t", k, 0.5)])
+                reads = list(zip(many, (0.3, 0.5), (True, True)))
+            else:
+                batch = db.ptk_batch("t", [(k, 0.5), (k, 0.3)])
+                reads = list(zip(batch, (0.5, 0.3), (False, False)))
+            for read, threshold, pruning in reads:
+                assert read.method == "columnar"
+                assert bits(read) == bits(cold(table, k, threshold, pruning))
 
     def test_threads_read_an_old_and_a_new_preparation(self):
         table = random_table(7, 3000, rule_fraction=0.3)

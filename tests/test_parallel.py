@@ -1,5 +1,8 @@
 """Tests for the parallel execution layer (repro.parallel)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from repro.parallel import resolve_workers, shard_map
 from repro.query.engine import UncertainDB
 from repro.query.topk import TopKQuery
 from repro.stats.intervals import wilson_interval
+from tests.test_columnar_read import bits
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +51,6 @@ def spy_on_shards(monkeypatch, inline=False):
         return real(fn, tasks, workers, use_processes=not inline)
 
     monkeypatch.setattr(sampling, "shard_map", spy)
-    return shipped
-
-
-def spy_on_chunks(monkeypatch):
-    """Record the chunks the fan-out deals to ``shard_map`` and run them
-    in this process."""
-    from repro.parallel import fanout
-
-    shipped = []
-
-    def spy(fn, tasks, workers):
-        shipped.extend(tasks)
-        return shard_map(fn, tasks, workers, use_processes=False)
-
-    monkeypatch.setattr(fanout, "shard_map", spy)
     return shipped
 
 
@@ -240,13 +229,18 @@ class TestShardedSampling:
             pickle.dumps(task)  # no closures: ranking lambdas stay home
 
 
+def fresh_db(table):
+    """A database whose preparations no read has warmed."""
+    database = UncertainDB()
+    database.register(panda_table())
+    database.register(table, name="synth")
+    return database
+
+
 class TestFanOut:
     @pytest.fixture()
     def db(self, table):
-        database = UncertainDB()
-        database.register(panda_table())
-        database.register(table, name="synth")
-        return database
+        return fresh_db(table)
 
     REQUESTS = [
         ("panda_sightings", 2, 0.35),
@@ -257,14 +251,14 @@ class TestFanOut:
     ]
 
     def test_ptk_many_matches_sequential(self, db):
-        many = db.ptk_many(self.REQUESTS, n_workers=2)
+        many = db.ptk_many(self.REQUESTS)
         for answer, (name, k, threshold) in zip(many, self.REQUESTS):
             reference = db.ptk(name, k=k, threshold=threshold)
             assert answer.answers == reference.answers
             assert answer.probabilities == reference.probabilities
             assert answer.k == k and answer.threshold == threshold
 
-    # Repeated (table, k) pairs: each pair's requests share one scan.
+    # Repeated (table, k) pairs: each pair's requests read one scan.
     # synth k=10 reads deep (p=0.1) then shallow (p=0.6); k=20 reads
     # shallow then deep; k=5 repeats one threshold.
     GROUPED = [
@@ -279,16 +273,19 @@ class TestFanOut:
         ("synth", 10, 0.3),
     ]
 
-    @pytest.mark.parametrize("use_processes", [False, True])
+    @pytest.mark.parametrize("repeat", [False, True])
     @pytest.mark.parametrize("pruning", [True, False])
     def test_grouped_reads_equal_per_request_ptk(
-        self, db, monkeypatch, use_processes, pruning
+        self, db, table, pruning, repeat
     ):
-        if not use_processes:
-            spy_on_chunks(monkeypatch)
-        many = db.ptk_many(self.GROUPED, n_workers=2, pruning=pruning)
+        many = db.ptk_many(self.GROUPED, pruning=pruning)
+        if repeat:
+            # The same call again reads scans that hold every row it needs.
+            many = db.ptk_many(self.GROUPED, pruning=pruning)
+        # Each reference reads a fresh database: on ``db`` the warm
+        # scans ptk_many left would bill it 0 rows.
         references = [
-            db.ptk(name, k=k, threshold=threshold, pruning=pruning)
+            fresh_db(table).ptk(name, k=k, threshold=threshold, pruning=pruning)
             for name, k, threshold in self.GROUPED
         ]
         groups = {}
@@ -305,68 +302,48 @@ class TestFanOut:
         stops = {r.stats.stopped_by for r in references}
         assert stops == ({"total-probability"} if pruning else {"exhausted"})
         for pairs in groups.values():
-            # The group's one state priced as far as its deepest read
+            # The group's one scan priced as far as its deepest read
             # needed — what that read prices on a fresh state — and the
-            # group's answers bill those rows exactly once.
-            assert sum(a.stats.tuples_evaluated for a, _ in pairs) == max(
-                r.stats.tuples_evaluated for _, r in pairs
+            # group's answers bill those rows exactly once, in the
+            # first call.
+            assert sum(a.stats.tuples_evaluated for a, _ in pairs) == (
+                0 if repeat else max(r.stats.tuples_evaluated for _, r in pairs)
             )
-            assert sum(a.stats.subset_extensions for a, _ in pairs) == max(
-                r.stats.subset_extensions for _, r in pairs
+            assert sum(a.stats.subset_extensions for a, _ in pairs) == (
+                0 if repeat
+                else max(r.stats.subset_extensions for _, r in pairs)
             )
 
-    def test_fanout_chunks_ship_columns(self, db, monkeypatch):
-        import pickle
-
-        from repro.parallel import fanout
-
-        prepared_of = {
-            name: db.prepare_cache.get(db.table(name), TopKQuery(k=1))
-            for name in ("panda_sightings", "synth")
-        }
-        shipped = spy_on_chunks(monkeypatch)
-        fanout.parallel_ptk_queries(prepared_of, self.GROUPED, n_workers=2)
-        assert len(shipped) == 2
-        for chunk in shipped:
-            for key, columns in chunk.columns_of.items():
-                assert columns is prepared_of[key].columns
-            pickle.dumps(chunk)  # no closures: ranking lambdas stay home
-        # Every (table, k) group is answered by exactly one chunk.
-        groups = [
-            {(key, k) for _, key, k, _ in chunk.items} for chunk in shipped
-        ]
-        assert not groups[0] & groups[1]
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_ptk_batch_equals_unpruned_ptk(self, db, n_workers):
-        # Through a real pool for n_workers=2: the first request at each
-        # k bills the reference's full scan, later ones at that k bill 0.
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_ptk_batch_equals_unpruned_ptk(self, db, table, calls):
+        # In the first call, the first request at each k bills the
+        # reference's full scan, later ones at that k bill 0; a second
+        # call bills 0 throughout.
         requests = [(10, 0.3), (5, 0.5), (10, 0.05), (20, 0.2), (5, 0.9)]
-        batch = db.ptk_batch("synth", requests, n_workers=n_workers)
+        for _ in range(calls):
+            batch = db.ptk_batch("synth", requests)
         billed = {}
         for answer, (k, threshold) in zip(batch, requests):
-            reference = db.ptk("synth", k, threshold, pruning=False)
+            reference = fresh_db(table).ptk(
+                "synth", k, threshold, pruning=False
+            )
             assert answer.answers == reference.answers
             assert answer.probabilities == reference.probabilities
             assert len(answer.probabilities) == len(db.table("synth"))
             assert answer.stats.scan_depth == reference.stats.scan_depth
             assert answer.stats.stopped_by == reference.stats.stopped_by
             assert answer.stats.tuples_evaluated == (
-                0 if k in billed else reference.stats.tuples_evaluated
+                0 if k in billed or calls > 1
+                else reference.stats.tuples_evaluated
             )
             billed[k] = billed.get(k, 0) + answer.stats.tuples_evaluated
-        assert billed == {k: len(db.table("synth")) for k in billed}
-
-    def test_ptk_many_with_real_pool(self, db, monkeypatch):
-        many = db.ptk_many(self.REQUESTS, n_workers=2)
-        spy_on_chunks(monkeypatch)
-        inline = db.ptk_many(self.REQUESTS, n_workers=2)
-        for a, b in zip(many, inline):
-            assert a.answers == b.answers and a.probabilities == b.probabilities
+        assert billed == {
+            k: 0 if calls > 1 else len(db.table("synth")) for k in billed
+        }
 
     def test_ptk_many_prepares_each_table_once(self, db):
         misses_before = db.prepare_cache.stats().misses
-        db.ptk_many(self.REQUESTS, n_workers=2)
+        db.ptk_many(self.REQUESTS)
         assert db.prepare_cache.stats().misses == misses_before + 2
 
     def test_ptk_many_unknown_table(self, db):
@@ -378,30 +355,125 @@ class TestFanOut:
     def test_ptk_many_empty(self, db):
         assert db.ptk_many([]) == []
 
-    def test_parallel_batch_matches_serial(self, table):
-        requests = [(10, 0.3), (5, 0.5), (20, 0.2), (1, 0.9), (15, 0.4)]
-        serial = batch_ptk_queries(table, requests)
-        for workers in (2, 3):
-            parallel = batch_ptk_queries(table, requests, n_workers=workers)
-            for a, b in zip(parallel, serial):
-                assert a.answers == b.answers
-                assert a.probabilities == b.probabilities
 
-    def test_engine_ptk_batch_parallel(self, db):
-        requests = [(10, 0.3), (5, 0.5), (20, 0.2)]
-        serial = db.ptk_batch("synth", requests)
-        parallel = db.ptk_batch("synth", requests, n_workers=2)
-        for a, b in zip(parallel, serial):
-            assert a.answers == b.answers
+class TestWarmBatchReads:
+    """``db.ptk``, ``ptk_many`` and ``ptk_batch`` resume one
+    preparation's warm scans, across calls and across writes."""
 
-    def test_single_request_stays_serial(self, table):
-        # A 1-request batch must not pay fan-out machinery.
-        serial = batch_ptk_queries(table, [(5, 0.5)])
-        parallel = batch_ptk_queries(table, [(5, 0.5)], n_workers=4)
-        assert parallel[0].answers == serial[0].answers
-        assert parallel[0].stats.tuples_evaluated == len(
-            serial[0].probabilities
-        ) or parallel[0].stats.tuples_evaluated == serial[0].stats.tuples_evaluated
+    def test_reads_bill_only_the_rows_the_warm_scan_lacks(self):
+        table = generate_synthetic_table(
+            SyntheticConfig(n_tuples=1500, n_rules=80, seed=5)
+        )
+        db = UncertainDB()
+        db.register(table, name="t")
+
+        def prepared():
+            return db.prepare_cache.get(table, TopKQuery(k=1))
+
+        def billed(answer, k, threshold, pruning=True):
+            reference = UncertainDB()
+            reference.register(table, name="t")
+            fresh = reference.ptk("t", k, threshold, pruning=pruning)
+            assert bits(answer) == bits(fresh)
+            return answer.stats.tuples_evaluated
+
+        def many(*thresholds):
+            answers = db.ptk_many([("t", 10, p) for p in thresholds])
+            return [billed(a, 10, p) for a, p in zip(answers, thresholds)]
+
+        def batch():
+            return billed(db.ptk_batch("t", [(5, 0.2)])[0], 5, 0.2, False)
+
+        def write_at(rank):
+            tids = prepared().columns.tids
+            tid = next(t for t in tids[rank:] if table.is_independent(t))
+            db.update_probability("t", tid, table.get(tid).probability / 2)
+
+        n = len(table)
+        assert billed(db.ptk("t", 10, 0.3), 10, 0.3) > 0
+        assert many(0.3, 0.5) == [0, 0]
+        assert batch() == n
+        assert batch() == 0
+        assert billed(db.ptk("t", 5, 0.2), 5, 0.2) == 0
+
+        # Below the k=10 scan's priced rows: it keeps all of them.  The
+        # k=5 scan priced every row and restores a snapshot.
+        priced = prepared().index.scans[10].done
+        assert priced < n
+        write_at(priced)
+        assert prepared().scanned_rows(10) == priced
+        assert many(0.3, 0.6) == [0, 0]
+        kept = prepared().scanned_rows(5)
+        assert batch() == n - kept
+
+        # Above them: the read re-prices from the restored snapshot.
+        write_at(priced // 2)
+        restored = prepared().scanned_rows(10)
+        assert 0 < restored <= priced // 2
+        assert many(0.3, 0.3) == [
+            prepared().index.scans[10].done - restored, 0
+        ]
+        kept = prepared().scanned_rows(5)
+        assert 0 < kept < n
+        assert batch() == n - kept
+
+    def test_threads_read_while_a_writer_toggles_a_tuple(self):
+        # Three readers (more than this host's cores) and one writer
+        # share the warm scans; every answer is a fresh database's read
+        # of one of the two table versions the writer alternates.
+        table = generate_synthetic_table(
+            SyntheticConfig(n_tuples=800, n_rules=40, seed=9)
+        )
+        db = UncertainDB()
+        db.register(table, name="t")
+        ranked = db.prepare_cache.get(table, TopKQuery(k=1)).columns.tids
+        tid = next(t for t in ranked[20:] if table.is_independent(t))
+        values = (table.get(tid).probability, 0.05)
+        many = [("t", 10, 0.3), ("t", 20, 0.2), ("t", 10, 0.5)]
+        batch = [(5, 0.4), (10, 0.3)]
+        expected = []
+        for value in values:
+            db.update_probability("t", tid, value)
+            fresh = UncertainDB()
+            fresh.register(table, name="t")
+            expected.append((
+                [bits(fresh.ptk("t", k, p)) for _, k, p in many],
+                [bits(fresh.ptk("t", k, p, pruning=False)) for k, p in batch],
+            ))
+        failures = []
+
+        def reader(seed):
+            try:
+                for round_ in range(30):
+                    if (seed + round_) % 2:
+                        got = ([bits(a) for a in db.ptk_many(many)], None)
+                    else:
+                        got = (None, [bits(a) for a in db.ptk_batch("t", batch)])
+                    if not any(
+                        got[0] in (None, e[0]) and got[1] in (None, e[1])
+                        for e in expected
+                    ):
+                        failures.append((seed, round_))
+            except Exception as error:  # pragma: no cover - reported below
+                failures.append(error)
+
+        def writer():
+            for round_ in range(60):
+                db.update_probability("t", tid, values[round_ % 2])
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestParallelObservability:
@@ -454,7 +526,7 @@ class TestParallelObservability:
 
         obs.enable(fresh=True)
         try:
-            batch_ptk_queries(table, [(5, 0.5), (10, 0.3)], n_workers=2)
+            batch_ptk_queries(table, [(5, 0.5), (10, 0.3)])
             metrics = snapshot()["metrics"]
             samples = metrics["repro_parallel_fanout_queries_total"]["samples"]
             by_mode = {

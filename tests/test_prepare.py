@@ -164,8 +164,7 @@ class TestPrepareCache:
 
     def test_stats_drop_immediately_after_mutation(self):
         # Stale-version entries used to linger in stats()/len() until the
-        # next get() purged them lazily; counting must purge (or filter)
-        # them itself.
+        # next get() purged them lazily; counting filters them itself.
         cache = PrepareCache()
         table = build_table([0.5, 0.3], rule_groups=[])
         cache.get(table, TopKQuery(k=2))
@@ -175,6 +174,24 @@ class TestPrepareCache:
         assert len(cache) == 0
         # The live count recovers after the next (rebuilding) lookup.
         cache.get(table, TopKQuery(k=2))
+        assert cache.stats().entries == 1
+
+    def test_counting_keeps_the_stale_entry_for_the_next_get(self):
+        # stats() between a write straight to the table and the next
+        # lookup once deleted the stale entry, and with it the warm
+        # scans the lookup's cold re-prepare takes over.
+        db = UncertainDB()
+        table = build_table([0.1 + 0.015 * i for i in range(50)], rule_groups=[])
+        db.register(table)
+        db.ptk(table.name, 5, 0.3)
+        cache = db.prepare_cache
+        store = cache.get(table, TopKQuery(k=5)).index
+        table.update_probability("t3", 0.5)
+        assert cache.stats().entries == 0
+        assert len(cache) == 0
+        prepared = cache.get(table, TopKQuery(k=5))
+        assert prepared.source_version == table.version
+        assert prepared.index is store
         assert cache.stats().entries == 1
 
     def test_stats_only_counts_live_versions_across_tables(self):
